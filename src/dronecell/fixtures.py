@@ -6,7 +6,6 @@ import json
 from importlib.resources import files
 from pathlib import Path
 
-from .experiment import ExperimentConfig
 from .scenario import Scenario
 
 CASE24 = "case24.json"
@@ -30,9 +29,3 @@ def load_case24() -> Scenario:
     from .cli.files import scenario_from_dict
 
     return scenario_from_dict(json.loads(case24_path().read_text(encoding="utf-8")))
-
-
-def load_mc_default() -> ExperimentConfig:
-    from .cli.files import experiment_config_from_dict
-
-    return experiment_config_from_dict(json.loads(mc_default_path().read_text(encoding="utf-8")))

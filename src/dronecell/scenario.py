@@ -8,8 +8,8 @@ Scenarios are immutable and freely shareable across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class User:
     energy_cost: float = 0.0  # lambda_i in [0, 1]
     content_request: bool = False  # kappa_i
     resource_demand: float = 1.0  # R_i > 0
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -273,11 +269,3 @@ def mvno_counts(scenario: Scenario, assignment: Assignment) -> tuple[int, ...]:
 def assignment_from_ids(scenario: Scenario, served_ids: Iterable[int]) -> Assignment:
     chosen = set(served_ids)
     return Assignment(tuple(1 if u.id in chosen else 0 for u in scenario.users))
-
-
-def with_weights(scenario: Scenario, **changes: float | str) -> Scenario:
-    return replace(scenario, weights=replace(scenario.weights, **changes))
-
-
-def with_users(scenario: Scenario, users: Sequence[User]) -> Scenario:
-    return replace(scenario, users=tuple(users))

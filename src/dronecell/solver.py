@@ -11,9 +11,11 @@ set grows, so the altitude maximizing the coverage radius is optimal for any
 horizontal position, and the horizontal optimum over the remaining 2-D
 problem is attained at one of finitely many candidate centers (user
 positions, pairwise coverage-circle intersections, circle/box-edge
-crossings, and box corners).  Every distinct coverage set is then scored by
-an exact subset-selection routine.  ``brute_force`` provides an independent
-grid-search oracle for testing.
+crossings, and box corners).  The coverage sets of those centers are then
+scored by an exact subset-selection routine, once per signature: the
+per-tenant count vector where that alone fixes the score, otherwise the set
+itself.  ``brute_force`` provides an independent grid-search oracle for
+testing.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .scenario import (
 DISK_EPS = 1e-12
 # Hard ceiling on oracle grid size.
 MAX_ORACLE_POINTS = 10_000_000
+# Candidate centers tested for eligibility at a time, so the distance and
+# eligibility blocks hold this many rows rather than one per candidate.
+ELIGIBILITY_CHUNK = 512
 
 
 class SolverError(Exception):
@@ -92,12 +97,7 @@ def objective_value(scenario: Scenario, assignment: Assignment) -> tuple[float, 
     penalty; the energy and content terms as rewards.
     """
     w = scenario.weights
-    counts = mvno_counts(scenario, assignment)
-    diffs = [c - t for c, t in zip(counts, scenario.targets.counts)]
-    if w.norm == L2:
-        t2 = math.sqrt(sum(d * d for d in diffs))
-    else:
-        t2 = float(sum(abs(d) for d in diffs))
+    t2 = _tenancy_gap(mvno_counts(scenario, assignment), scenario.targets.counts, w.norm)
     t1 = float(assignment.total)
     t3 = sum(u.energy_cost for u, s in zip(scenario.users, assignment.served) if s)
     t4 = float(sum(1 for u, s in zip(scenario.users, assignment.served) if s and u.content_request))
@@ -297,10 +297,16 @@ def solve(scenario: Scenario) -> SolveResult:
     The altitude search maximizes the coverage radius at the scenario's
     default QoS threshold; per-user thresholds then size individual disks at
     that altitude.  Candidate centers realize every maximal coverage set
-    inside the region box, and each distinct coverage set is scored by
-    ``select_users``.  Ties break toward more served users, then the
-    lexicographically smallest center; when nobody is coverable the result
-    keeps the all-zero assignment at the region's smallest corner.
+    inside the region box.  Their eligibility is tested in blocks of
+    ``ELIGIBILITY_CHUNK`` centers, so memory grows with the block, not with
+    the candidate count.  Each coverage set gets a signature and
+    ``select_users`` scores each signature once, at its first center.  When
+    every user has the same resource demand and the energy and content
+    weights are zero, the score depends only on the set's per-tenant counts,
+    so the count vector is the signature; otherwise the set itself is.
+    Ties break toward more served users, then the lexicographically smallest
+    center; when nobody is coverable the result keeps the all-zero
+    assignment at the region's smallest corner.
     """
     _check_region(scenario)
     region = scenario.region
@@ -322,28 +328,42 @@ def solve(scenario: Scenario) -> SolveResult:
     # A zero radius means the user fails QoS even at the nadir; the negative
     # sentinel keeps it out of every disk, including candidates at distance 0.
     r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])
-    d2 = (pts[:, 0:1] - ux[None, :]) ** 2 + (pts[:, 1:2] - uy[None, :]) ** 2
-    eligible = d2 <= r2[None, :]
+    w = scenario.weights
+    by_counts = w.w3 == 0 and w.w4 == 0 and len({u.resource_demand for u in users}) == 1
+    if by_counts:
+        tenant = np.zeros((len(users), scenario.num_mvnos), dtype=np.int64)
+        tenant[np.arange(len(users)), [u.mvno_id for u in users]] = 1
 
-    packed = np.packbits(eligible, axis=1)
-    void = np.ascontiguousarray(packed).view([("v", f"V{packed.shape[1]}")]).ravel()
-    _, first_idx = np.unique(void, return_index=True)
-    for k in np.sort(first_idx):
-        ids = {users[i].id for i in np.nonzero(eligible[k])[0]}
-        if not ids:
-            continue  # the zero-assignment fallback already covers this
-        assignment = select_users(scenario, ids)
-        obj, breakdown = objective_value(scenario, assignment)
-        if (obj, assignment.total) > (best.objective, best_total):
-            best = SolveResult(
-                (float(pts[k, 0]), float(pts[k, 1]), h_star),
-                assignment,
-                obj,
-                breakdown,
-                mvno_counts(scenario, assignment),
-                r_default,
-            )
-            best_total = assignment.total
+    # A repeated signature scores exactly as its first set did, and a later
+    # equal score never replaces the best, so only first sightings are scored.
+    seen: set[bytes] = set()
+    for start in range(0, len(pts), ELIGIBILITY_CHUNK):
+        block = pts[start : start + ELIGIBILITY_CHUNK]
+        d2 = (block[:, 0:1] - ux[None, :]) ** 2 + (block[:, 1:2] - uy[None, :]) ** 2
+        eligible = d2 <= r2[None, :]
+        keys = eligible @ tenant if by_counts else np.packbits(eligible, axis=1)
+        rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+        _, first_idx = np.unique(rows, return_index=True)
+        for k in np.sort(first_idx):
+            signature = rows[k].tobytes()
+            if signature in seen:
+                continue
+            seen.add(signature)
+            ids = {users[i].id for i in np.nonzero(eligible[k])[0]}
+            if not ids:
+                continue  # the zero-assignment fallback already covers this
+            assignment = select_users(scenario, ids)
+            obj, breakdown = objective_value(scenario, assignment)
+            if (obj, assignment.total) > (best.objective, best_total):
+                best = SolveResult(
+                    (float(block[k, 0]), float(block[k, 1]), h_star),
+                    assignment,
+                    obj,
+                    breakdown,
+                    mvno_counts(scenario, assignment),
+                    r_default,
+                )
+                best_total = assignment.total
     return best
 
 

@@ -1,12 +1,17 @@
 """Placement engine: covered sets, exact solve, and the grid oracle."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from dronecell.channel import ENVIRONMENTS, ChannelConfig, optimal_altitude, path_loss
+from dronecell import solver
+from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude, path_loss
 from dronecell.scenario import (
+    L1,
+    L2,
     ObjectiveWeights,
     PlacementRegion,
     Scenario,
@@ -17,8 +22,12 @@ from dronecell.scenario import (
     mvno_counts,
 )
 from dronecell.solver import (
+    DISK_EPS,
     InfeasibleRegionError,
     ResourceGuardError,
+    SolveResult,
+    _candidate_centers,
+    _zero_result,
     brute_force,
     covered_set,
     objective_value,
@@ -280,3 +289,129 @@ def test_solve_handles_heterogeneous_qos():
             assert loss <= u.max_path_loss_db + QOS_SLACK_DB
     oracle = brute_force(sc, 20.0, 10.0)
     assert result.objective >= oracle.objective - 1e-9
+
+
+def reference_solve(sc):
+    """solve() with every distinct coverage set scored, as one full matrix.
+
+    ``select_users`` and ``objective_value`` run on each distinct set in
+    sorted candidate-center order, and only a strictly better (objective,
+    total) replaces the best.  Returns the result and the number of sets
+    scored.
+    """
+    env, cfg, region = sc.environment, sc.channel, sc.region
+    h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
+    users = sc.users
+    radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
+    best = _zero_result(sc, (region.x_bounds[0], region.y_bounds[0], h_star), r_default)
+    centers = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
+    if not centers:
+        return best, 0
+    pts = np.array(sorted(centers))
+    ux = np.array([u.x for u in users])
+    uy = np.array([u.y for u in users])
+    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])
+    d2 = (pts[:, 0:1] - ux[None, :]) ** 2 + (pts[:, 1:2] - uy[None, :]) ** 2
+    eligible = d2 <= r2[None, :]
+    packed = np.packbits(eligible, axis=1)
+    void = np.ascontiguousarray(packed).view([("v", f"V{packed.shape[1]}")]).ravel()
+    _, first_idx = np.unique(void, return_index=True)
+    scored = 0
+    for k in np.sort(first_idx):
+        ids = {users[i].id for i in np.nonzero(eligible[k])[0]}
+        if not ids:
+            continue
+        scored += 1
+        assignment = select_users(sc, ids)
+        obj, breakdown = objective_value(sc, assignment)
+        if (obj, assignment.total) > (best.objective, best.total_served):
+            best = SolveResult(
+                (float(pts[k, 0]), float(pts[k, 1]), h_star),
+                assignment,
+                obj,
+                breakdown,
+                mvno_counts(sc, assignment),
+                r_default,
+            )
+    return best, scored
+
+
+def signature_instances():
+    """Seeded instances on both sides of the count signature.
+
+    Every combination of 1-3 MVNOs, w2 in {0, 1.5}, the L1 and L2 norms,
+    capacity that binds or not, and three user kinds: uniform demand with the
+    energy/content terms off (count signature), mixed demands, and w3 > 0
+    (both scored set by set).  Per-user thresholds differ in every instance.
+    """
+    rng = random.Random(3131)
+    kinds = ("uniform", "mixed_demand", "energy")
+    shapes = itertools.product((1, 2, 3), (0.0, 1.5), (L1, L2), (False, True), kinds)
+    for num_mvnos, w2, norm, binding, kind in shapes:
+        n = rng.randint(6, 20)
+        users = [
+            User(
+                id=i,
+                x=rng.uniform(-400.0, 400.0),
+                y=rng.uniform(-400.0, 400.0),
+                mvno_id=rng.randrange(num_mvnos),
+                max_path_loss_db=rng.uniform(94.0, 102.0),
+                energy_cost=rng.random(),
+                content_request=rng.random() < 0.3,
+                resource_demand=rng.choice((0.5, 1.0, 1.5)) if kind == "mixed_demand" else 1.0,
+            )
+            for i in range(n)
+        ]
+        weights = ObjectiveWeights(1.0, w2, 0.5 if kind == "energy" else 0.0, 0.0, norm)
+        capacity = float(rng.randint(1, n // 2)) if binding else None
+        region = PlacementRegion((-500.0, 500.0), (-500.0, 500.0), (20.0, 80.0))
+        yield kind, make_scenario(users, num_mvnos, weights=weights, capacity=capacity, region=region)
+
+
+def count_selections(monkeypatch):
+    """Replace ``solver.select_users`` with a wrapper recording each id set."""
+    calls = []
+
+    def counted(scenario, eligible):
+        calls.append(frozenset(eligible))
+        return select_users(scenario, eligible)
+
+    monkeypatch.setattr(solver, "select_users", counted)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, chunk):
+    # A small chunk puts the first sighting of a signature in a later block.
+    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    calls = count_selections(monkeypatch)
+    skipped = 0
+    for kind, sc in signature_instances():
+        want, scored = reference_solve(sc)
+        calls.clear()
+        assert solve(sc) == want
+        if kind == "uniform":
+            assert len(calls) <= scored
+            skipped += scored - len(calls)
+        else:
+            assert len(calls) == scored
+    assert skipped > 0
+
+
+def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
+    # {0, 1} in the west and {2, 3} in the east both count one user per
+    # tenant and score the same; the western set comes first in center order,
+    # so it wins and the eastern pair is never scored.
+    users = [
+        User(id=0, x=-900.0, y=0.0, mvno_id=0),
+        User(id=1, x=-890.0, y=5.0, mvno_id=1),
+        User(id=2, x=890.0, y=0.0, mvno_id=0),
+        User(id=3, x=900.0, y=5.0, mvno_id=1),
+    ]
+    sc = make_scenario(users, num_mvnos=2, targets=(2, 2))
+    calls = count_selections(monkeypatch)
+    result = solve(sc)
+    assert result == reference_solve(sc)[0]
+    assert result.assignment.served_ids(sc) == (0, 1)
+    assert result.placement[0] < 0.0
+    assert frozenset({0, 1}) in calls and frozenset({2, 3}) not in calls
