@@ -64,7 +64,6 @@ class SummaryRow:
     mean_total: float
     std_total: float
     mean_per_mvno: tuple[float, ...]
-    mean_objective: float
     runs: int
 
 
@@ -121,7 +120,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         env = ENVIRONMENTS[env_name]
         totals: dict[str, list[int]] = {p: [] for p in config.policies}
         per_mvno: dict[str, list[list[int]]] = {p: [] for p in config.policies}
-        objectives: dict[str, list[float]] = {p: [] for p in config.policies}
         for run in range(config.n_runs):
             scenario = generate_scenario(
                 config.seed + run,
@@ -142,7 +140,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 # counts stay aligned; other tenants sit at zero.
                 totals[policy].append(result.total_served)
                 per_mvno[policy].append(list(result.mvno_counts))
-                objectives[policy].append(result.objective)
         for policy in config.policies:
             t = np.asarray(totals[policy], dtype=float)
             m = np.asarray(per_mvno[policy], dtype=float)
@@ -153,7 +150,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     mean_total=float(t.mean()),
                     std_total=float(t.std()),
                     mean_per_mvno=tuple(float(v) for v in m.mean(axis=0)),
-                    mean_objective=float(np.mean(objectives[policy])),
                     runs=config.n_runs,
                 )
             )

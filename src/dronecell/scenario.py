@@ -8,7 +8,8 @@ Scenarios are immutable and freely shareable across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -208,7 +209,14 @@ def validate(scenario: Scenario) -> list[str]:
 
     Violations are data, not faults: callers decide whether to proceed.
     """
-    v: list[str] = []
+    # A NaN passes or fails the comparisons below by accident, and the exact
+    # selection cannot scale an infinity, so every float field must be finite.
+    v = (
+        _non_finite("", scenario)
+        + _non_finite("weight ", scenario.weights)
+        + _non_finite("channel ", scenario.channel)
+        + _non_finite("environment ", scenario.environment)
+    )
     if scenario.num_mvnos < 1:
         v.append(f"num_mvnos must be >= 1, got {scenario.num_mvnos}")
     if scenario.capacity <= 0:
@@ -228,7 +236,9 @@ def validate(scenario: Scenario) -> list[str]:
         ("y", region.y_bounds),
         ("h", region.h_bounds),
     ):
-        if not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            v.append(f"region {axis}_bounds must be finite, got ({lo}, {hi})")
+        elif not lo < hi:
             v.append(f"region {axis}_bounds must satisfy min < max, got ({lo}, {hi})")
     if region.h_bounds[0] <= 0:
         v.append(f"region h_bounds must start above ground, got {region.h_bounds[0]}")
@@ -239,6 +249,7 @@ def validate(scenario: Scenario) -> list[str]:
         if u.id in seen_ids:
             v.append(f"user id {u.id} is duplicated")
         seen_ids.add(u.id)
+        v += _non_finite(f"user {u.id}: ", u)
         if not 0 <= u.mvno_id < scenario.num_mvnos:
             v.append(f"user {u.id}: mvno_id {u.mvno_id} outside [0, {scenario.num_mvnos})")
         if u.resource_demand <= 0:
@@ -250,6 +261,16 @@ def validate(scenario: Scenario) -> list[str]:
         if not (x_lo <= u.x <= x_hi and y_lo <= u.y <= y_hi):
             v.append(f"user {u.id}: position ({u.x}, {u.y}) outside the field of interest")
     return v
+
+
+def _non_finite(where: str, obj: object) -> list[str]:
+    """One violation per float field of the dataclass ``obj`` that is NaN or infinite."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            out.append(f"{where}{f.name} must be finite, got {value}")
+    return out
 
 
 def mvno_counts(scenario: Scenario, assignment: Assignment) -> tuple[int, ...]:

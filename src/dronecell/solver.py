@@ -14,17 +14,19 @@ positions, pairwise coverage-circle intersections, circle/box-edge
 crossings, and box corners).  The coverage sets of those centers are then
 scored by an exact subset-selection routine, once per signature: the
 per-tenant count vector where that alone fixes the score, otherwise the set
-itself.  ``brute_force`` provides an independent grid-search oracle for
-testing.
+itself.  On that set path only the maximal sets are scored up front, since a
+superset never scores worse; a smaller set is scored only when no maximal
+superset of it falls below the best.  The selection DP runs on demands and
+capacity scaled to exact integers.  ``brute_force`` provides an independent
+grid-search oracle for testing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +49,10 @@ MAX_ORACLE_POINTS = 10_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
 # eligibility blocks hold this many rows rather than one per candidate.
 ELIGIBILITY_CHUNK = 512
+# Slack of the superset bound in solve()'s pruning, relative to the largest
+# possible sum of the objective's terms; far above the rounding error of
+# adding those terms in two different orders.
+SCORE_RTOL = 1e-9
 
 
 class SolverError(Exception):
@@ -149,16 +155,21 @@ def _tenancy_gap(counts: Sequence[int], targets: Sequence[int], norm: str) -> fl
 def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     """Chosen ids for the sorted eligible ``users``; dispatches by shape."""
     w = scenario.weights
-    cap = Fraction(scenario.capacity)
-    total_demand = sum((Fraction(u.resource_demand) for u in users), Fraction(0))
-    unconstrained = total_demand <= cap
+    # Demands and capacity scaled by the lcm of their denominators: exact
+    # integers, so the DPs add and compare ints rather than Fractions.
+    ratios = [u.resource_demand.as_integer_ratio() for u in users]
+    cap_num, cap_den = scenario.capacity.as_integer_ratio()
+    scale = math.lcm(cap_den, *(den for _, den in ratios))
+    demands = [num * (scale // den) for num, den in ratios]
+    cap = cap_num * (scale // cap_den)
+    unconstrained = sum(demands) <= cap
     if w.w2 == 0 and unconstrained:
         # Every user contributes w1 + w3*lambda + w4*kappa >= 0, so serving
         # all eligible users is optimal and uniquely maximizes the count.
         return tuple(u.id for u in users)
-    if w.w3 == 0 and w.w4 == 0 and len({u.resource_demand for u in users}) <= 1:
-        return _choose_by_counts(scenario, users, cap)
-    return _choose_dp(scenario, users, cap, unconstrained)
+    if w.w3 == 0 and w.w4 == 0 and len(set(demands)) <= 1:
+        return _choose_by_counts(scenario, users, demands, cap)
+    return _choose_dp(scenario, users, demands, cap, unconstrained)
 
 
 def _realize_quota(users: list[User], quota: Sequence[int]) -> tuple[int, ...]:
@@ -172,15 +183,13 @@ def _realize_quota(users: list[User], quota: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _choose_by_counts(scenario: Scenario, users: list[User], cap: Fraction) -> tuple[int, ...]:
+def _choose_by_counts(
+    scenario: Scenario, users: list[User], demands: list[int], cap: int
+) -> tuple[int, ...]:
     # Uniform demands with the energy/content terms off: the objective only
     # depends on the per-MVNO served counts, so enumerate count vectors.
     w = scenario.weights
-    if users:
-        demand = Fraction(users[0].resource_demand)
-        max_served = min(len(users), int(cap / demand))
-    else:
-        max_served = 0
+    max_served = min(len(users), cap // demands[0]) if users else 0
     if w.w2 == 0:
         # Only the total matters; the first ids are the lexicographic minimum.
         return tuple(u.id for u in users[:max_served])
@@ -204,28 +213,26 @@ def _choose_by_counts(scenario: Scenario, users: list[User], cap: Fraction) -> t
 
 
 def _choose_dp(
-    scenario: Scenario, users: list[User], cap: Fraction, unconstrained: bool
+    scenario: Scenario, users: list[User], demands: list[int], cap: int, unconstrained: bool
 ) -> tuple[int, ...]:
     # General exact path: dynamic programming over (per-MVNO counts, exact
-    # resource usage).  The count dimension collapses when w2 = 0 (the gap
-    # term is off) and the resource dimension when capacity cannot bind.
+    # scaled resource usage).  The count dimension collapses when w2 = 0 (the
+    # gap term is off) and the resource dimension when capacity cannot bind.
     w = scenario.weights
     track_counts = w.w2 > 0
     zero_counts = (0,) * scenario.num_mvnos if track_counts else ()
-    zero_used = Fraction(0) if not unconstrained else 0
     # state -> (summed per-user value, served id tuple)
-    states: dict[tuple[tuple[int, ...], Fraction | int], tuple[float, tuple[int, ...]]] = {
-        (zero_counts, zero_used): (0.0, ())
+    states: dict[tuple[tuple[int, ...], int], tuple[float, tuple[int, ...]]] = {
+        (zero_counts, 0): (0.0, ())
     }
-    for u in users:
+    for u, demand in zip(users, demands):
         delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
         if not track_counts:
             delta += w.w1
-        demand = Fraction(u.resource_demand)
-        updates: dict[tuple[tuple[int, ...], Fraction | int], tuple[float, tuple[int, ...]]] = {}
+        updates: dict[tuple[tuple[int, ...], int], tuple[float, tuple[int, ...]]] = {}
         for (counts, used), (extra, ids) in states.items():
             if unconstrained:
-                new_used: Fraction | int = 0
+                new_used = 0
             else:
                 new_used = used + demand
                 if new_used > cap:
@@ -298,15 +305,20 @@ def solve(scenario: Scenario) -> SolveResult:
     default QoS threshold; per-user thresholds then size individual disks at
     that altitude.  Candidate centers realize every maximal coverage set
     inside the region box.  Their eligibility is tested in blocks of
-    ``ELIGIBILITY_CHUNK`` centers, so memory grows with the block, not with
-    the candidate count.  Each coverage set gets a signature and
-    ``select_users`` scores each signature once, at its first center.  When
-    every user has the same resource demand and the energy and content
-    weights are zero, the score depends only on the set's per-tenant counts,
-    so the count vector is the signature; otherwise the set itself is.
-    Ties break toward more served users, then the lexicographically smallest
-    center; when nobody is coverable the result keeps the all-zero
-    assignment at the region's smallest corner.
+    ``ELIGIBILITY_CHUNK`` centers, so memory holds the block plus the D
+    distinct packed sets, not one row per candidate.  Each coverage set gets
+    a signature, and only each signature's first set, at its first center,
+    can win.  When every user has the same resource demand and the energy
+    and content weights are zero, the score depends only on the set's
+    per-tenant counts, so the count vector is the signature and
+    ``select_users`` scores each one.  Otherwise the set itself is the
+    signature, and since a superset never scores worse, ``select_users``
+    first scores only the maximal sets (found by a blocked bitset subset
+    test), which gives the best score; a non-maximal set is then scored only
+    if none of its maximal supersets scored below that best.  Ties break
+    toward more served users, then the lexicographically smallest center;
+    when nobody is coverable the result keeps the all-zero assignment at the
+    region's smallest corner.
     """
     _check_region(scenario)
     region = scenario.region
@@ -335,7 +347,9 @@ def solve(scenario: Scenario) -> SolveResult:
         tenant[np.arange(len(users)), [u.mvno_id for u in users]] = 1
 
     # A repeated signature scores exactly as its first set did, and a later
-    # equal score never replaces the best, so only first sightings are scored.
+    # equal score never replaces the best, so only first sightings count:
+    # their center, eligible user indices and signature, in center order.
+    firsts: list[tuple[float, float, np.ndarray, bytes]] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         block = pts[start : start + ELIGIBILITY_CHUNK]
@@ -349,22 +363,88 @@ def solve(scenario: Scenario) -> SolveResult:
             if signature in seen:
                 continue
             seen.add(signature)
-            ids = {users[i].id for i in np.nonzero(eligible[k])[0]}
-            if not ids:
-                continue  # the zero-assignment fallback already covers this
-            assignment = select_users(scenario, ids)
-            obj, breakdown = objective_value(scenario, assignment)
-            if (obj, assignment.total) > (best.objective, best_total):
-                best = SolveResult(
-                    (float(block[k, 0]), float(block[k, 1]), h_star),
-                    assignment,
-                    obj,
-                    breakdown,
-                    mvno_counts(scenario, assignment),
-                    r_default,
-                )
-                best_total = assignment.total
+            members = np.flatnonzero(eligible[k])
+            if len(members):  # the zero-assignment fallback covers the empty set
+                firsts.append((float(block[k, 0]), float(block[k, 1]), members, signature))
+
+    def score(i: int) -> tuple[float, Assignment, TermBreakdown]:
+        assignment = select_users(scenario, {users[j].id for j in firsts[i][2]})
+        obj, breakdown = objective_value(scenario, assignment)
+        return obj, assignment, breakdown
+
+    scored: dict[int, tuple[float, Assignment, TermBreakdown]] = {}
+    order: Iterable[int] = range(len(firsts))
+    if not by_counts and firsts:
+        scored, order = _prune_to_maximal(scenario, firsts, score)
+    for i in order:
+        obj, assignment, breakdown = scored[i] if i in scored else score(i)
+        if (obj, assignment.total) > (best.objective, best_total):
+            x, y = firsts[i][:2]
+            best = SolveResult(
+                (x, y, h_star),
+                assignment,
+                obj,
+                breakdown,
+                mvno_counts(scenario, assignment),
+                r_default,
+            )
+            best_total = assignment.total
     return best
+
+
+def _prune_to_maximal(
+    scenario: Scenario,
+    firsts: list[tuple[float, float, np.ndarray, bytes]],
+    score: Callable[[int], tuple[float, Assignment, TermBreakdown]],
+) -> tuple[dict[int, tuple[float, Assignment, TermBreakdown]], list[int]]:
+    """Scores of the maximal sets, and the indices of the sets that can win.
+
+    ``firsts`` holds distinct nonempty sets, each with its packed set as the
+    signature.  ``select_users`` on a superset optimizes over a superset of
+    subsets, so it never scores worse: the maximal sets hold the best score,
+    and a set with a maximal superset scoring below it cannot reach it.  The
+    slack covers rounding, since ``select_users`` and ``objective_value`` add
+    the same terms in different orders; it is relative to the largest
+    possible sum of the objective's terms.
+    """
+    w = scenario.weights
+    users = scenario.users
+    magnitude = (
+        (w.w1 + w.w2 + w.w4) * len(users)
+        + w.w2 * sum(scenario.targets.counts)
+        + w.w3 * sum(u.energy_cost for u in users)
+    )
+    sets = np.frombuffer(b"".join(f[3] for f in firsts), dtype=np.uint8).reshape(len(firsts), -1)
+    sizes = np.array([len(f[2]) for f in firsts])
+    # Larger sets first: sets of one size never contain each other, and a
+    # set is maximal unless one of the maximal sets found so far contains it.
+    maximal: list[int] = []
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        group = np.flatnonzero(sizes == size)
+        maximal.extend(group[~_subset_of_any(sets[group], sets[maximal])].tolist())
+    maximal.sort()
+    scored = {i: score(i) for i in maximal}
+    floor = max(obj for obj, _, _ in scored.values()) - SCORE_RTOL * (1.0 + magnitude)
+    # A low maximal set, and every set inside one, scores below the best.
+    low = [i for i in maximal if scored[i][0] < floor]
+    return scored, np.flatnonzero(~_subset_of_any(sets, sets[low])).tolist()
+
+
+def _subset_of_any(sets: np.ndarray, sups: np.ndarray) -> np.ndarray:
+    """Whether each packed set is a subset of one of the packed ``sups``.
+
+    The sets are tested in blocks of ``ELIGIBILITY_CHUNK``, one byte column
+    at a time, so every temporary holds one block row per set of ``sups``.
+    """
+    out = np.zeros(len(sets), dtype=bool)
+    outside = ~sups
+    for start in range(0, len(sets), ELIGIBILITY_CHUNK):
+        block = sets[start : start + ELIGIBILITY_CHUNK]
+        contained = np.ones((len(block), len(sups)), dtype=bool)
+        for b in range(sets.shape[1]):
+            contained &= (block[:, b : b + 1] & outside[:, b]) == 0
+        out[start : start + len(block)] = contained.any(axis=1)
+    return out
 
 
 def _candidate_centers(

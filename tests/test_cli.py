@@ -68,6 +68,34 @@ def test_solve_invalid_scenario_exits_1(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("capacity",), float("inf")),
+        (("weights", "w1"), float("nan")),
+        (("users", 0, "q_db"), float("nan")),
+        (("users", 0, "r"), float("nan")),
+        (("region", "x", 1), float("inf")),
+        (("channel", "frequency_hz"), float("inf")),
+    ],
+)
+def test_solve_non_finite_number_exits_1(tmp_path, capsys, where, value):
+    # JSON's NaN and Infinity literals parse to floats that must be rejected
+    # before they reach the solver (an infinite capacity used to exit 3, and
+    # a NaN weight or threshold used to exit 0).
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["solve", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exits_1(tmp_path):
     assert main(["solve", str(tmp_path / "no.json"), "--out", str(tmp_path / "o.csv")]) == 1
 

@@ -150,6 +150,36 @@ def test_validate_flags_bad_region():
     assert any("above ground" in v for v in violations)
 
 
+def test_validate_flags_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    sc = make_scenario(
+        [User(id=1, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=nan, energy_cost=nan, resource_demand=inf)],
+        capacity=inf,
+        weights=ObjectiveWeights(w1=nan, w4=inf),
+    )
+    bad = dataclasses.replace(
+        sc,
+        region=PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, nan)),
+        channel=ChannelConfig(frequency_hz=inf),
+        environment=dataclasses.replace(URBAN, plos_a=nan),
+    )
+    finite = [v for v in validate(bad) if "must be finite" in v]
+    for name in (
+        "capacity",
+        "weight w1",
+        "weight w4",
+        "region x_bounds",
+        "region h_bounds",
+        "channel frequency_hz",
+        "environment plos_a",
+        "user 1: max_path_loss_db",
+        "user 1: energy_cost",
+        "user 1: resource_demand",
+    ):
+        assert sum(v.startswith(name) for v in finite) == 1, name
+    assert len(finite) == 10
+
+
 def test_validate_ok_on_well_formed_case():
     sc = generate_scenario(5, 24, 2, URBAN)
     assert validate(sc) == []

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -45,13 +46,17 @@ def line_users(n, mvno_of, **overrides):
 
 
 def exhaustive_best(scenario, eligible):
-    """Independent reference: scan all subsets, same tie-break order."""
+    """Independent reference: scan all subsets, same tie-break order.
+
+    Demands are summed as exact Fractions of their float values, the
+    arithmetic ``select_users`` promises.
+    """
     ids = sorted(eligible)
     best = None
     for r in range(len(ids) + 1):
         for combo in itertools.combinations(ids, r):
-            demand = sum(scenario.user_by_id(i).resource_demand for i in combo)
-            if demand > scenario.capacity:
+            demand = sum((Fraction(scenario.user_by_id(i).resource_demand) for i in combo), Fraction(0))
+            if demand > Fraction(scenario.capacity):
                 continue
             a = assignment_from_ids(scenario, combo)
             obj, _ = objective_value(scenario, a)
@@ -213,3 +218,51 @@ def test_select_matches_exhaustive_on_random_instances():
         assert got_obj == want[0], f"trial {trial}"
         assert got.total == want[1], f"trial {trial}"
         assert got.served_ids(sc) == want[2], f"trial {trial}"
+
+
+# Demands whose float sums are inexact: as exact Fractions of the floats,
+# 0.1 + 0.2 + 0.3 exceeds 0.6 while 0.3 + 0.7 and three times 1/3 fit in 1.0.
+INEXACT_DEMANDS = (0.1, 0.2, 0.3, 0.7, 1 / 3)
+
+
+@pytest.mark.parametrize("num_mvnos", [1, 2, 3])
+@pytest.mark.parametrize("capacity", [0.6, 1.0])
+def test_select_scaled_integer_dp_matches_exact_enumeration(capacity, num_mvnos):
+    # The energy and content terms are on, so the general DP runs, on demands
+    # and capacity scaled to integers.
+    rng = random.Random(f"inexact/{capacity}/{num_mvnos}")
+    for trial in range(30):
+        n = rng.randint(1, 9)
+        users = [
+            User(
+                id=i,
+                x=float(i),
+                y=0.0,
+                mvno_id=rng.randrange(num_mvnos),
+                energy_cost=rng.random(),
+                content_request=rng.random() < 0.4,
+                resource_demand=rng.choice(INEXACT_DEMANDS),
+            )
+            for i in range(n)
+        ]
+        weights = ObjectiveWeights(w1=1.0, w2=rng.choice((0.0, 1.0)), w3=0.5, w4=0.25)
+        targets = tuple(rng.randint(0, n) for _ in range(num_mvnos))
+        sc = make_scenario(users, num_mvnos, targets, weights, capacity)
+        eligible = {i for i in range(n) if rng.random() < 0.9}
+        got = select_users(sc, eligible)
+        assert got.served_ids(sc) == exhaustive_best(sc, eligible)[2], f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "demand, capacity, fits",
+    [(0.1, 0.6, 5), (0.2, 0.6, 2), (0.3, 0.6, 2), (0.1, 1.0, 9), (1 / 3, 1.0, 3), (0.7, 1.0, 1)],
+)
+@pytest.mark.parametrize("w2", [0.0, 1.0])
+def test_select_uniform_inexact_demands_fit_by_exact_sum(demand, capacity, fits, w2):
+    # One demand with the energy and content terms off takes the count path;
+    # it serves as many users as fit by exact arithmetic, not by float sums.
+    users = line_users(10, lambda i: i % 2, resource_demand=demand)
+    sc = make_scenario(users, 2, (5, 5), ObjectiveWeights(1.0, w2), capacity)
+    got = select_users(sc, range(10))
+    assert got.total == fits
+    assert got.served_ids(sc) == exhaustive_best(sc, range(10))[2]

@@ -382,20 +382,19 @@ def count_selections(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
 def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, chunk):
-    # A small chunk puts the first sighting of a signature in a later block.
+    # A small chunk puts the first sighting of a signature in a later block,
+    # and splits the maximal-set subset test into many blocks.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     calls = count_selections(monkeypatch)
-    skipped = 0
+    skipped = {"uniform": 0, "fallback": 0}
     for kind, sc in signature_instances():
         want, scored = reference_solve(sc)
         calls.clear()
         assert solve(sc) == want
-        if kind == "uniform":
-            assert len(calls) <= scored
-            skipped += scored - len(calls)
-        else:
-            assert len(calls) == scored
-    assert skipped > 0
+        assert len(set(calls)) == len(calls) <= scored
+        skipped["uniform" if kind == "uniform" else "fallback"] += scored - len(calls)
+    # Count vectors and maximal-set pruning both save work in total.
+    assert skipped["uniform"] > 0 and skipped["fallback"] > 0
 
 
 def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
@@ -415,3 +414,27 @@ def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkey
     assert result.assignment.served_ids(sc) == (0, 1)
     assert result.placement[0] < 0.0
     assert frozenset({0, 1}) in calls and frozenset({2, 3}) not in calls
+
+
+def test_solve_tie_between_a_non_maximal_set_and_its_superset_goes_to_the_earlier_center(
+    monkeypatch,
+):
+    # Two overlapping disks, a capacity of one user and equal per-user
+    # values: every nonempty set scores the same.  The energy weight keeps
+    # solve() on the set path, where only the maximal set {0, 1} (centered
+    # between the users) is scored first; the non-maximal {0} around user 0
+    # has lexicographically smaller centers, ties it and must win.
+    _, radius = optimal_altitude(CFG.max_path_loss_db, URBAN, CFG, (20.0, 80.0))
+    users = [
+        User(id=0, x=0.0, y=0.0, mvno_id=0, energy_cost=0.5),
+        User(id=1, x=1.5 * radius, y=0.0, mvno_id=0, energy_cost=0.5),
+    ]
+    weights = ObjectiveWeights(1.0, 0.0, 0.5, 0.0)
+    sc = make_scenario(users, num_mvnos=1, weights=weights, capacity=1.0)
+    calls = count_selections(monkeypatch)
+    result = solve(sc)
+    assert result == reference_solve(sc)[0]
+    assert result.assignment.served_ids(sc) == (0,)
+    assert covered_set(sc, result.placement) == {0}
+    assert result.placement[0] < 0.75 * radius
+    assert calls[0] == frozenset({0, 1}) and frozenset({0}) in calls
