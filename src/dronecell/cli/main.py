@@ -7,6 +7,7 @@ files), 2 infeasible placement region, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +64,10 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         raise FileFormatError(f"unknown environment preset {args.env!r}")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    for flag in ("threshold_db", "frequency_hz", "h_min", "h_max"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if not 0.0 < args.h_min <= args.h_max:
         raise ValueError("altitude range must satisfy 0 < h-min <= h-max")
     env = ENVIRONMENTS[args.env]

@@ -11,21 +11,22 @@ set grows, so the altitude maximizing the coverage radius is optimal for any
 horizontal position, and the horizontal optimum over the remaining 2-D
 problem is attained at one of finitely many candidate centers (user
 positions, pairwise coverage-circle intersections, circle/box-edge
-crossings, and box corners).  The coverage sets of those centers are then
-scored by an exact subset-selection routine, once per signature: the
-per-tenant count vector where that alone fixes the score, otherwise the set
-itself.  On that set path only the maximal sets are scored up front, since a
-superset never scores worse; a smaller set is scored only when no maximal
-superset of it falls below the best.  The selection DP runs on demands and
-capacity scaled to exact integers.  ``brute_force`` provides an independent
-grid-search oracle for testing.
+crossings, and box corners).  Users that add the same demand and the same
+objective terms form classes of interchangeable users.  The coverage sets of
+those centers are scored by an exact subset-selection routine, once per
+signature, which keeps of each class only how many members the set holds.
+Only the maximal signatures are scored up front, since a superset never
+scores worse; a smaller one is scored only when no maximal superset of it
+falls below the best.  The selection is one DP over the classes, on demands
+and capacity scaled to exact integers.  ``brute_force`` provides an
+independent grid-search oracle for testing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from operator import attrgetter, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .channel import SPEED_OF_LIGHT, coverage_radius, optimal_altitude, path_los
 from .scenario import (
     L2,
     Assignment,
+    ObjectiveWeights,
     Scenario,
     User,
     assignment_from_ids,
@@ -146,140 +148,100 @@ def select_users(scenario: Scenario, eligible: Iterable[int]) -> Assignment:
 
 
 def _tenancy_gap(counts: Sequence[int], targets: Sequence[int], norm: str) -> float:
-    diffs = [c - t for c, t in zip(counts, targets)]
+    diffs = list(map(sub, counts, targets))
     if norm == L2:
-        return math.sqrt(sum(d * d for d in diffs))
-    return float(sum(abs(d) for d in diffs))
+        return math.sqrt(sum(map(mul, diffs, diffs)))
+    return float(sum(map(abs, diffs)))
+
+
+def _class_key(weights: ObjectiveWeights) -> Callable[[User], object]:
+    """The key under which users are interchangeable for these weights.
+
+    It reads what a served user adds to the constraints and to the
+    objective's terms: its resource demand, and its tenant, energy cost and
+    content flag where their term's weight is on.  Swapping two users with
+    equal keys in a set changes neither its feasibility nor its score.
+    """
+    fields = ["resource_demand"]
+    if weights.w2 > 0:
+        fields.append("mvno_id")
+    if weights.w3 > 0:
+        fields.append("energy_cost")
+    if weights.w4 > 0:
+        fields.append("content_request")
+    return attrgetter(*fields)
 
 
 def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
-    """Chosen ids for the sorted eligible ``users``; dispatches by shape."""
+    """Chosen ids for the sorted eligible ``users``: one DP over classes.
+
+    The DP state is (per-MVNO counts, scaled resource usage); the count
+    dimension collapses when w2 = 0 (the gap term is off) and the usage one
+    when capacity cannot bind.  Each class of interchangeable users adds its
+    first 0..k members in id order, since any c members of a class score
+    alike and the first c are the lexicographically smallest.  A state keeps
+    one entry, the greatest (value, served, mask): higher value, then more
+    served, then the smaller id set (an exchange argument shows this
+    preserves the global optimum and tie-break).
+    """
     w = scenario.weights
     # Demands and capacity scaled by the lcm of their denominators: exact
-    # integers, so the DPs add and compare ints rather than Fractions.
+    # integers, so the DP adds and compares ints rather than Fractions.
     ratios = [u.resource_demand.as_integer_ratio() for u in users]
     cap_num, cap_den = scenario.capacity.as_integer_ratio()
     scale = math.lcm(cap_den, *(den for _, den in ratios))
     demands = [num * (scale // den) for num, den in ratios]
     cap = cap_num * (scale // cap_den)
     unconstrained = sum(demands) <= cap
-    if w.w2 == 0 and unconstrained:
-        # Every user contributes w1 + w3*lambda + w4*kappa >= 0, so serving
-        # all eligible users is optimal and uniquely maximizes the count.
-        return tuple(u.id for u in users)
-    if w.w3 == 0 and w.w4 == 0 and len(set(demands)) <= 1:
-        return _choose_by_counts(scenario, users, demands, cap)
-    return _choose_dp(scenario, users, demands, cap, unconstrained)
-
-
-def _realize_quota(users: list[User], quota: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically smallest id set hitting the per-MVNO quotas exactly."""
-    remaining = list(quota)
-    out: list[int] = []
-    for u in users:
-        if remaining[u.mvno_id] > 0:
-            remaining[u.mvno_id] -= 1
-            out.append(u.id)
-    return tuple(out)
-
-
-def _choose_by_counts(
-    scenario: Scenario, users: list[User], demands: list[int], cap: int
-) -> tuple[int, ...]:
-    # Uniform demands with the energy/content terms off: the objective only
-    # depends on the per-MVNO served counts, so enumerate count vectors.
-    w = scenario.weights
-    max_served = min(len(users), cap // demands[0]) if users else 0
-    if w.w2 == 0:
-        # Only the total matters; the first ids are the lexicographic minimum.
-        return tuple(u.id for u in users[:max_served])
-    per_mvno = [0] * scenario.num_mvnos
-    for u in users:
-        per_mvno[u.mvno_id] += 1
-    targets = scenario.targets.counts
-    best: tuple[float, int, tuple[int, ...]] | None = None  # (obj, total, quota)
-    for quota in product(*(range(n + 1) for n in per_mvno)):
-        total = sum(quota)
-        if total > max_served:
-            continue
-        obj = w.w1 * total - w.w2 * _tenancy_gap(quota, targets, w.norm)
-        if best is None or (obj, total) > (best[0], best[1]):
-            best = (obj, total, quota)
-        elif (obj, total) == (best[0], best[1]):
-            if _realize_quota(users, quota) < _realize_quota(users, best[2]):
-                best = (obj, total, quota)
-    assert best is not None  # the zero vector is always enumerated
-    return _realize_quota(users, best[2])
-
-
-def _choose_dp(
-    scenario: Scenario, users: list[User], demands: list[int], cap: int, unconstrained: bool
-) -> tuple[int, ...]:
-    # General exact path: dynamic programming over (per-MVNO counts, exact
-    # scaled resource usage).  The count dimension collapses when w2 = 0 (the
-    # gap term is off) and the resource dimension when capacity cannot bind.
-    w = scenario.weights
     track_counts = w.w2 > 0
+    class_key = _class_key(w)
+    classes: dict[object, list[int]] = {}
+    for p, u in enumerate(users):
+        classes.setdefault(class_key(u), []).append(p)
+    # The user at sorted position p is mask bit m-1-p: among sets of one
+    # size, the greater mask is the lexicographically smaller id tuple.
+    m = len(users)
     zero_counts = (0,) * scenario.num_mvnos if track_counts else ()
-    # state -> (summed per-user value, served id tuple)
-    states: dict[tuple[tuple[int, ...], int], tuple[float, tuple[int, ...]]] = {
-        (zero_counts, 0): (0.0, ())
+    # state -> (summed per-user value, served, mask)
+    states: dict[tuple[tuple[int, ...], int], tuple[float, int, int]] = {
+        (zero_counts, 0): (0.0, 0, 0)
     }
-    for u, demand in zip(users, demands):
+    for members in classes.values():
+        u = users[members[0]]
+        demand = 0 if unconstrained else demands[members[0]]
         delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
         if not track_counts:
             delta += w.w1
-        updates: dict[tuple[tuple[int, ...], int], tuple[float, tuple[int, ...]]] = {}
-        for (counts, used), (extra, ids) in states.items():
-            if unconstrained:
-                new_used = 0
-            else:
-                new_used = used + demand
-                if new_used > cap:
-                    continue
-            if track_counts:
-                j = u.mvno_id
-                new_counts = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-            else:
-                new_counts = ()
-            key = (new_counts, new_used)
-            cand = (extra + delta, ids + (u.id,))
-            cur = updates.get(key)
-            if cur is None:
-                cur = states.get(key)
-            if cur is None or _dp_better(cand, cur):
-                updates[key] = cand
-        states.update(updates)
+        j = u.mvno_id
+        bits = [1 << (m - 1 - p) for p in members]
+        grown = dict(states)
+        for (counts, used), (value, served, mask) in states.items():
+            for c, bit in enumerate(bits, 1):
+                used += demand
+                if used > cap:
+                    break
+                value += delta
+                mask |= bit
+                new_counts = counts[:j] + (counts[j] + c,) + counts[j + 1 :] if track_counts else ()
+                key = (new_counts, used)
+                cand = (value, served + c, mask)
+                cur = grown.get(key)
+                if cur is None or cand > cur:
+                    grown[key] = cand
+        states = grown
     targets = scenario.targets.counts
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for (counts, _used), (extra, ids) in states.items():
+    base: dict[tuple[int, ...], float] = {}  # counts -> w1*t1 - w2*t2
+    best: tuple[float, int, int] | None = None
+    for (counts, _used), (value, served, mask) in states.items():
         if track_counts:
-            total = sum(counts)
-            obj = w.w1 * total - w.w2 * _tenancy_gap(counts, targets, w.norm) + extra
-        else:
-            total = len(ids)
-            obj = extra
-        if (
-            best is None
-            or (obj, total) > (best[0], best[1])
-            or ((obj, total) == (best[0], best[1]) and ids < best[2])
-        ):
-            best = (obj, total, ids)
+            if counts not in base:
+                base[counts] = w.w1 * served - w.w2 * _tenancy_gap(counts, targets, w.norm)
+            value = base[counts] + value
+        if best is None or (value, served, mask) > best:
+            best = (value, served, mask)
     assert best is not None  # the empty state is always present
-    return best[2]
-
-
-def _dp_better(
-    cand: tuple[float, tuple[int, ...]], cur: tuple[float, tuple[int, ...]]
-) -> bool:
-    # Per-state retention order: higher value, then more served, then the
-    # lexicographically smaller id tuple (an exchange argument shows keeping
-    # one entry per state preserves the global optimum and tie-break).
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    if len(cand[1]) != len(cur[1]):
-        return len(cand[1]) > len(cur[1])
-    return cand[1] < cur[1]
+    mask = best[2]
+    return tuple(u.id for p, u in enumerate(users) if mask >> (m - 1 - p) & 1)
 
 
 def _check_region(scenario: Scenario) -> None:
@@ -306,19 +268,17 @@ def solve(scenario: Scenario) -> SolveResult:
     that altitude.  Candidate centers realize every maximal coverage set
     inside the region box.  Their eligibility is tested in blocks of
     ``ELIGIBILITY_CHUNK`` centers, so memory holds the block plus the D
-    distinct packed sets, not one row per candidate.  Each coverage set gets
-    a signature, and only each signature's first set, at its first center,
-    can win.  When every user has the same resource demand and the energy
-    and content weights are zero, the score depends only on the set's
-    per-tenant counts, so the count vector is the signature and
-    ``select_users`` scores each one.  Otherwise the set itself is the
-    signature, and since a superset never scores worse, ``select_users``
-    first scores only the maximal sets (found by a blocked bitset subset
-    test), which gives the best score; a non-maximal set is then scored only
-    if none of its maximal supersets scored below that best.  Ties break
-    toward more served users, then the lexicographically smallest center;
-    when nobody is coverable the result keeps the all-zero assignment at the
-    region's smallest corner.
+    distinct packed sets, not one row per candidate.  Users with equal
+    ``_class_key`` are interchangeable, and a coverage set's signature is its
+    canonical set: the first c members of each class it holds c members of.
+    Sets with one signature score the same, so only each signature's first
+    set, at its first center, can win.  A set whose canonical set contains
+    another's never scores worse, so ``select_users`` first scores only the
+    maximal signatures (found by a blocked bitset subset test), which gives
+    the best score; any other is then scored only if none of its maximal
+    supersets scored below that best.  Ties break toward more served users,
+    then the lexicographically smallest center; when nobody is coverable the
+    result keeps the all-zero assignment at the region's smallest corner.
     """
     _check_region(scenario)
     region = scenario.region
@@ -334,48 +294,58 @@ def solve(scenario: Scenario) -> SolveResult:
     if not centers:
         return best
 
+    # A set's signature is its canonical set: of each class of
+    # interchangeable users, the first c members if the set holds c of them.
+    # Columns run class by class, and a user in class k has the sort key
+    # 2k + 1, less one when eligible: sorting a row by key moves each class's
+    # c eligible members to its first c columns, the keys below 2k + 1.
+    class_key = _class_key(scenario.weights)
+    classes: dict[object, list[int]] = {}
+    for j, u in enumerate(users):
+        classes.setdefault(class_key(u), []).append(j)
+    cols = np.array([j for members in classes.values() for j in members])
+    class_odd = np.repeat(
+        np.arange(1, 2 * len(classes), 2, dtype=np.int32), [len(m) for m in classes.values()]
+    )
+
     pts = np.array(sorted(centers))
-    ux = np.array([u.x for u in users])
-    uy = np.array([u.y for u in users])
+    ux = np.array([u.x for u in users])[cols]
+    uy = np.array([u.y for u in users])[cols]
     # A zero radius means the user fails QoS even at the nadir; the negative
     # sentinel keeps it out of every disk, including candidates at distance 0.
-    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])
-    w = scenario.weights
-    by_counts = w.w3 == 0 and w.w4 == 0 and len({u.resource_demand for u in users}) == 1
-    if by_counts:
-        tenant = np.zeros((len(users), scenario.num_mvnos), dtype=np.int64)
-        tenant[np.arange(len(users)), [u.mvno_id for u in users]] = 1
+    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])[cols]
 
-    # A repeated signature scores exactly as its first set did, and a later
-    # equal score never replaces the best, so only first sightings count:
-    # their center, eligible user indices and signature, in center order.
+    # Sets with one signature score the same, and a later equal score never
+    # replaces the best, so only first sightings count: their center,
+    # eligible user indices and signature, in center order.  Equal sets have
+    # equal signatures, so only a block's distinct sets are sorted.
     firsts: list[tuple[float, float, np.ndarray, bytes]] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         block = pts[start : start + ELIGIBILITY_CHUNK]
         d2 = (block[:, 0:1] - ux[None, :]) ** 2 + (block[:, 1:2] - uy[None, :]) ** 2
         eligible = d2 <= r2[None, :]
-        keys = eligible @ tenant if by_counts else np.packbits(eligible, axis=1)
-        rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-        _, first_idx = np.unique(rows, return_index=True)
-        for k in np.sort(first_idx):
-            signature = rows[k].tobytes()
+        packed = np.packbits(eligible, axis=1)
+        rows = packed.view(np.dtype((np.void, packed.shape[1])))
+        first_idx = np.sort(np.unique(rows, return_index=True)[1])
+        keys = np.packbits(np.sort(class_odd - eligible[first_idx], axis=1) != class_odd, axis=1)
+        for k, key in zip(first_idx, keys):
+            signature = key.tobytes()
             if signature in seen:
                 continue
             seen.add(signature)
-            members = np.flatnonzero(eligible[k])
+            members = cols[np.flatnonzero(eligible[k])]
             if len(members):  # the zero-assignment fallback covers the empty set
                 firsts.append((float(block[k, 0]), float(block[k, 1]), members, signature))
+    if not firsts:
+        return best
 
     def score(i: int) -> tuple[float, Assignment, TermBreakdown]:
         assignment = select_users(scenario, {users[j].id for j in firsts[i][2]})
         obj, breakdown = objective_value(scenario, assignment)
         return obj, assignment, breakdown
 
-    scored: dict[int, tuple[float, Assignment, TermBreakdown]] = {}
-    order: Iterable[int] = range(len(firsts))
-    if not by_counts and firsts:
-        scored, order = _prune_to_maximal(scenario, firsts, score)
+    scored, order = _prune_to_maximal(scenario, firsts, score)
     for i in order:
         obj, assignment, breakdown = scored[i] if i in scored else score(i)
         if (obj, assignment.total) > (best.objective, best_total):
@@ -399,13 +369,15 @@ def _prune_to_maximal(
 ) -> tuple[dict[int, tuple[float, Assignment, TermBreakdown]], list[int]]:
     """Scores of the maximal sets, and the indices of the sets that can win.
 
-    ``firsts`` holds distinct nonempty sets, each with its packed set as the
-    signature.  ``select_users`` on a superset optimizes over a superset of
-    subsets, so it never scores worse: the maximal sets hold the best score,
-    and a set with a maximal superset scoring below it cannot reach it.  The
-    slack covers rounding, since ``select_users`` and ``objective_value`` add
-    the same terms in different orders; it is relative to the largest
-    possible sum of the objective's terms.
+    ``firsts`` holds distinct nonempty sets, each with its packed canonical
+    set as the signature.  A set whose canonical set contains another's
+    holds at least as many members of every class, so ``select_users`` on it
+    can pick interchangeable users for any subset the other can and never
+    scores worse: the maximal sets hold the best score, and a set with a
+    maximal superset scoring below it cannot reach it.  The slack covers
+    rounding, since ``select_users`` and ``objective_value`` add the same
+    terms in different orders; it is relative to the largest possible sum of
+    the objective's terms.
     """
     w = scenario.weights
     users = scenario.users
@@ -414,14 +386,20 @@ def _prune_to_maximal(
         + w.w2 * sum(scenario.targets.counts)
         + w.w3 * sum(u.energy_cost for u in users)
     )
-    sets = np.frombuffer(b"".join(f[3] for f in firsts), dtype=np.uint8).reshape(len(firsts), -1)
+    # The packed sets, zero-padded to whole 64-bit words.
+    packed = np.frombuffer(b"".join(f[3] for f in firsts), dtype=np.uint8).reshape(len(firsts), -1)
+    sets = np.zeros((len(firsts), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    sets.view(np.uint8)[:, : packed.shape[1]] = packed
     sizes = np.array([len(f[2]) for f in firsts])
-    # Larger sets first: sets of one size never contain each other, and a
-    # set is maximal unless one of the maximal sets found so far contains it.
+    # Peel: the largest remaining sets are maximal, because each larger set
+    # is maximal or inside one and every set inside a maximal set is dropped.
     maximal: list[int] = []
-    for size in sorted(set(sizes.tolist()), reverse=True):
-        group = np.flatnonzero(sizes == size)
-        maximal.extend(group[~_subset_of_any(sets[group], sets[maximal])].tolist())
+    rest = np.arange(len(firsts))
+    while len(rest):
+        top = rest[sizes[rest] == sizes[rest].max()]
+        maximal.extend(top.tolist())
+        rest = rest[sizes[rest] < sizes[top[0]]]
+        rest = rest[~_subset_of_any(sets[rest], sets[top])]
     maximal.sort()
     scored = {i: score(i) for i in maximal}
     floor = max(obj for obj, _, _ in scored.values()) - SCORE_RTOL * (1.0 + magnitude)
@@ -433,10 +411,13 @@ def _prune_to_maximal(
 def _subset_of_any(sets: np.ndarray, sups: np.ndarray) -> np.ndarray:
     """Whether each packed set is a subset of one of the packed ``sups``.
 
-    The sets are tested in blocks of ``ELIGIBILITY_CHUNK``, one byte column
-    at a time, so every temporary holds one block row per set of ``sups``.
+    The sets are tested in blocks of ``ELIGIBILITY_CHUNK``, one 64-bit word
+    column at a time, so every temporary holds one block row per set of
+    ``sups``.
     """
     out = np.zeros(len(sets), dtype=bool)
+    if not len(sups):
+        return out
     outside = ~sups
     for start in range(0, len(sets), ELIGIBILITY_CHUNK):
         block = sets[start : start + ELIGIBILITY_CHUNK]

@@ -178,13 +178,21 @@ def test_altitude_profile(tmp_path):
 
 
 def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
-    code = main([
-        "altitude-profile", "--env", "urban",
-        "--h-min", "500", "--h-max", "100",
-        "--out", str(tmp_path / "x.csv"),
-    ])
-    assert code == 1
-    assert "altitude range" in capsys.readouterr().err
+    cases = [
+        (["--h-min", "500", "--h-max", "100"], "altitude range"),
+        (["--h-min", "20", "--h-max", "500", "--threshold-db=nan"], "--threshold-db must be finite"),
+        (["--h-min", "20", "--h-max", "500", "--threshold-db=inf"], "--threshold-db must be finite"),
+        (["--h-min", "20", "--h-max", "500", "--frequency-hz=nan"], "--frequency-hz must be finite"),
+        (["--h-min", "20", "--h-max", "500", "--frequency-hz=inf"], "--frequency-hz must be finite"),
+        (["--h-min=nan", "--h-max", "500"], "--h-min must be finite"),
+        (["--h-min", "20", "--h-max=inf"], "--h-max must be finite"),
+    ]
+    for args, message in cases:
+        out = tmp_path / "x.csv"
+        code = main(["altitude-profile", "--env", "urban", *args, "--out", str(out)])
+        assert code == 1, args
+        assert message in capsys.readouterr().err, args
+        assert not out.exists()
 
 
 def test_missing_required_argument_exits_1(capsys):

@@ -228,8 +228,8 @@ INEXACT_DEMANDS = (0.1, 0.2, 0.3, 0.7, 1 / 3)
 @pytest.mark.parametrize("num_mvnos", [1, 2, 3])
 @pytest.mark.parametrize("capacity", [0.6, 1.0])
 def test_select_scaled_integer_dp_matches_exact_enumeration(capacity, num_mvnos):
-    # The energy and content terms are on, so the general DP runs, on demands
-    # and capacity scaled to integers.
+    # The energy and content terms are on, so classes split on them; the DP
+    # runs on demands and capacity scaled to integers.
     rng = random.Random(f"inexact/{capacity}/{num_mvnos}")
     for trial in range(30):
         n = rng.randint(1, 9)
@@ -259,8 +259,9 @@ def test_select_scaled_integer_dp_matches_exact_enumeration(capacity, num_mvnos)
 )
 @pytest.mark.parametrize("w2", [0.0, 1.0])
 def test_select_uniform_inexact_demands_fit_by_exact_sum(demand, capacity, fits, w2):
-    # One demand with the energy and content terms off takes the count path;
-    # it serves as many users as fit by exact arithmetic, not by float sums.
+    # One demand with the energy and content terms off makes each tenant one
+    # class (everyone one class when w2 = 0); the DP serves as many users as
+    # fit by exact arithmetic, not by float sums.
     users = line_users(10, lambda i: i % 2, resource_demand=demand)
     sc = make_scenario(users, 2, (5, 5), ObjectiveWeights(1.0, w2), capacity)
     got = select_users(sc, range(10))

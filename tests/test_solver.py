@@ -1,5 +1,6 @@
 """Placement engine: covered sets, exact solve, and the grid oracle."""
 
+import collections
 import itertools
 import math
 import random
@@ -337,16 +338,22 @@ def reference_solve(sc):
 
 
 def signature_instances():
-    """Seeded instances on both sides of the count signature.
+    """Seeded instances whose users form classes of every size.
 
     Every combination of 1-3 MVNOs, w2 in {0, 1.5}, the L1 and L2 norms,
-    capacity that binds or not, and three user kinds: uniform demand with the
-    energy/content terms off (count signature), mixed demands, and w3 > 0
-    (both scored set by set).  Per-user thresholds differ in every instance.
+    capacity that binds or not, and four user kinds: uniform demand with the
+    energy/content terms off (classes are the tenants, or everyone when
+    w2 = 0), mixed demands, w3 > 0 with energy costs that all differ (every
+    class a single user), and w3 = w4 = 0.5 with energy costs from {0.25,
+    0.5} and content flags (classes form on the energy and content keys).
+    Per-user thresholds differ in every instance.
     """
     rng = random.Random(3131)
-    kinds = ("uniform", "mixed_demand", "energy")
-    shapes = itertools.product((1, 2, 3), (0.0, 1.5), (L1, L2), (False, True), kinds)
+    grid = ((1, 2, 3), (0.0, 1.5), (L1, L2), (False, True))
+    shapes = itertools.chain(
+        itertools.product(*grid, ("uniform", "mixed_demand", "energy")),
+        itertools.product(*grid, ("classes",)),
+    )
     for num_mvnos, w2, norm, binding, kind in shapes:
         n = rng.randint(6, 20)
         users = [
@@ -356,13 +363,15 @@ def signature_instances():
                 y=rng.uniform(-400.0, 400.0),
                 mvno_id=rng.randrange(num_mvnos),
                 max_path_loss_db=rng.uniform(94.0, 102.0),
-                energy_cost=rng.random(),
+                energy_cost=rng.choice((0.25, 0.5)) if kind == "classes" else rng.random(),
                 content_request=rng.random() < 0.3,
                 resource_demand=rng.choice((0.5, 1.0, 1.5)) if kind == "mixed_demand" else 1.0,
             )
             for i in range(n)
         ]
-        weights = ObjectiveWeights(1.0, w2, 0.5 if kind == "energy" else 0.0, 0.0, norm)
+        w3 = 0.5 if kind in ("energy", "classes") else 0.0
+        w4 = 0.5 if kind == "classes" else 0.0
+        weights = ObjectiveWeights(1.0, w2, w3, w4, norm)
         capacity = float(rng.randint(1, n // 2)) if binding else None
         region = PlacementRegion((-500.0, 500.0), (-500.0, 500.0), (20.0, 80.0))
         yield kind, make_scenario(users, num_mvnos, weights=weights, capacity=capacity, region=region)
@@ -386,15 +395,16 @@ def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypat
     # and splits the maximal-set subset test into many blocks.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     calls = count_selections(monkeypatch)
-    skipped = {"uniform": 0, "fallback": 0}
+    skipped = collections.Counter()
     for kind, sc in signature_instances():
         want, scored = reference_solve(sc)
         calls.clear()
         assert solve(sc) == want
         assert len(set(calls)) == len(calls) <= scored
-        skipped["uniform" if kind == "uniform" else "fallback"] += scored - len(calls)
-    # Count vectors and maximal-set pruning both save work in total.
-    assert skipped["uniform"] > 0 and skipped["fallback"] > 0
+        skipped[kind] += scored - len(calls)
+    # Classes and maximal-set pruning save work in total on every kind.
+    assert set(skipped) == {"uniform", "mixed_demand", "energy", "classes"}
+    assert all(skipped.values())
 
 
 def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
@@ -420,10 +430,10 @@ def test_solve_tie_between_a_non_maximal_set_and_its_superset_goes_to_the_earlie
     monkeypatch,
 ):
     # Two overlapping disks, a capacity of one user and equal per-user
-    # values: every nonempty set scores the same.  The energy weight keeps
-    # solve() on the set path, where only the maximal set {0, 1} (centered
-    # between the users) is scored first; the non-maximal {0} around user 0
-    # has lexicographically smaller centers, ties it and must win.
+    # values: every nonempty set scores the same.  solve() scores only the
+    # maximal set {0, 1} (centered between the users) first; the non-maximal
+    # {0} around user 0 has lexicographically smaller centers, ties it and
+    # must win.
     _, radius = optimal_altitude(CFG.max_path_loss_db, URBAN, CFG, (20.0, 80.0))
     users = [
         User(id=0, x=0.0, y=0.0, mvno_id=0, energy_cost=0.5),
