@@ -1,7 +1,8 @@
 """Command-line entry point with the solve/mc/altitude-profile/gen commands.
 
 Exit codes: 0 success, 1 input error (bad arguments, unparseable or invalid
-files), 2 infeasible placement region, 3 internal error.
+files, a scenario shape the exact engine does not support or a size above
+its ceiling), 2 infeasible placement region, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from pathlib import Path
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import generate_scenario, validate
-from ..solver import InfeasibleRegionError, UnsupportedConfigurationError, solve
+from ..solver import (
+    InfeasibleRegionError,
+    ResourceGuardError,
+    UnsupportedConfigurationError,
+    solve,
+)
 from .files import (
     FileFormatError,
     load_experiment_config,
@@ -135,7 +141,14 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleRegionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FileFormatError, UnsupportedConfigurationError, OSError, ValueError, KeyError) as exc:
+    except (
+        FileFormatError,
+        UnsupportedConfigurationError,
+        ResourceGuardError,
+        OSError,
+        ValueError,
+        KeyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ENVIRONMENTS
 from .scenario import Scenario, ScenarioProfile, assignment_from_ids, generate_scenario
-from .solver import SolveResult, solve
+from .solver import SolveResult, check_tenancy, solve
 
 SINGLE_TENANCY = "single_tenancy"
 MULTI_TENANCY_NO_FAIRNESS = "multi_tenancy_no_fairness"
@@ -51,6 +51,9 @@ class ExperimentConfig:
         missing = [e for e in self.environments if e not in ENVIRONMENTS]
         if missing:
             raise ValueError(f"unknown environments: {missing}")
+        if MULTI_TENANCY_DMF in self.policies:
+            # The one policy that keeps w2; rejected here rather than in a run.
+            check_tenancy(self.num_mvnos, self.profile.weights)
 
 
 def default_experiment_config() -> ExperimentConfig:

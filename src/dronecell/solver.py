@@ -11,10 +11,12 @@ set grows, so the altitude maximizing the coverage radius is optimal for any
 horizontal position, and the horizontal optimum over the remaining 2-D
 problem is attained at one of finitely many candidate centers (user
 positions, pairwise coverage-circle intersections, circle/box-edge
-crossings, and box corners).  Users that add the same demand and the same
-objective terms form classes of interchangeable users.  The coverage sets of
-those centers are scored by an exact subset-selection routine, once per
-signature, which keeps of each class only how many members the set holds.
+crossings, and box corners).  The O(n^2) circle pairs and the eligibility
+tests run in numpy with the bits the scalar formulas give.  Users that add
+the same demand and the same objective terms form classes of
+interchangeable users.  The coverage sets of those centers are scored by an
+exact subset-selection routine, once per signature, which keeps of each
+class only how many members the set holds.
 Only the maximal signatures are scored up front, since a superset never
 scores worse; a smaller one is scored only when no maximal superset of it
 falls below the best.  The selection is one DP over the classes, on demands
@@ -46,8 +48,9 @@ from .scenario import (
 # candidate point constructed on a circle boundary keeps the users that
 # define it despite floating-point rounding.
 DISK_EPS = 1e-12
-# Hard ceiling on oracle grid size.
-MAX_ORACLE_POINTS = 10_000_000
+# Hard ceiling on the points a search may visit: the oracle's grid points
+# and the bound on solve()'s candidate centers.
+MAX_SEARCH_POINTS = 10_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
 # eligibility blocks hold this many rows rather than one per candidate.
 ELIGIBILITY_CHUNK = 512
@@ -137,14 +140,21 @@ def select_users(scenario: Scenario, eligible: Iterable[int]) -> Assignment:
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise KeyError(f"eligible ids not in scenario: {unknown}")
-    w = scenario.weights
-    if w.w2 > 0 and scenario.num_mvnos > 3:
-        raise UnsupportedConfigurationError(
-            "tenancy-fair selection is exact only up to 3 MVNOs, "
-            f"got {scenario.num_mvnos} with w2 = {w.w2}"
-        )
+    check_tenancy(scenario.num_mvnos, scenario.weights)
     chosen = _choose(scenario, [by_id[i] for i in ids])
     return assignment_from_ids(scenario, chosen)
+
+
+def check_tenancy(num_mvnos: int, weights: ObjectiveWeights) -> None:
+    """Raise ``UnsupportedConfigurationError`` outside the exact selection's domain.
+
+    Tenancy-fair selection (w2 > 0) is exact only up to 3 MVNOs.
+    """
+    if weights.w2 > 0 and num_mvnos > 3:
+        raise UnsupportedConfigurationError(
+            "tenancy-fair selection is exact only up to 3 MVNOs, "
+            f"got {num_mvnos} with w2 = {weights.w2}"
+        )
 
 
 def _tenancy_gap(counts: Sequence[int], targets: Sequence[int], norm: str) -> float:
@@ -266,13 +276,17 @@ def solve(scenario: Scenario) -> SolveResult:
     The altitude search maximizes the coverage radius at the scenario's
     default QoS threshold; per-user thresholds then size individual disks at
     that altitude.  Candidate centers realize every maximal coverage set
-    inside the region box.  Their eligibility is tested in blocks of
-    ``ELIGIBILITY_CHUNK`` centers, so memory holds the block plus the D
-    distinct packed sets, not one row per candidate.  Users with equal
-    ``_class_key`` are interchangeable, and a coverage set's signature is its
-    canonical set: the first c members of each class it holds c members of.
-    Sets with one signature score the same, so only each signature's first
-    set, at its first center, can win.  A set whose canonical set contains
+    inside the region box; ``ResourceGuardError`` is raised before they are
+    enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
+    eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
+    by x, so memory holds the block plus the D distinct packed sets, not one
+    row per candidate, and a block computes distances only to the users
+    whose x-distance to its slab of centers is within their radius.  Users
+    with equal ``_class_key`` are interchangeable, and a coverage set's
+    signature is its canonical set: the first c members of each class it
+    holds c members of, found from the set's per-class counts.  Sets with
+    one signature score the same, so only each signature's first set, at
+    its first center, can win.  A set whose canonical set contains
     another's never scores worse, so ``select_users`` first scores only the
     maximal signatures (found by a blocked bitset subset test), which gives
     the best score; any other is then scored only if none of its maximal
@@ -290,53 +304,72 @@ def solve(scenario: Scenario) -> SolveResult:
 
     best = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
     best_total = 0
-    centers = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
-    if not centers:
+    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
+    if not len(pts):
         return best
 
     # A set's signature is its canonical set: of each class of
     # interchangeable users, the first c members if the set holds c of them.
-    # Columns run class by class, and a user in class k has the sort key
-    # 2k + 1, less one when eligible: sorting a row by key moves each class's
-    # c eligible members to its first c columns, the keys below 2k + 1.
+    # Columns run class by class; a column's rank is its place in its class,
+    # so the canonical set holds the columns ranked below the set's count of
+    # their class.
     class_key = _class_key(scenario.weights)
     classes: dict[object, list[int]] = {}
     for j, u in enumerate(users):
         classes.setdefault(class_key(u), []).append(j)
-    cols = np.array([j for members in classes.values() for j in members])
-    class_odd = np.repeat(
-        np.arange(1, 2 * len(classes), 2, dtype=np.int32), [len(m) for m in classes.values()]
-    )
+    order = [j for members in classes.values() for j in members]
+    sizes = [len(members) for members in classes.values()]
+    cols = np.array(order)
+    count_type = np.min_scalar_type(len(order))
+    rank = np.array([p for size in sizes for p in range(size)], dtype=count_type)
+    class_start = (rank == 0).nonzero()[0]
+    row_type = np.dtype((np.void, -(-len(order) // 8)))  # one packed row
 
-    pts = np.array(sorted(centers))
-    ux = np.array([u.x for u in users])[cols]
-    uy = np.array([u.y for u in users])[cols]
-    # A zero radius means the user fails QoS even at the nadir; the negative
-    # sentinel keeps it out of every disk, including candidates at distance 0.
-    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])[cols]
+    # Rows of x, y and squared radius by column.  A zero radius means the
+    # user fails QoS even at the nadir; the negative sentinel keeps it out of
+    # every disk, including candidates at distance 0.
+    disks = np.array(
+        [
+            [users[j].x for j in order],
+            [users[j].y for j in order],
+            [r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in (radii[j] for j in order)],
+        ]
+    )
+    ux, r2 = disks[0], disks[2]
 
     # Sets with one signature score the same, and a later equal score never
     # replaces the best, so only first sightings count: their center,
     # eligible user indices and signature, in center order.  Equal sets have
-    # equal signatures, so only a block's distinct sets are sorted.
+    # equal signatures, so only a block's distinct sets are signed.
     firsts: list[tuple[float, float, np.ndarray, bytes]] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
-        block = pts[start : start + ELIGIBILITY_CHUNK]
-        d2 = (block[:, 0:1] - ux[None, :]) ** 2 + (block[:, 1:2] - uy[None, :]) ** 2
-        eligible = d2 <= r2[None, :]
+        bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
+        # The centers are sorted by x, so the block spans [bx[0], bx[-1]].  A
+        # user whose x-gap to that slab (ux clipped into it, less ux) has
+        # gap^2 > r2 is in none of the block's disks: rounding is monotone,
+        # so the rounded d2 is at least the rounded gap^2.
+        gap = np.minimum(np.maximum(ux, bx[0]), bx[-1])
+        gap -= ux
+        near = (gap * gap <= r2).nonzero()[0]
+        near_x, near_y, near_r2 = disks[:, near]
+        d2 = np.subtract.outer(bx, near_x)
+        d2 *= d2
+        dy2 = np.subtract.outer(by, near_y)
+        d2 += np.multiply(dy2, dy2, out=dy2)
+        eligible = np.zeros((len(bx), len(order)), dtype=bool)
+        eligible[:, near] = d2 <= near_r2
         packed = np.packbits(eligible, axis=1)
-        rows = packed.view(np.dtype((np.void, packed.shape[1])))
-        first_idx = np.sort(np.unique(rows, return_index=True)[1])
-        keys = np.packbits(np.sort(class_odd - eligible[first_idx], axis=1) != class_odd, axis=1)
-        for k, key in zip(first_idx, keys):
-            signature = key.tobytes()
+        first_idx = np.sort(np.unique(packed.view(row_type), return_index=True)[1])
+        held = np.add.reduceat(eligible[first_idx], class_start, axis=1, dtype=count_type)
+        keys = np.packbits(rank < held.repeat(sizes, axis=1), axis=1)
+        for k, signature in zip(first_idx.tolist(), keys.view(row_type).ravel().tolist()):
             if signature in seen:
                 continue
             seen.add(signature)
-            members = cols[np.flatnonzero(eligible[k])]
+            members = cols[eligible[k].nonzero()[0]]
             if len(members):  # the zero-assignment fallback covers the empty set
-                firsts.append((float(block[k, 0]), float(block[k, 1]), members, signature))
+                firsts.append((float(bx[k]), float(by[k]), members, signature))
     if not firsts:
         return best
 
@@ -433,58 +466,94 @@ def _candidate_centers(
     radii: Sequence[float],
     x_bounds: tuple[float, float],
     y_bounds: tuple[float, float],
-) -> set[tuple[float, float]]:
+) -> np.ndarray:
     """Horizontal positions that realize every maximal coverage set.
 
     Any nonempty intersection of coverage disks with the region box is
     convex; it contains a disk center, a box corner, or a boundary vertex
     (circle/circle or circle/edge crossing), all of which are enumerated.
+    Returns the distinct points inside the box as a (k, 2) array sorted by
+    x, then y, with none at all when no user has a positive radius.  Raises
+    ``ResourceGuardError`` when the m users with a positive radius could
+    give more than ``MAX_SEARCH_POINTS`` points (m^2 + 8m + 4 bounds them).
+
+    The circle pairs run in numpy, ``ELIGIBILITY_CHUNK`` rows at a time,
+    with the float operations of the scalar formulas in the same order, so
+    every point has the bits the scalar arithmetic gives.  Points are listed
+    in a fixed order and stably sorted, so of equal points (0.0 and -0.0
+    alike) the first listed is kept.
     """
     x_lo, x_hi = x_bounds
     y_lo, y_hi = y_bounds
-    pts: set[tuple[float, float]] = set()
-
-    def add(x: float, y: float) -> None:
-        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-            pts.add((x, y))
-
     active = [(u.x, u.y, r) for u, r in zip(users, radii) if r > 0]
+    m = len(active)
+    if m * m + 8 * m + 4 > MAX_SEARCH_POINTS:
+        raise ResourceGuardError(
+            f"{m} coverable users give up to {m * m + 8 * m + 4} candidate centers, "
+            f"above the {MAX_SEARCH_POINTS} ceiling"
+        )
     if not active:
-        return pts
+        return np.empty((0, 2))
+    # Disk centers and circle/edge crossings stay scalar: Python's ``**``
+    # calls libm's pow, which numpy's square does not always match.
+    flat: list[float] = []  # x0, y0, x1, y1, ...
     for cx, cy, r in active:
-        add(cx, cy)
+        flat += (cx, cy)
         for xe in (x_lo, x_hi):
             rem = r * r - (xe - cx) ** 2
             if rem >= 0:
                 s = math.sqrt(rem)
-                add(xe, cy - s)
-                add(xe, cy + s)
+                flat += (xe, cy - s, xe, cy + s)
         for ye in (y_lo, y_hi):
             rem = r * r - (ye - cy) ** 2
             if rem >= 0:
                 s = math.sqrt(rem)
-                add(cx - s, ye)
-                add(cx + s, ye)
-    for i in range(len(active)):
-        x1, y1, r1 = active[i]
-        for j in range(i + 1, len(active)):
-            x2, y2, r2 = active[j]
-            d = math.hypot(x2 - x1, y2 - y1)
-            if d == 0 or d > r1 + r2 or d < abs(r1 - r2):
-                continue  # disjoint, nested, or concentric: no boundary crossing
-            a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-            h2 = r1 * r1 - a * a
-            half = math.sqrt(h2) if h2 > 0 else 0.0
-            mx = x1 + a * (x2 - x1) / d
-            my = y1 + a * (y2 - y1) / d
-            ox = -(y2 - y1) / d * half
-            oy = (x2 - x1) / d * half
-            add(mx + ox, my + oy)
-            add(mx - ox, my - oy)
-    for cx in (x_lo, x_hi):
-        for cy in (y_lo, y_hi):
-            pts.add((cx, cy))
-    return pts
+                flat += (cx - s, ye, cx + s, ye)
+    blocks = [np.array(flat).reshape(-1, 2)]
+    circles = np.array(active)  # rows of (x, y, r)
+    x, y, r = circles.T
+    idx = np.arange(m)
+    for start in range(0, m, ELIGIBILITY_CHUNK):
+        rows = slice(start, start + ELIGIBILITY_CHUNK)
+        # The pairs i < j whose circles can cross, tested on squared
+        # distances with a relative margin far above their rounding error;
+        # the exact test below uses math.hypot, as the scalar code does.
+        dist2 = x - x[rows, None]
+        dist2 *= dist2
+        dy2 = y - y[rows, None]
+        dist2 += np.multiply(dy2, dy2, out=dy2)
+        bound = r + r[rows, None]
+        bound *= bound * (1.0 + 1e-9)
+        near = dist2 <= bound
+        bound = r - r[rows, None]
+        bound *= bound * (1.0 - 1e-9)
+        near &= dist2 >= bound
+        near &= idx > idx[rows, None]
+        i, j = np.nonzero(near)
+        c1, c2 = circles[i + start], circles[j]
+        delta = c2 - c1  # rows of (x2 - x1, y2 - y1, r2 - r1)
+        d = np.array(list(map(math.hypot, *delta[:, :2].T.tolist())))
+        # Disjoint, nested or concentric circles have no boundary crossing.
+        keep = (d != 0) & (d <= c1[:, 2] + c2[:, 2]) & (d >= abs(delta[:, 2]))
+        c1, c2, delta, d = c1[keep], c2[keep], delta[keep, :2], d[keep]
+        # The scalar formulas, elementwise on (x, y) columns: a - b is
+        # a + (-b), and negating a product or quotient negates the result.
+        r1_sq = c1[:, 2] * c1[:, 2]
+        a = (d * d + r1_sq - c2[:, 2] * c2[:, 2]) / (2.0 * d)
+        h2 = r1_sq - a * a
+        half = np.sqrt(np.where(h2 > 0, h2, 0.0))
+        d = d[:, None]
+        mid = c1[:, :2] + a[:, None] * delta / d
+        off = delta[:, ::-1] / d * (half[:, None] * (-1.0, 1.0))
+        # Each pair's two crossings, in the order the scalar loop adds them.
+        blocks.append(np.concatenate([mid + off, mid - off], axis=1).reshape(-1, 2))
+    blocks.append(np.array([(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)]))
+    pts = np.concatenate(blocks)
+    inside = (blocks[-1][0] <= pts) & (pts <= blocks[-1][-1])
+    pts = pts[inside[:, 0] & inside[:, 1]]
+    # As complex numbers the points sort by x, then y, in one stable sort.
+    z = np.sort(pts.view(np.complex128).ravel(), kind="stable")
+    return z[np.concatenate(([True], z[1:] != z[:-1]))].view(np.float64).reshape(-1, 2)
 
 
 def _grid_axis(lo: float, hi: float, step: float) -> list[float]:
@@ -513,9 +582,9 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     ys = _grid_axis(*region.y_bounds, grid_step_xy)
     hs = _grid_axis(*region.h_bounds, grid_step_h)
     n_points = len(xs) * len(ys) * len(hs)
-    if n_points > MAX_ORACLE_POINTS:
+    if n_points > MAX_SEARCH_POINTS:
         raise ResourceGuardError(
-            f"oracle grid has {n_points} points, above the {MAX_ORACLE_POINTS} ceiling"
+            f"oracle grid has {n_points} points, above the {MAX_SEARCH_POINTS} ceiling"
         )
     env, cfg = scenario.environment, scenario.channel
     users = scenario.users

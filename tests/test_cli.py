@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from dronecell import solver
 from dronecell.cli.main import main
-from dronecell.fixtures import case24_path
+from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.solver import InfeasibleRegionError
 
 
@@ -159,6 +160,27 @@ def test_mc_small_config(tmp_path):
     assert {r[0] for r in rows[1:]} == {"urban", "suburban"}
     assert all(r[-1] == "2" for r in rows[1:])
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_mc_rejects_fair_selection_over_3_tenants(tmp_path, capsys):
+    # The bundled config with 4 tenants: its multi_tenancy_dmf policy needs
+    # tenancy-fair selection, exact only up to 3 MVNOs (this exited 3).
+    doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
+    doc["num_mvnos"] = 4
+    cfg = tmp_path / "mc4.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "up to 3 MVNOs" in capsys.readouterr().err
+
+
+def test_solve_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
+    out = tmp_path / "never.csv"
+    assert main(["solve", str(case24_path()), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_altitude_profile(tmp_path):

@@ -16,7 +16,8 @@ from dronecell.experiment import (
     run_policy,
 )
 from dronecell.fixtures import load_case24
-from dronecell.scenario import ScenarioProfile, generate_scenario, mvno_counts
+from dronecell.scenario import ObjectiveWeights, ScenarioProfile, generate_scenario, mvno_counts
+from dronecell.solver import UnsupportedConfigurationError
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -127,6 +128,12 @@ def test_config_validation():
         ExperimentConfig(policies=("round_robin",))
     with pytest.raises(ValueError):
         ExperimentConfig(environments=("rural",))
+    # Tenancy-fair selection is exact only up to 3 MVNOs: a config that would
+    # need it with 4 fails before any run, not inside one.
+    with pytest.raises(UnsupportedConfigurationError, match="up to 3 MVNOs"):
+        ExperimentConfig(num_mvnos=4)
+    ExperimentConfig(num_mvnos=4, policies=(SINGLE_TENANCY, MULTI_TENANCY_NO_FAIRNESS))
+    ExperimentConfig(num_mvnos=4, profile=ScenarioProfile(weights=ObjectiveWeights(1.0, 0.0)))
 
 
 def test_solver_failures_carry_run_context():

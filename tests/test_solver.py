@@ -292,6 +292,130 @@ def test_solve_handles_heterogeneous_qos():
     assert result.objective >= oracle.objective - 1e-9
 
 
+def reference_centers(users, radii, x_bounds, y_bounds):
+    """Candidate centers by the scalar enumeration, as a set of (x, y).
+
+    User positions, circle/box-edge crossings, circle/circle crossings
+    (pairs in row order) and box corners, each kept if inside the box; the
+    set keeps the first of equal points, so 0.0 and -0.0 merge.
+    """
+    x_lo, x_hi = x_bounds
+    y_lo, y_hi = y_bounds
+    pts = set()
+
+    def add(x, y):
+        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+            pts.add((x, y))
+
+    active = [(u.x, u.y, r) for u, r in zip(users, radii) if r > 0]
+    if not active:
+        return pts
+    for cx, cy, r in active:
+        add(cx, cy)
+        for xe in (x_lo, x_hi):
+            rem = r * r - (xe - cx) ** 2
+            if rem >= 0:
+                s = math.sqrt(rem)
+                add(xe, cy - s)
+                add(xe, cy + s)
+        for ye in (y_lo, y_hi):
+            rem = r * r - (ye - cy) ** 2
+            if rem >= 0:
+                s = math.sqrt(rem)
+                add(cx - s, ye)
+                add(cx + s, ye)
+    for i in range(len(active)):
+        x1, y1, r1 = active[i]
+        for j in range(i + 1, len(active)):
+            x2, y2, r2 = active[j]
+            d = math.hypot(x2 - x1, y2 - y1)
+            if d == 0 or d > r1 + r2 or d < abs(r1 - r2):
+                continue  # disjoint, nested, or concentric: no boundary crossing
+            a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+            h2 = r1 * r1 - a * a
+            half = math.sqrt(h2) if h2 > 0 else 0.0
+            mx = x1 + a * (x2 - x1) / d
+            my = y1 + a * (y2 - y1) / d
+            ox = -(y2 - y1) / d * half
+            oy = (x2 - x1) / d * half
+            add(mx + ox, my + oy)
+            add(mx - ox, my - oy)
+    for cx in (x_lo, x_hi):
+        for cy in (y_lo, y_hi):
+            pts.add((cx, cy))
+    return pts
+
+
+def center_instances():
+    """Seeded inputs for the candidate-center enumeration.
+
+    Half the instances draw positions and radii at random; the other half
+    snap positions to a 50 m grid and draw radii from {0, 50, 100, 150} m,
+    which gives tangent, concentric and coincident circles and circles
+    tangent to the box edges; in half of those the radii move by one ulp, so
+    circles nearly touch.  The random half adds pairs of circles whose
+    radii make them tangent, outside or inside, at the distance
+    ``math.hypot`` gives.  Positions reach past the +-500 m box, some
+    users repeat the first position, some radii are zero, and some boxes and
+    users sit at -0.0, so a -0.0 and a 0.0 coordinate must merge.
+    """
+    rng = random.Random(8080)
+    for trial in range(300):
+        snapped = trial % 2 == 1
+
+        def coord():
+            v = rng.uniform(-600.0, 600.0)
+            return float(round(v / 50.0) * 50.0) if snapped else v
+
+        pos = [(coord(), coord()) for _ in range(rng.randint(0, 30))]
+        if pos and rng.random() < 0.3:
+            pos += [pos[0], pos[0]]
+        if rng.random() < 0.3:
+            pos.append((-0.0, -0.0))
+        if snapped:
+            radii = [rng.choice((0.0, 50.0, 100.0, 150.0)) for _ in pos]
+            if rng.random() < 0.5:  # one ulp off: circles that nearly touch
+                radii = [math.nextafter(r, rng.choice((0.0, 1e9))) if r else r for r in radii]
+        else:
+            radii = [0.0 if rng.random() < 0.1 else rng.uniform(1.0, 300.0) for _ in pos]
+            for _ in range(rng.randint(0, 3)):
+                # Circles exactly tangent by math.hypot, outside or inside.
+                x1, y1 = coord(), coord()
+                x2, y2 = x1 + rng.uniform(-200.0, 200.0), y1 + rng.uniform(-200.0, 200.0)
+                d = math.hypot(x2 - x1, y2 - y1)
+                pos += [(x1, y1), (x2, y2)]
+                radii += [d / 2.0, d / 2.0] if rng.random() < 0.5 else [2.0 * d, d]
+        x_bounds = (-0.0, 400.0) if rng.random() < 0.3 else (-500.0, 500.0)
+        y_bounds = (-300.0, -0.0) if rng.random() < 0.3 else (-500.0, 500.0)
+        users = [User(id=i, x=x, y=y, mvno_id=0) for i, (x, y) in enumerate(pos)]
+        yield users, radii, x_bounds, y_bounds
+
+
+@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+def test_candidate_centers_equal_the_scalar_enumeration_bitwise(monkeypatch, chunk):
+    # A chunk of 3 splits the circle pairs into many row blocks.
+    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    for users, radii, x_bounds, y_bounds in center_instances():
+        got = _candidate_centers(users, radii, x_bounds, y_bounds)
+        want = np.array(sorted(reference_centers(users, radii, x_bounds, y_bounds)))
+        want = want.reshape(-1, 2)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_solve_refuses_more_candidate_centers_than_the_ceiling(monkeypatch):
+    # Five coverable users give at most 5^2 + 8*5 + 4 = 69 candidate
+    # centers; the user with an unreachable threshold does not count.
+    users = [User(id=i, x=40.0 * i, y=0.0, mvno_id=0) for i in range(5)]
+    users.append(User(id=5, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=20.0))
+    sc = make_scenario(users, num_mvnos=1)
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 68)
+    with pytest.raises(ResourceGuardError, match="69 candidate centers"):
+        solve(sc)
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 69)
+    assert solve(sc).total_served > 0
+
+
 def reference_solve(sc):
     """solve() with every distinct coverage set scored, as one full matrix.
 
@@ -305,7 +429,7 @@ def reference_solve(sc):
     users = sc.users
     radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
     best = _zero_result(sc, (region.x_bounds[0], region.y_bounds[0], h_star), r_default)
-    centers = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
+    centers = reference_centers(users, radii, region.x_bounds, region.y_bounds)
     if not centers:
         return best, 0
     pts = np.array(sorted(centers))
