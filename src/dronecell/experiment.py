@@ -8,12 +8,13 @@ geometry.  Summaries aggregate the total and per-MVNO served counts per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import ENVIRONMENTS
-from .scenario import Scenario, ScenarioProfile, assignment_from_ids, generate_scenario
+from .scenario import Scenario, ScenarioProfile, assignment_from_ids, generate_scenario, validate
 from .solver import SolveResult, check_tenancy, solve
 
 SINGLE_TENANCY = "single_tenancy"
@@ -27,6 +28,10 @@ DEFAULT_ENVIRONMENT_NAMES = ("suburban", "urban", "dense_urban", "highrise_urban
 
 class ExperimentError(RuntimeError):
     """A solver failure inside the harness, annotated with its run."""
+
+
+class _InvalidRunError(ExperimentError, ValueError):
+    """A run whose generated scenario fails ``validate``: an input error."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
+        if not 0 < self.field_size_m < math.inf:
+            raise ValueError(f"field_size_m must be finite and positive, got {self.field_size_m}")
         if not self.policies:
             raise ValueError("policies must be non-empty")
         unknown = [p for p in self.policies if p not in POLICIES]
@@ -117,7 +124,12 @@ def run_policy(scenario: Scenario, policy: str) -> SolveResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Deterministic summary over n_runs seeded layouts per environment."""
+    """Deterministic summary over n_runs seeded layouts per environment.
+
+    Raises an ``ExperimentError`` that is also a ``ValueError``, listing the
+    violations, when a generated scenario fails ``validate``; nothing is
+    solved on it.
+    """
     rows: list[SummaryRow] = []
     for env_name in config.environments:
         env = ENVIRONMENTS[env_name]
@@ -132,6 +144,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 field_size_m=config.field_size_m,
                 profile=config.profile,
             )
+            violations = validate(scenario)
+            if violations:
+                raise _InvalidRunError(
+                    f"run {run} ({env_name}, seed {config.seed + run}): invalid scenario: "
+                    + "; ".join(violations)
+                )
             for policy in config.policies:
                 try:
                     result = run_policy(scenario, policy)

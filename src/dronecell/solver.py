@@ -16,12 +16,12 @@ tests run in numpy with the bits the scalar formulas give.  Users that add
 the same demand and the same objective terms form classes of
 interchangeable users.  The coverage sets of those centers are scored by an
 exact subset-selection routine, once per signature, which keeps of each
-class only how many members the set holds.
-Only the maximal signatures are scored up front, since a superset never
-scores worse; a smaller one is scored only when no maximal superset of it
-falls below the best.  The selection is one DP over the classes, on demands
-and capacity scaled to exact integers.  ``brute_force`` provides an
-independent grid-search oracle for testing.
+class only how many members the set holds.  Each signature's score has an
+upper bound, a fractional knapsack (Dantzig) over what each of its users can
+add to the objective, and signatures are scored in descending bound order
+until a bound falls below the best score.  The selection is one DP over the
+classes, on demands and capacity scaled to exact integers.  ``brute_force``
+provides an independent grid-search oracle for testing.
 """
 
 from __future__ import annotations
@@ -52,11 +52,12 @@ DISK_EPS = 1e-12
 # and the bound on solve()'s candidate centers.
 MAX_SEARCH_POINTS = 10_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
-# eligibility blocks hold this many rows rather than one per candidate.
+# eligibility blocks, and the knapsack bounds of a block's new signatures,
+# hold this many rows rather than one per candidate.
 ELIGIBILITY_CHUNK = 512
-# Slack of the superset bound in solve()'s pruning, relative to the largest
+# Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
-# adding those terms in two different orders.
+# adding those terms in different orders.
 SCORE_RTOL = 1e-9
 
 
@@ -279,20 +280,22 @@ def solve(scenario: Scenario) -> SolveResult:
     inside the region box; ``ResourceGuardError`` is raised before they are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
     eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
-    by x, so memory holds the block plus the D distinct packed sets, not one
-    row per candidate, and a block computes distances only to the users
-    whose x-distance to its slab of centers is within their radius.  Users
-    with equal ``_class_key`` are interchangeable, and a coverage set's
-    signature is its canonical set: the first c members of each class it
-    holds c members of, found from the set's per-class counts.  Sets with
-    one signature score the same, so only each signature's first set, at
-    its first center, can win.  A set whose canonical set contains
-    another's never scores worse, so ``select_users`` first scores only the
-    maximal signatures (found by a blocked bitset subset test), which gives
-    the best score; any other is then scored only if none of its maximal
-    supersets scored below that best.  Ties break toward more served users,
-    then the lexicographically smallest center; when nobody is coverable the
-    result keeps the all-zero assignment at the region's smallest corner.
+    by x, so memory holds the block plus a signature, members and bound for
+    each of the D distinct sets, not one row per candidate, and a block
+    computes distances only to the users whose x-distance to its slab of
+    centers is within their radius.  Users with equal ``_class_key`` are
+    interchangeable, and a coverage set's signature is its canonical set:
+    the first c members of each class it holds c members of, found from the
+    set's per-class counts.  Sets with one signature score the same, so only
+    each signature's first set, at its first center, can win; its knapsack
+    bound is computed in its block, when it is first seen.
+    ``select_users`` scores the sets in descending bound order, then more
+    members, then center order, and stops at the first bound below the best
+    score so far less a rounding slack, since no later set can reach it.
+    Of the scored sets the best score wins, ties breaking toward more served
+    users, then the lexicographically smallest center; when nobody is
+    coverable the result keeps the all-zero assignment at the region's
+    smallest corner.
     """
     _check_region(scenario)
     region = scenario.region
@@ -313,13 +316,35 @@ def solve(scenario: Scenario) -> SolveResult:
     # Columns run class by class; a column's rank is its place in its class,
     # so the canonical set holds the columns ranked below the set's count of
     # their class.
-    class_key = _class_key(scenario.weights)
+    #
+    # A served user adds at most value = w1 + w2' + w3*e + w4*kappa to the
+    # objective, less w2' times the summed targets: with k users served the
+    # tenancy gap is at least the targets' sum less k under L1, and that over
+    # sqrt(M) under L2 (M tenants).  A set's bound is the fractional knapsack
+    # of its members' values under the capacity.  Every field the value reads
+    # is in the class key, so the classes run in descending value per unit
+    # demand, and a set's greedy fill is a running sum along its row.
+    w = scenario.weights
+    w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
+
+    def value(u: User) -> float:
+        return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
+
+    class_key = _class_key(w)
     classes: dict[object, list[int]] = {}
     for j, u in enumerate(users):
         classes.setdefault(class_key(u), []).append(j)
-    order = [j for members in classes.values() for j in members]
-    sizes = [len(members) for members in classes.values()]
+
+    def density(members: list[int]) -> float:
+        return value(users[members[0]]) / users[members[0]].resource_demand
+
+    groups = sorted(classes.values(), key=density, reverse=True)
+    order = [j for members in groups for j in members]
+    sizes = [len(members) for members in groups]
     cols = np.array(order)
+    values = np.array([value(users[j]) for j in order])
+    demands = np.array([users[j].resource_demand for j in order])
+    base = w2 * sum(scenario.targets.counts)
     count_type = np.min_scalar_type(len(order))
     rank = np.array([p for size in sizes for p in range(size)], dtype=count_type)
     class_start = (rank == 0).nonzero()[0]
@@ -339,9 +364,9 @@ def solve(scenario: Scenario) -> SolveResult:
 
     # Sets with one signature score the same, and a later equal score never
     # replaces the best, so only first sightings count: their center,
-    # eligible user indices and signature, in center order.  Equal sets have
+    # eligible user indices and bound, in center order.  Equal sets have
     # equal signatures, so only a block's distinct sets are signed.
-    firsts: list[tuple[float, float, np.ndarray, bytes]] = []
+    firsts: list[tuple[float, float, np.ndarray, float]] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
@@ -363,24 +388,46 @@ def solve(scenario: Scenario) -> SolveResult:
         first_idx = np.sort(np.unique(packed.view(row_type), return_index=True)[1])
         held = np.add.reduceat(eligible[first_idx], class_start, axis=1, dtype=count_type)
         keys = np.packbits(rank < held.repeat(sizes, axis=1), axis=1)
+        new = []
         for k, signature in zip(first_idx.tolist(), keys.view(row_type).ravel().tolist()):
-            if signature in seen:
-                continue
-            seen.add(signature)
-            members = cols[eligible[k].nonzero()[0]]
+            if signature not in seen:
+                seen.add(signature)
+                new.append(k)
+        # Each column's share of its user: whole while the fill stays within
+        # the capacity, then the fraction that still fits, then none.
+        rows = eligible[new]
+        fill = np.cumsum(rows * demands, axis=1)
+        share = np.clip((scenario.capacity - fill) / demands + 1.0, 0.0, 1.0)
+        for k, row, bound in zip(new, rows, (rows * share) @ values - base):
+            members = cols[row.nonzero()[0]]
             if len(members):  # the zero-assignment fallback covers the empty set
-                firsts.append((float(bx[k]), float(by[k]), members, signature))
+                firsts.append((float(bx[k]), float(by[k]), members, float(bound)))
     if not firsts:
         return best
 
-    def score(i: int) -> tuple[float, Assignment, TermBreakdown]:
+    # The slack covers rounding, since the bound, ``select_users`` and
+    # ``objective_value`` add the same terms in different orders; it is
+    # relative to the largest possible sum of the objective's terms.
+    magnitude = (
+        (w.w1 + w.w2 + w.w4) * len(users)
+        + w.w2 * sum(scenario.targets.counts)
+        + w.w3 * sum(u.energy_cost for u in users)
+    )
+    slack = SCORE_RTOL * (1.0 + magnitude)
+    # Highest bound first, then more members, then center order (lexsort is
+    # stable); once a bound is below the best score, so are all that follow.
+    scored: dict[int, tuple[float, Assignment, TermBreakdown]] = {}
+    top = -math.inf
+    bounds = [f[3] for f in firsts]
+    for i in np.lexsort(([-len(f[2]) for f in firsts], np.negative(bounds))).tolist():
+        if bounds[i] < top - slack:
+            break
         assignment = select_users(scenario, {users[j].id for j in firsts[i][2]})
         obj, breakdown = objective_value(scenario, assignment)
-        return obj, assignment, breakdown
-
-    scored, order = _prune_to_maximal(scenario, firsts, score)
-    for i in order:
-        obj, assignment, breakdown = scored[i] if i in scored else score(i)
+        scored[i] = obj, assignment, breakdown
+        top = max(top, obj)
+    for i in sorted(scored):
+        obj, assignment, breakdown = scored[i]
         if (obj, assignment.total) > (best.objective, best_total):
             x, y = firsts[i][:2]
             best = SolveResult(
@@ -393,72 +440,6 @@ def solve(scenario: Scenario) -> SolveResult:
             )
             best_total = assignment.total
     return best
-
-
-def _prune_to_maximal(
-    scenario: Scenario,
-    firsts: list[tuple[float, float, np.ndarray, bytes]],
-    score: Callable[[int], tuple[float, Assignment, TermBreakdown]],
-) -> tuple[dict[int, tuple[float, Assignment, TermBreakdown]], list[int]]:
-    """Scores of the maximal sets, and the indices of the sets that can win.
-
-    ``firsts`` holds distinct nonempty sets, each with its packed canonical
-    set as the signature.  A set whose canonical set contains another's
-    holds at least as many members of every class, so ``select_users`` on it
-    can pick interchangeable users for any subset the other can and never
-    scores worse: the maximal sets hold the best score, and a set with a
-    maximal superset scoring below it cannot reach it.  The slack covers
-    rounding, since ``select_users`` and ``objective_value`` add the same
-    terms in different orders; it is relative to the largest possible sum of
-    the objective's terms.
-    """
-    w = scenario.weights
-    users = scenario.users
-    magnitude = (
-        (w.w1 + w.w2 + w.w4) * len(users)
-        + w.w2 * sum(scenario.targets.counts)
-        + w.w3 * sum(u.energy_cost for u in users)
-    )
-    # The packed sets, zero-padded to whole 64-bit words.
-    packed = np.frombuffer(b"".join(f[3] for f in firsts), dtype=np.uint8).reshape(len(firsts), -1)
-    sets = np.zeros((len(firsts), -(-packed.shape[1] // 8)), dtype=np.uint64)
-    sets.view(np.uint8)[:, : packed.shape[1]] = packed
-    sizes = np.array([len(f[2]) for f in firsts])
-    # Peel: the largest remaining sets are maximal, because each larger set
-    # is maximal or inside one and every set inside a maximal set is dropped.
-    maximal: list[int] = []
-    rest = np.arange(len(firsts))
-    while len(rest):
-        top = rest[sizes[rest] == sizes[rest].max()]
-        maximal.extend(top.tolist())
-        rest = rest[sizes[rest] < sizes[top[0]]]
-        rest = rest[~_subset_of_any(sets[rest], sets[top])]
-    maximal.sort()
-    scored = {i: score(i) for i in maximal}
-    floor = max(obj for obj, _, _ in scored.values()) - SCORE_RTOL * (1.0 + magnitude)
-    # A low maximal set, and every set inside one, scores below the best.
-    low = [i for i in maximal if scored[i][0] < floor]
-    return scored, np.flatnonzero(~_subset_of_any(sets, sets[low])).tolist()
-
-
-def _subset_of_any(sets: np.ndarray, sups: np.ndarray) -> np.ndarray:
-    """Whether each packed set is a subset of one of the packed ``sups``.
-
-    The sets are tested in blocks of ``ELIGIBILITY_CHUNK``, one 64-bit word
-    column at a time, so every temporary holds one block row per set of
-    ``sups``.
-    """
-    out = np.zeros(len(sets), dtype=bool)
-    if not len(sups):
-        return out
-    outside = ~sups
-    for start in range(0, len(sets), ELIGIBILITY_CHUNK):
-        block = sets[start : start + ELIGIBILITY_CHUNK]
-        contained = np.ones((len(block), len(sups)), dtype=bool)
-        for b in range(sets.shape[1]):
-            contained &= (block[:, b : b + 1] & outside[:, b]) == 0
-        out[start : start + len(block)] = contained.any(axis=1)
-    return out
 
 
 def _candidate_centers(
@@ -589,16 +570,8 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     env, cfg = scenario.environment, scenario.channel
     users = scenario.users
     if not users:
-        result = _zero_result(scenario, (xs[0], ys[0], hs[0]), 0.0)
         radius = coverage_radius(hs[0], cfg.max_path_loss_db, env, cfg)
-        return SolveResult(
-            result.placement,
-            result.assignment,
-            result.objective,
-            result.term_breakdown,
-            result.mvno_counts,
-            radius,
-        )
+        return _zero_result(scenario, (xs[0], ys[0], hs[0]), radius)
 
     gx = np.repeat(np.asarray(xs), len(ys))
     gy = np.tile(np.asarray(ys), len(xs))

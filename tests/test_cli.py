@@ -2,14 +2,21 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import dronecell
 from dronecell import solver
 from dronecell.cli.main import main
 from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.solver import InfeasibleRegionError
+
+SRC = str(Path(dronecell.__file__).resolve().parents[1])
 
 
 def read_csv(path):
@@ -175,12 +182,59 @@ def test_mc_rejects_fair_selection_over_3_tenants(tmp_path, capsys):
     assert "up to 3 MVNOs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("field_size_m",), float("nan")),
+        (("profile", "h_bounds"), [0.0, 80.0]),
+        (("profile", "h_bounds"), [80.0, 20.0]),
+        (("profile", "capacity"), float("nan")),
+        (("profile", "resource_demand"), 0.0),
+        (("profile", "energy_cost_range"), [0.0, 5.0]),
+        (("profile", "targets"), [1]),
+        (("profile", "channel", "frequency_hz"), float("nan")),
+        (("profile", "max_path_loss_db"), float("nan")),
+        (("profile", "weights", "w1"), float("nan")),
+    ],
+)
+def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):
+    # The bundled config (2 tenants) with one field made invalid is an input
+    # error: not exit 3, and not a CSV of meaningless numbers.
+    doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
+    doc["n_runs"] = 1
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
     out = tmp_path / "never.csv"
     assert main(["solve", str(case24_path()), "--out", str(out)]) == 1
     assert not out.exists()
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    # python -m dronecell.cli.main writes the same case24 CSV as main().
+    out, want = tmp_path / "module.csv", tmp_path / "main.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dronecell.cli.main", "solve", str(case24_path()), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["solve", str(case24_path()), "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_altitude_profile(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dronecell import experiment
 from dronecell.channel import ENVIRONMENTS
 from dronecell.experiment import (
     MULTI_TENANCY_DMF,
@@ -143,3 +144,16 @@ def test_solver_failures_carry_run_context():
     )
     with pytest.raises(ExperimentError, match=r"run 0 \(urban,"):
         run_experiment(config)
+
+
+def test_a_solver_failure_inside_a_run_carries_its_run_and_policy(monkeypatch):
+    # A valid config whose every solve fails: the first run's first policy
+    # raises, wrapped as an internal error (not a ValueError) with its context.
+    def failing(scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiment, "solve", failing)
+    config = ExperimentConfig(n_runs=2, n_users=4, environments=("urban",))
+    with pytest.raises(ExperimentError, match=r"run 0 \(urban, single_tenancy\): boom") as info:
+        run_experiment(config)
+    assert not isinstance(info.value, ValueError)

@@ -516,7 +516,7 @@ def count_selections(monkeypatch):
 @pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
 def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, chunk):
     # A small chunk puts the first sighting of a signature in a later block,
-    # and splits the maximal-set subset test into many blocks.
+    # and computes the knapsack bounds in many blocks.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     calls = count_selections(monkeypatch)
     skipped = collections.Counter()
@@ -526,9 +526,80 @@ def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypat
         assert solve(sc) == want
         assert len(set(calls)) == len(calls) <= scored
         skipped[kind] += scored - len(calls)
-    # Classes and maximal-set pruning save work in total on every kind.
+    # Classes and bound-order scoring save work in total on every kind.
     assert set(skipped) == {"uniform", "mixed_demand", "energy", "classes"}
     assert all(skipped.values())
+
+
+def bound_instances():
+    """``signature_instances()``, then draws with w1 = 0 and the L2 norm at 3 MVNOs.
+
+    With w1 = 0 a served user adds little beyond the tenancy term, so the
+    bound leans on w2/sqrt(M), the L2 gap's share per user.
+    """
+    yield from signature_instances()
+    rng = random.Random(4242)
+    for _ in range(12):
+        n = rng.randint(8, 20)
+        users = [
+            User(
+                id=i,
+                x=rng.uniform(-400.0, 400.0),
+                y=rng.uniform(-400.0, 400.0),
+                mvno_id=rng.randrange(3),
+                max_path_loss_db=rng.uniform(94.0, 102.0),
+                energy_cost=rng.random(),
+                content_request=rng.random() < 0.3,
+                resource_demand=rng.choice((0.1, 1.0 / 3.0, 1.0)),
+            )
+            for i in range(n)
+        ]
+        weights = ObjectiveWeights(0.0, rng.choice((1.0, 2.5)), rng.choice((0.0, 0.5)), 0.5, L2)
+        targets = [rng.randint(1, n // 3) for _ in range(3)]
+        capacity = rng.choice((float(n), rng.uniform(0.5, n / 3.0)))
+        region = PlacementRegion((-500.0, 500.0), (-500.0, 500.0), (20.0, 80.0))
+        yield "l2", make_scenario(users, 3, targets, weights, capacity, region)
+
+
+def reference_bound(sc, ids):
+    """Dantzig bound on the objective of any subset of ``ids``, user by user.
+
+    Each user is worth value = w1 + w2' + w3*e + w4*kappa, with w2' = w2
+    under L1 and w2/sqrt(M) under L2, less w2' times the summed targets;
+    users are taken greedily by value per unit demand, the last one in part.
+    """
+    w = sc.weights
+    w2 = w.w2 / math.sqrt(sc.num_mvnos) if w.norm == L2 else w.w2
+
+    def value(u):
+        return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * u.content_request
+
+    room, bound = sc.capacity, -w2 * sum(sc.targets.counts)
+    for u in sorted(map(sc.user_by_id, ids), key=lambda u: value(u) / u.resource_demand, reverse=True):
+        if room <= 0:
+            break
+        bound += min(1.0, room / u.resource_demand) * value(u)
+        room -= u.resource_demand
+    return bound
+
+
+def test_solve_scores_sets_in_bound_order_and_no_set_beats_its_bound(monkeypatch):
+    calls = count_selections(monkeypatch)
+    for _, sc in bound_instances():
+        w = sc.weights
+        magnitude = (
+            (w.w1 + w.w2 + w.w4) * len(sc.users)
+            + w.w2 * sum(sc.targets.counts)
+            + w.w3 * sum(u.energy_cost for u in sc.users)
+        )
+        slack = solver.SCORE_RTOL * (1.0 + magnitude)
+        calls.clear()
+        assert solve(sc) == reference_solve(sc)[0]
+        bounds = [reference_bound(sc, ids) for ids in calls]
+        assert all(b <= a + slack for a, b in zip(bounds, bounds[1:]))
+        for ids, bound in zip(calls, bounds):
+            obj, _ = objective_value(sc, select_users(sc, ids))
+            assert obj <= bound + slack
 
 
 def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
@@ -554,10 +625,10 @@ def test_solve_tie_between_a_non_maximal_set_and_its_superset_goes_to_the_earlie
     monkeypatch,
 ):
     # Two overlapping disks, a capacity of one user and equal per-user
-    # values: every nonempty set scores the same.  solve() scores only the
-    # maximal set {0, 1} (centered between the users) first; the non-maximal
-    # {0} around user 0 has lexicographically smaller centers, ties it and
-    # must win.
+    # values: every nonempty set scores the same and has the same bound.
+    # solve() scores the larger set {0, 1} (centered between the users)
+    # first; the non-maximal {0} around user 0 has lexicographically smaller
+    # centers, ties it and must win.
     _, radius = optimal_altitude(CFG.max_path_loss_db, URBAN, CFG, (20.0, 80.0))
     users = [
         User(id=0, x=0.0, y=0.0, mvno_id=0, energy_cost=0.5),
