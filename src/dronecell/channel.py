@@ -91,7 +91,10 @@ def los_probability(elevation_deg: float, env: Environment) -> float:
     if not 0.0 < elevation_deg <= 90.0:
         raise ValueError(f"elevation angle must be in (0, 90], got {elevation_deg}")
     a, b = env.plos_a, env.plos_b
-    return 1.0 / (1.0 + a * math.exp(-b * (elevation_deg - a)))
+    try:
+        return 1.0 / (1.0 + a * math.exp(-b * (elevation_deg - a)))
+    except OverflowError:
+        return 0.0  # the sigmoid's limit as the exponent grows without bound
 
 
 def free_space_path_loss(distance_m: float, frequency_hz: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from ..channel import ENVIRONMENTS, ChannelConfig, Environment
 from ..experiment import ExperimentConfig
@@ -24,6 +24,8 @@ from ..scenario import (
 
 SCHEMA_VERSION = "1"
 
+_T = TypeVar("_T")
+
 
 class FileFormatError(ValueError):
     """The document is structurally or semantically malformed."""
@@ -33,6 +35,13 @@ def _require(doc: dict[str, Any], key: str, where: str) -> Any:
     if key not in doc:
         raise FileFormatError(f"missing key {key!r} in {where}")
     return doc[key]
+
+
+def _integer(value: Any, where: str) -> int:
+    # A count, id or seed written as a float (1e300, NaN) is not coerced.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _check_version(doc: dict[str, Any]) -> None:
@@ -45,6 +54,8 @@ def _check_version(doc: dict[str, Any]) -> None:
 
 def _environment_from_dict(doc: dict[str, Any]) -> Environment:
     name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise FileFormatError(f"environment name must be a string, got {name!r}")
     explicit = {k for k in ("plos_a", "plos_b", "eta_los_db", "eta_nlos_db") if k in doc}
     if not explicit:
         if name not in ENVIRONMENTS:
@@ -106,11 +117,14 @@ def _weights_to_dict(w: ObjectiveWeights) -> dict[str, Any]:
     return {"w1": w.w1, "w2": w.w2, "w3": w.w3, "w4": w.w4, "norm": w.norm}
 
 
-def _bounds(doc: dict[str, Any], key: str, where: str) -> tuple[float, float]:
-    pair = _require(doc, key, where)
+def _pair(pair: Any, where: str) -> tuple[float, float]:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FileFormatError(f"{where}.{key} must be a [min, max] pair")
+        raise FileFormatError(f"{where} must be a [min, max] pair")
     return (float(pair[0]), float(pair[1]))
+
+
+def _bounds(doc: dict[str, Any], key: str, where: str) -> tuple[float, float]:
+    return _pair(_require(doc, key, where), f"{where}.{key}")
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
@@ -124,21 +138,27 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         h_bounds=_bounds(region_doc, "h", "region"),
     )
     tenancy = _require(doc, "tenancy", "scenario")
-    num_mvnos = int(_require(tenancy, "num_mvnos", "tenancy"))
-    targets = TenancyTargets(tuple(int(t) for t in _require(tenancy, "targets", "tenancy")))
+    num_mvnos = _integer(_require(tenancy, "num_mvnos", "tenancy"), "tenancy.num_mvnos")
+    targets = TenancyTargets(
+        tuple(_integer(t, "tenancy.targets") for t in _require(tenancy, "targets", "tenancy"))
+    )
     weights = _weights_from_dict(doc.get("weights", {}))
     capacity = float(_require(doc, "capacity", "scenario"))
     users = []
     for i, u in enumerate(_require(doc, "users", "scenario")):
+        where = f"users[{i}]"
+        kappa = u.get("kappa", False)
+        if not isinstance(kappa, bool):
+            raise FileFormatError(f"{where}.kappa must be true or false, got {kappa!r}")
         users.append(
             User(
-                id=int(_require(u, "id", f"users[{i}]")),
-                x=float(_require(u, "x", f"users[{i}]")),
-                y=float(_require(u, "y", f"users[{i}]")),
-                mvno_id=int(_require(u, "mvno", f"users[{i}]")),
+                id=_integer(_require(u, "id", where), f"{where}.id"),
+                x=float(_require(u, "x", where)),
+                y=float(_require(u, "y", where)),
+                mvno_id=_integer(_require(u, "mvno", where), f"{where}.mvno"),
                 max_path_loss_db=float(u.get("q_db", channel.max_path_loss_db)),
                 energy_cost=float(u.get("lambda", 0.0)),
-                content_request=bool(u.get("kappa", False)),
+                content_request=kappa,
                 resource_demand=float(u.get("r", 1.0)),
             )
         )
@@ -198,9 +218,9 @@ def experiment_config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
         resource_demand=float(
             profile_doc.get("resource_demand", base_profile.resource_demand)
         ),
-        energy_cost_range=tuple(
-            float(v)
-            for v in profile_doc.get("energy_cost_range", base_profile.energy_cost_range)
+        energy_cost_range=_pair(
+            profile_doc.get("energy_cost_range", base_profile.energy_cost_range),
+            "profile.energy_cost_range",
         ),
         content_probability=float(
             profile_doc.get("content_probability", base_profile.content_probability)
@@ -213,17 +233,17 @@ def experiment_config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
         targets=(
             None
             if profile_doc.get("targets") is None
-            else tuple(int(t) for t in profile_doc["targets"])
+            else tuple(_integer(t, "profile.targets") for t in profile_doc["targets"])
         ),
         weights=_weights_from_dict(profile_doc.get("weights", {})),
-        h_bounds=tuple(float(v) for v in profile_doc.get("h_bounds", base_profile.h_bounds)),
+        h_bounds=_pair(profile_doc.get("h_bounds", base_profile.h_bounds), "profile.h_bounds"),
         channel=_channel_from_dict(profile_doc.get("channel", {})),
     )
     return ExperimentConfig(
-        n_runs=int(doc.get("n_runs", defaults.n_runs)),
-        n_users=int(doc.get("n_users", defaults.n_users)),
-        num_mvnos=int(doc.get("num_mvnos", defaults.num_mvnos)),
-        seed=int(doc.get("seed", defaults.seed)),
+        n_runs=_integer(doc.get("n_runs", defaults.n_runs), "n_runs"),
+        n_users=_integer(doc.get("n_users", defaults.n_users), "n_users"),
+        num_mvnos=_integer(doc.get("num_mvnos", defaults.num_mvnos), "num_mvnos"),
+        seed=_integer(doc.get("seed", defaults.seed), "seed"),
         environments=tuple(doc.get("environments", defaults.environments)),
         policies=tuple(doc.get("policies", defaults.policies)),
         field_size_m=float(doc.get("field_size_m", defaults.field_size_m)),
@@ -260,14 +280,28 @@ def dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _load(path: str | Path, parse: Callable[[dict[str, Any]], _T]) -> _T:
+    """Parse the JSON object at ``path``; every malformed document is a ``FileFormatError``.
+
+    A field of the wrong JSON type (null for a number, a list for an object)
+    fails inside ``parse`` with a TypeError, AttributeError or, for an
+    integer too large for a float, OverflowError; all three are reported as
+    malformed.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
-    return scenario_from_dict(doc)
+    try:
+        return parse(doc)
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise FileFormatError(f"{path}: malformed document: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return _load(path, scenario_from_dict)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -275,13 +309,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    return experiment_config_from_dict(doc)
+    return _load(path, experiment_config_from_dict)
 
 
 def save_experiment_config(config: ExperimentConfig, path: str | Path) -> None:

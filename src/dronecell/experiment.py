@@ -55,6 +55,8 @@ class ExperimentConfig:
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies: {unknown}")
+        if not self.environments:
+            raise ValueError("environments must be non-empty")
         missing = [e for e in self.environments if e not in ENVIRONMENTS]
         if missing:
             raise ValueError(f"unknown environments: {missing}")

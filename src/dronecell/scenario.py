@@ -17,6 +17,9 @@ import numpy as np
 from .channel import ChannelConfig, Environment
 
 DEFAULT_FIELD_SIZE_M = 2000.0
+# Largest |x| or |y| a region bound may have, in meters: far beyond any real
+# field, and small enough that squared distances stay finite.
+MAX_REGION_M = 1.0e7
 # Default operating window for the platform altitude, in meters.  Kept at
 # small-UAV heights (well under the usual ~120 m ceiling for small craft)
 # so the default cells stay far below macro size; the window is plain
@@ -155,17 +158,24 @@ def generate_scenario(
 
     Pure function of the arguments; the same seed yields the bit-identical
     scenario (positions from PCG64 via ``numpy.random.default_rng``).
+    Raises ``ValueError`` on a negative user count, no tenant, a field size
+    that is not finite and positive, or an energy-cost range whose width is
+    not finite.
     """
     if n_users < 0:
         raise ValueError("n_users must be non-negative")
     if num_mvnos < 1:
         raise ValueError("num_mvnos must be at least 1")
+    if not 0 < field_size_m < math.inf:
+        raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
+    lam_lo, lam_hi = profile.energy_cost_range
+    if not math.isfinite(lam_hi - lam_lo):
+        raise ValueError(f"energy_cost_range must span a finite width, got {profile.energy_cost_range}")
     rng = np.random.default_rng(seed)
     half = field_size_m / 2.0
     xs = rng.uniform(-half, half, n_users)
     ys = rng.uniform(-half, half, n_users)
     mvnos = rng.integers(0, num_mvnos, n_users)
-    lam_lo, lam_hi = profile.energy_cost_range
     lams = rng.uniform(lam_lo, lam_hi, n_users) if lam_hi > lam_lo else np.full(n_users, lam_lo)
     kappas = (
         rng.random(n_users) < profile.content_probability
@@ -240,6 +250,8 @@ def validate(scenario: Scenario) -> list[str]:
             v.append(f"region {axis}_bounds must be finite, got ({lo}, {hi})")
         elif not lo < hi:
             v.append(f"region {axis}_bounds must satisfy min < max, got ({lo}, {hi})")
+        elif axis != "h" and max(abs(lo), abs(hi)) > MAX_REGION_M:
+            v.append(f"region {axis}_bounds must lie within +-{MAX_REGION_M:g} m, got ({lo}, {hi})")
     if region.h_bounds[0] <= 0:
         v.append(f"region h_bounds must start above ground, got {region.h_bounds[0]}")
 

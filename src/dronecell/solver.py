@@ -14,14 +14,16 @@ positions, pairwise coverage-circle intersections, circle/box-edge
 crossings, and box corners).  The O(n^2) circle pairs and the eligibility
 tests run in numpy with the bits the scalar formulas give.  Users that add
 the same demand and the same objective terms form classes of
-interchangeable users.  The coverage sets of those centers are scored by an
-exact subset-selection routine, once per signature, which keeps of each
-class only how many members the set holds.  Each signature's score has an
-upper bound, a fractional knapsack (Dantzig) over what each of its users can
-add to the objective, and signatures are scored in descending bound order
-until a bound falls below the best score.  The selection is one DP over the
-classes, on demands and capacity scaled to exact integers.  ``brute_force``
-provides an independent grid-search oracle for testing.
+interchangeable users, and a coverage set's signature is its count vector:
+how many members it holds of each class.  Sets with one signature score the
+same, so the coverage sets of those centers are scored by an exact
+subset-selection routine once per signature.  Each signature's score has an
+upper bound, read off its counts: a fractional knapsack (Dantzig) over what
+each of its users can add to the objective.  Signatures are scored in
+descending bound order until a bound falls below the best score.  The
+selection is one DP over the classes, on demands and capacity scaled to
+exact integers.  ``brute_force`` provides an independent grid-search oracle
+for testing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter, mul, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,13 +167,14 @@ def _tenancy_gap(counts: Sequence[int], targets: Sequence[int], norm: str) -> fl
     return float(sum(map(abs, diffs)))
 
 
-def _class_key(weights: ObjectiveWeights) -> Callable[[User], object]:
-    """The key under which users are interchangeable for these weights.
+def _classes(users: Sequence[User], weights: ObjectiveWeights) -> list[list[int]]:
+    """Positions in ``users`` of each class of interchangeable users.
 
-    It reads what a served user adds to the constraints and to the
-    objective's terms: its resource demand, and its tenant, energy cost and
-    content flag where their term's weight is on.  Swapping two users with
-    equal keys in a set changes neither its feasibility nor its score.
+    Users are interchangeable when they add the same to the constraints and
+    to the objective's terms: the same resource demand, and the same tenant,
+    energy cost and content flag where their term's weight is on.  Swapping
+    two of them in a set changes neither its feasibility nor its score.
+    Classes come in the order of their first member, each in position order.
     """
     fields = ["resource_demand"]
     if weights.w2 > 0:
@@ -180,7 +183,11 @@ def _class_key(weights: ObjectiveWeights) -> Callable[[User], object]:
         fields.append("energy_cost")
     if weights.w4 > 0:
         fields.append("content_request")
-    return attrgetter(*fields)
+    key = attrgetter(*fields)
+    classes: dict[object, list[int]] = {}
+    for p, u in enumerate(users):
+        classes.setdefault(key(u), []).append(p)
+    return list(classes.values())
 
 
 def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
@@ -205,10 +212,6 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     cap = cap_num * (scale // cap_den)
     unconstrained = sum(demands) <= cap
     track_counts = w.w2 > 0
-    class_key = _class_key(w)
-    classes: dict[object, list[int]] = {}
-    for p, u in enumerate(users):
-        classes.setdefault(class_key(u), []).append(p)
     # The user at sorted position p is mask bit m-1-p: among sets of one
     # size, the greater mask is the lexicographically smaller id tuple.
     m = len(users)
@@ -217,7 +220,7 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     states: dict[tuple[tuple[int, ...], int], tuple[float, int, int]] = {
         (zero_counts, 0): (0.0, 0, 0)
     }
-    for members in classes.values():
+    for members in _classes(users, w):
         u = users[members[0]]
         demand = 0 if unconstrained else demands[members[0]]
         delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
@@ -280,22 +283,21 @@ def solve(scenario: Scenario) -> SolveResult:
     inside the region box; ``ResourceGuardError`` is raised before they are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
     eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
-    by x, so memory holds the block plus a signature, members and bound for
-    each of the D distinct sets, not one row per candidate, and a block
+    by x, so memory holds the block plus the members and bound of each of
+    the D distinct signatures, not one row per candidate, and a block
     computes distances only to the users whose x-distance to its slab of
-    centers is within their radius.  Users with equal ``_class_key`` are
-    interchangeable, and a coverage set's signature is its canonical set:
-    the first c members of each class it holds c members of, found from the
-    set's per-class counts.  Sets with one signature score the same, so only
-    each signature's first set, at its first center, can win; its knapsack
-    bound is computed in its block, when it is first seen.
-    ``select_users`` scores the sets in descending bound order, then more
-    members, then center order, and stops at the first bound below the best
-    score so far less a rounding slack, since no later set can reach it.
-    Of the scored sets the best score wins, ties breaking toward more served
-    users, then the lexicographically smallest center; when nobody is
-    coverable the result keeps the all-zero assignment at the region's
-    smallest corner.
+    centers is within their radius.  A coverage set's signature is its
+    count vector, how many members it holds of each class of
+    interchangeable users (``_classes``).  Sets with one signature score the
+    same, so only each signature's first set, at its first center, can win;
+    its knapsack bound, which reads only the counts, is computed in its
+    block when it is first seen.  ``select_users`` scores the sets in
+    descending bound order, then more members, then center order, and stops
+    at the first bound below the best score so far less a rounding slack,
+    since no later set can reach it.  The best score wins, ties breaking
+    toward more served users, then the lexicographically smallest center;
+    a set must beat the all-zero assignment at the region's smallest
+    corner, which is the result when nobody is coverable.
     """
     _check_region(scenario)
     region = scenario.region
@@ -305,50 +307,36 @@ def solve(scenario: Scenario) -> SolveResult:
     users = scenario.users
     radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
 
-    best = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
-    best_total = 0
+    zero = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
     pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
     if not len(pts):
-        return best
+        return zero
 
-    # A set's signature is its canonical set: of each class of
-    # interchangeable users, the first c members if the set holds c of them.
-    # Columns run class by class; a column's rank is its place in its class,
-    # so the canonical set holds the columns ranked below the set's count of
-    # their class.
-    #
     # A served user adds at most value = w1 + w2' + w3*e + w4*kappa to the
     # objective, less w2' times the summed targets: with k users served the
     # tenancy gap is at least the targets' sum less k under L1, and that over
     # sqrt(M) under L2 (M tenants).  A set's bound is the fractional knapsack
     # of its members' values under the capacity.  Every field the value reads
-    # is in the class key, so the classes run in descending value per unit
-    # demand, and a set's greedy fill is a running sum along its row.
+    # also separates ``_classes``, so a class has one value and one demand;
+    # the columns run class by class in descending value per unit demand,
+    # and a set's greedy fill is a running sum along its count vector.
     w = scenario.weights
     w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
 
     def value(u: User) -> float:
         return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
 
-    class_key = _class_key(w)
-    classes: dict[object, list[int]] = {}
-    for j, u in enumerate(users):
-        classes.setdefault(class_key(u), []).append(j)
-
     def density(members: list[int]) -> float:
         return value(users[members[0]]) / users[members[0]].resource_demand
 
-    groups = sorted(classes.values(), key=density, reverse=True)
+    groups = sorted(_classes(users, w), key=density, reverse=True)
     order = [j for members in groups for j in members]
-    sizes = [len(members) for members in groups]
     cols = np.array(order)
-    values = np.array([value(users[j]) for j in order])
-    demands = np.array([users[j].resource_demand for j in order])
+    values = np.array([value(users[members[0]]) for members in groups])
+    demands = np.array([users[members[0]].resource_demand for members in groups])
     base = w2 * sum(scenario.targets.counts)
     count_type = np.min_scalar_type(len(order))
-    rank = np.array([p for size in sizes for p in range(size)], dtype=count_type)
-    class_start = (rank == 0).nonzero()[0]
-    row_type = np.dtype((np.void, -(-len(order) // 8)))  # one packed row
+    class_start = np.cumsum([0] + [len(members) for members in groups[:-1]])
 
     # Rows of x, y and squared radius by column.  A zero radius means the
     # user fails QoS even at the nadir; the negative sentinel keeps it out of
@@ -363,9 +351,8 @@ def solve(scenario: Scenario) -> SolveResult:
     ux, r2 = disks[0], disks[2]
 
     # Sets with one signature score the same, and a later equal score never
-    # replaces the best, so only first sightings count: their center,
-    # eligible user indices and bound, in center order.  Equal sets have
-    # equal signatures, so only a block's distinct sets are signed.
+    # wins, so only first sightings count: their center, eligible user
+    # indices and bound, in center order.
     firsts: list[tuple[float, float, np.ndarray, float]] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
@@ -384,26 +371,22 @@ def solve(scenario: Scenario) -> SolveResult:
         d2 += np.multiply(dy2, dy2, out=dy2)
         eligible = np.zeros((len(bx), len(order)), dtype=bool)
         eligible[:, near] = d2 <= near_r2
-        packed = np.packbits(eligible, axis=1)
-        first_idx = np.sort(np.unique(packed.view(row_type), return_index=True)[1])
-        held = np.add.reduceat(eligible[first_idx], class_start, axis=1, dtype=count_type)
-        keys = np.packbits(rank < held.repeat(sizes, axis=1), axis=1)
+        held = np.add.reduceat(eligible, class_start, axis=1, dtype=count_type)
+        signatures = held.view(np.dtype((np.void, held.strides[0]))).ravel().tolist()
         new = []
-        for k, signature in zip(first_idx.tolist(), keys.view(row_type).ravel().tolist()):
+        for k, signature in enumerate(signatures):
             if signature not in seen:
                 seen.add(signature)
                 new.append(k)
-        # Each column's share of its user: whole while the fill stays within
-        # the capacity, then the fraction that still fits, then none.
-        rows = eligible[new]
-        fill = np.cumsum(rows * demands, axis=1)
-        share = np.clip((scenario.capacity - fill) / demands + 1.0, 0.0, 1.0)
-        for k, row, bound in zip(new, rows, (rows * share) @ values - base):
-            members = cols[row.nonzero()[0]]
-            if len(members):  # the zero-assignment fallback covers the empty set
+        # Each class's share of its members: all while the fill stays within
+        # the capacity, then the part that still fits, then none.
+        counts = held[new]
+        fill = np.cumsum(counts * demands, axis=1)
+        share = np.clip((scenario.capacity - fill) / demands + counts, 0, counts)
+        for k, bound in zip(new, share @ values - base):
+            members = cols[eligible[k].nonzero()[0]]
+            if len(members):  # the zero assignment covers the empty set
                 firsts.append((float(bx[k]), float(by[k]), members, float(bound)))
-    if not firsts:
-        return best
 
     # The slack covers rounding, since the bound, ``select_users`` and
     # ``objective_value`` add the same terms in different orders; it is
@@ -414,32 +397,25 @@ def solve(scenario: Scenario) -> SolveResult:
         + w.w3 * sum(u.energy_cost for u in users)
     )
     slack = SCORE_RTOL * (1.0 + magnitude)
-    # Highest bound first, then more members, then center order (lexsort is
+    # The winner is the greatest (objective, served, -index); the zero
+    # assignment ranks as index -1, so a set must beat it outright.  Sets go
+    # highest bound first, then more members, then center order (lexsort is
     # stable); once a bound is below the best score, so are all that follow.
-    scored: dict[int, tuple[float, Assignment, TermBreakdown]] = {}
-    top = -math.inf
+    win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
     bounds = [f[3] for f in firsts]
     for i in np.lexsort(([-len(f[2]) for f in firsts], np.negative(bounds))).tolist():
-        if bounds[i] < top - slack:
+        if bounds[i] < win[0] - slack:
             break
         assignment = select_users(scenario, {users[j].id for j in firsts[i][2]})
         obj, breakdown = objective_value(scenario, assignment)
-        scored[i] = obj, assignment, breakdown
-        top = max(top, obj)
-    for i in sorted(scored):
-        obj, assignment, breakdown = scored[i]
-        if (obj, assignment.total) > (best.objective, best_total):
-            x, y = firsts[i][:2]
-            best = SolveResult(
-                (x, y, h_star),
-                assignment,
-                obj,
-                breakdown,
-                mvno_counts(scenario, assignment),
-                r_default,
-            )
-            best_total = assignment.total
-    return best
+        win = max(win, (obj, assignment.total, -i, assignment, breakdown))
+    obj, _, neg_index, assignment, breakdown = win
+    if neg_index == 1:
+        return zero
+    x, y = firsts[-neg_index][:2]
+    return SolveResult(
+        (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), r_default
+    )
 
 
 def _candidate_centers(
@@ -585,7 +561,6 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     eta_l, eta_n = env.eta_los_db, env.eta_nlos_db
 
     best: SolveResult | None = None
-    best_total = -1
     memo: dict[bytes, tuple[float, Assignment, TermBreakdown, tuple[int, ...]]] = {}
     for h in hs:
         theta = np.degrees(np.arctan2(h, ground))
@@ -609,7 +584,7 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
                 entry = (obj, assignment, breakdown, mvno_counts(scenario, assignment))
                 memo[key] = entry
             obj, assignment, breakdown, counts = entry
-            if best is None or (obj, assignment.total) > (best.objective, best_total):
+            if best is None or (obj, assignment.total) > (best.objective, best.total_served):
                 radius = coverage_radius(float(h), cfg.max_path_loss_db, env, cfg)
                 best = SolveResult(
                     (float(gx[k]), float(gy[k]), float(h)),
@@ -619,6 +594,5 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
                     counts,
                     radius,
                 )
-                best_total = assignment.total
     assert best is not None
     return best

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,80 @@ def test_solve_non_finite_number_exits_1(tmp_path, capsys, where, value):
     assert "must be finite" in capsys.readouterr().err
 
 
+def write_edited(path, doc, where, value):
+    """Write ``doc`` to ``path`` with the field at key path ``where`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+CUSTOM_URBAN = {
+    "name": "custom", "plos_a": 9.61, "plos_b": 0.16, "eta_los_db": 1.0, "eta_nlos_db": 20.0,
+}
+
+
+@pytest.mark.parametrize(
+    "command, where, value",
+    [
+        ("solve", ("meta",), []),
+        ("solve", ("environment",), "urban"),
+        ("solve", ("environment", "name"), []),
+        ("solve", ("environment",), dict(CUSTOM_URBAN, name=[])),
+        ("solve", ("capacity",), None),
+        ("solve", ("users",), [5]),
+        ("solve", ("region", "x"), [None, 1]),
+        ("solve", ("tenancy", "num_mvnos"), float("inf")),
+        ("solve", ("tenancy", "num_mvnos"), 2.5),
+        ("solve", ("users", 0, "kappa"), "false"),
+        ("mc", ("n_runs",), None),
+        ("mc", ("n_runs",), 1e300),
+        ("mc", ("profile",), []),
+        ("mc", ("profile", "h_bounds"), "28"),
+    ],
+)
+def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
+    # Wrong JSON types used to escape the parser as TypeError, AttributeError
+    # or OverflowError and exit 3; a float run count of 1e300 ran for ever,
+    # the string "false" read as a true content flag, and the string "28"
+    # as the altitude window (2, 8).
+    if command == "solve":
+        doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    else:
+        doc = dict(json.loads(mc_default_path().read_text(encoding="utf-8")), n_runs=1)
+    bad = write_edited(tmp_path / "bad.json", doc, where, value)
+    out = tmp_path / "never.csv"
+    assert main([command, str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value", [(("plos_b",), 1000.0), (("plos_a",), 1e6)])
+def test_solve_with_a_steep_los_sigmoid_exits_0(tmp_path, where, value):
+    # exp(-b * (theta - a)) overflows at low elevations; the LOS probability
+    # takes the sigmoid's limit, 0, instead of exiting 3.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    doc["environment"] = dict(CUSTOM_URBAN)
+    scen = write_edited(tmp_path / "steep.json", doc, ("environment",) + where, value)
+    out = tmp_path / "result.csv"
+    assert main(["solve", str(scen), "--out", str(out)]) == 0
+    for cell in read_csv(out)[1][:6]:
+        assert math.isfinite(float(cell))
+
+
+def test_solve_rejects_region_bounds_beyond_the_ceiling(tmp_path, capsys):
+    # Bounds of +-1e300 m used to overflow the candidate-center arithmetic.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    bad = write_edited(tmp_path / "wide.json", doc, ("region", "x"), [-1e300, 1e300])
+    out = tmp_path / "never.csv"
+    assert main(["solve", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "x_bounds must lie within" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exits_1(tmp_path):
     assert main(["solve", str(tmp_path / "no.json"), "--out", str(tmp_path / "o.csv")]) == 1
 
@@ -143,6 +218,15 @@ def test_gen_unknown_environment_exits_1(tmp_path, capsys):
     code = main(["gen", "--seed", "1", "--n-users", "4", "--env", "rural", "--out", str(tmp_path / "x.json")])
     assert code == 1
     assert "rural" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])
+def test_gen_rejects_a_bad_field_size(tmp_path, capsys, size):
+    out = tmp_path / "never.json"
+    args = ["gen", "--seed", "1", "--n-users", "4", "--env", "urban", "--field-size", size]
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "field_size_m must be finite and positive" in capsys.readouterr().err
 
 
 def test_mc_small_config(tmp_path):
@@ -195,6 +279,8 @@ def test_mc_rejects_fair_selection_over_3_tenants(tmp_path, capsys):
         (("profile", "channel", "frequency_hz"), float("nan")),
         (("profile", "max_path_loss_db"), float("nan")),
         (("profile", "weights", "w1"), float("nan")),
+        (("environments",), []),
+        (("profile", "energy_cost_range"), [0.0, float("inf")]),
     ],
 )
 def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):

@@ -129,6 +129,8 @@ def test_config_validation():
         ExperimentConfig(policies=("round_robin",))
     with pytest.raises(ValueError):
         ExperimentConfig(environments=("rural",))
+    with pytest.raises(ValueError, match="environments must be non-empty"):
+        ExperimentConfig(environments=())
     # Tenancy-fair selection is exact only up to 3 MVNOs: a config that would
     # need it with 4 fails before any run, not inside one.
     with pytest.raises(UnsupportedConfigurationError, match="up to 3 MVNOs"):

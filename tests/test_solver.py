@@ -137,6 +137,17 @@ def test_solve_no_coverable_users_returns_zero_assignment():
     assert result.objective == 0.0
 
 
+def test_solve_keeps_the_zero_assignment_at_the_corner_when_no_user_fits():
+    # Every coverage set selects nobody and ties the zero assignment, which
+    # no set beats outright, so the result stays at the region's corner.
+    users = [User(id=i, x=100.0 * i, y=0.0, mvno_id=0, resource_demand=2.0) for i in range(3)]
+    sc = make_scenario(users, num_mvnos=1, capacity=1.0, weights=ObjectiveWeights(1.0, 0.0))
+    result = solve(sc)
+    assert result == reference_solve(sc)[0]
+    assert result.assignment.served == (0, 0, 0)
+    assert result.placement[:2] == (-1000.0, -1000.0)
+
+
 def test_solve_rejects_empty_or_underground_regions():
     users = [User(id=0, x=0.0, y=0.0, mvno_id=0)]
     sc = make_scenario(users, num_mvnos=1, region=PlacementRegion((10.0, -10.0), (-10.0, 10.0), (20.0, 80.0)))
