@@ -7,6 +7,13 @@ improves the LOS odds but lengthens the slant path, so the usable cell
 radius first grows and then shrinks with altitude; ``optimal_altitude``
 finds the interior maximum.
 
+``coverage_radius`` is the scalar reference for the cell radius.
+``coverage_radii`` runs the same bisection on many altitudes at once in
+numpy; numpy's transcendental functions may differ from ``math``'s in the
+last bits, so every decision it makes close to its bound is made again with
+the scalar ``path_loss``, and its results equal ``coverage_radius``'s bit
+for bit.
+
 All functions here are pure and safe to call concurrently.
 """
 
@@ -16,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -33,6 +42,10 @@ ALTITUDE_GRID_STEPS = 200
 MAX_RADIUS_M = 1.0e6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A numpy loss within this many dB of a bound that a decision compares it
+# with is recomputed with the scalar ``path_loss`` before the decision; the
+# two differ by under 1e-13 dB wherever both are finite.
+_DECISION_SLACK_DB = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -172,6 +185,94 @@ def coverage_radius(
     return lo
 
 
+def _path_loss_array(
+    altitude_m: np.ndarray, ground_range_m: np.ndarray, env: Environment, cfg: ChannelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``path_loss`` elementwise in numpy, with the elevation angles it used.
+
+    The operations follow ``path_loss`` in order, and overflow takes the same
+    limits (a LOS probability of 0, an infinite loss) without a warning.
+    Where ``path_loss`` raises, this returns a loss of -inf (a free-space
+    product that underflows to 0) or an angle of 0 instead.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        slant = np.hypot(altitude_m, ground_range_m)
+        theta = np.degrees(np.arctan2(altitude_m, ground_range_m))
+        a, b = env.plos_a, env.plos_b
+        p_los = 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
+        fspl = 20.0 * np.log10(4.0 * math.pi * cfg.frequency_hz * slant / SPEED_OF_LIGHT)
+        return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db, theta
+
+
+def coverage_radii(
+    altitudes: Sequence[float] | np.ndarray,
+    threshold_db: float,
+    env: Environment,
+    cfg: ChannelConfig,
+) -> np.ndarray:
+    """``coverage_radius`` at every altitude, in one vectorized bisection.
+
+    Element ``i`` equals ``coverage_radius(altitudes[i], threshold_db, env,
+    cfg)`` bit for bit.  All altitudes step through the nadir test, the
+    bracket doubling and the bisection together, each leaving the loop where
+    the scalar one would.  A numpy loss that is not finite, or that lies
+    within ``_DECISION_SLACK_DB`` of the threshold or of the threshold less
+    ``RADIUS_DB_TOLERANCE``, is replaced by the scalar ``path_loss`` before
+    any decision reads it, so no decision can differ from the scalar one.
+    """
+    h = np.array(altitudes, dtype=float).reshape(-1)
+    bad = ~(h > 0.0)
+    if bad.any():
+        raise ValueError(f"altitude must be positive, got {h[bad][0]}")
+    if threshold_db <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold_db}")
+    q = threshold_db
+
+    def losses(r: np.ndarray, live: np.ndarray) -> np.ndarray:
+        loss, theta = _path_loss_array(h, r, env, cfg)
+        margin = q - loss
+        redo = live & ~(
+            np.isfinite(loss)
+            & (theta > 0.0)
+            & (np.abs(margin) > _DECISION_SLACK_DB)
+            & (np.abs(margin - RADIUS_DB_TOLERANCE) > _DECISION_SLACK_DB)
+        )
+        if redo.any():
+            for i in np.flatnonzero(redo):
+                loss[i] = path_loss(float(h[i]), float(r[i]), env, cfg)
+        return loss
+
+    lo = np.zeros_like(h)
+    loss_lo = losses(lo, np.ones(h.shape, dtype=bool))
+    covered = loss_lo <= q
+    hi = np.full_like(h, 100.0)
+    capped = np.zeros(h.shape, dtype=bool)
+    growing = covered.copy()
+    while growing.any():
+        loss_hi = losses(hi, growing)
+        inside = growing & (loss_hi <= q)
+        lo = np.where(inside, hi, lo)
+        loss_lo = np.where(inside, loss_hi, loss_lo)
+        hi = np.where(inside, hi * 2.0, hi)
+        capped |= inside & (hi >= MAX_RADIUS_M)
+        growing = inside & ~capped
+
+    live = covered & ~capped
+    while True:
+        mid = 0.5 * (lo + hi)
+        live &= ((hi - lo > RADIUS_TOLERANCE_M) | (q - loss_lo > RADIUS_DB_TOLERANCE)) & (
+            (mid > lo) & (mid < hi)
+        )
+        if not live.any():
+            break
+        loss_mid = losses(mid, live)
+        inside = live & (loss_mid <= q)
+        lo = np.where(inside, mid, lo)
+        loss_lo = np.where(inside, loss_mid, loss_lo)
+        hi = np.where(live & ~inside, mid, hi)
+    return np.where(capped, MAX_RADIUS_M, np.where(covered, lo, 0.0))
+
+
 def optimal_altitude(
     threshold_db: float,
     env: Environment,
@@ -180,9 +281,11 @@ def optimal_altitude(
 ) -> tuple[float, float]:
     """Altitude in ``h_range`` maximizing the coverage radius, with that radius.
 
-    A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals) seeds a
-    golden-section refinement around the best grid point; the best altitude
-    ever evaluated is returned, so the result always dominates the grid.
+    A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals, all radii in one
+    ``coverage_radii`` pass, which rechecks with the scalar loss near the
+    threshold) seeds a golden-section refinement around the best grid point
+    on the cached scalar ``coverage_radius``; the best altitude ever
+    evaluated is returned, so the result always dominates the grid.
     Returns ``(h_min, 0.0)`` when no altitude in range yields coverage.
     A degenerate range with ``h_min == h_max`` evaluates that single altitude.
     """
@@ -207,7 +310,7 @@ def _optimal_altitude_cached(
         return h_min, radius(h_min)
     step = (h_max - h_min) / ALTITUDE_GRID_STEPS
     grid = [h_min + k * step for k in range(ALTITUDE_GRID_STEPS + 1)]
-    radii = [radius(h) for h in grid]
+    radii = coverage_radii(grid, threshold_db, env, cfg).tolist()
     best_idx = max(range(len(grid)), key=lambda i: (radii[i], -grid[i]))
     best_h, best_r = grid[best_idx], radii[best_idx]
     if best_r <= 0.0:

@@ -44,6 +44,13 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _number(value: Any, where: str) -> float:
+    # JSON true and "6" are not numbers, though float() reads them as 1.0 and 6.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_version(doc: dict[str, Any]) -> None:
     version = doc.get("meta", {}).get("version")
     if version != SCHEMA_VERSION:
@@ -68,10 +75,10 @@ def _environment_from_dict(doc: dict[str, Any]) -> Environment:
         )
     return Environment(
         name=name,
-        plos_a=float(doc["plos_a"]),
-        plos_b=float(doc["plos_b"]),
-        eta_los_db=float(doc["eta_los_db"]),
-        eta_nlos_db=float(doc["eta_nlos_db"]),
+        plos_a=_number(doc["plos_a"], "environment.plos_a"),
+        plos_b=_number(doc["plos_b"], "environment.plos_b"),
+        eta_los_db=_number(doc["eta_los_db"], "environment.eta_los_db"),
+        eta_nlos_db=_number(doc["eta_nlos_db"], "environment.eta_nlos_db"),
     )
 
 
@@ -89,9 +96,12 @@ def _environment_to_dict(env: Environment) -> dict[str, Any]:
 
 def _channel_from_dict(doc: dict[str, Any]) -> ChannelConfig:
     return ChannelConfig(
-        frequency_hz=float(doc.get("frequency_hz", ChannelConfig.frequency_hz)),
-        max_path_loss_db=float(
-            doc.get("default_max_path_loss_db", ChannelConfig.max_path_loss_db)
+        frequency_hz=_number(
+            doc.get("frequency_hz", ChannelConfig.frequency_hz), "channel.frequency_hz"
+        ),
+        max_path_loss_db=_number(
+            doc.get("default_max_path_loss_db", ChannelConfig.max_path_loss_db),
+            "channel.default_max_path_loss_db",
         ),
     )
 
@@ -105,10 +115,10 @@ def _channel_to_dict(cfg: ChannelConfig) -> dict[str, Any]:
 
 def _weights_from_dict(doc: dict[str, Any]) -> ObjectiveWeights:
     return ObjectiveWeights(
-        w1=float(doc.get("w1", 1.0)),
-        w2=float(doc.get("w2", 1.0)),
-        w3=float(doc.get("w3", 0.0)),
-        w4=float(doc.get("w4", 0.0)),
+        w1=_number(doc.get("w1", 1.0), "weights.w1"),
+        w2=_number(doc.get("w2", 1.0), "weights.w2"),
+        w3=_number(doc.get("w3", 0.0), "weights.w3"),
+        w4=_number(doc.get("w4", 0.0), "weights.w4"),
         norm=str(doc.get("norm", "L1")),
     )
 
@@ -120,7 +130,7 @@ def _weights_to_dict(w: ObjectiveWeights) -> dict[str, Any]:
 def _pair(pair: Any, where: str) -> tuple[float, float]:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise FileFormatError(f"{where} must be a [min, max] pair")
-    return (float(pair[0]), float(pair[1]))
+    return (_number(pair[0], where), _number(pair[1], where))
 
 
 def _bounds(doc: dict[str, Any], key: str, where: str) -> tuple[float, float]:
@@ -143,7 +153,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         tuple(_integer(t, "tenancy.targets") for t in _require(tenancy, "targets", "tenancy"))
     )
     weights = _weights_from_dict(doc.get("weights", {}))
-    capacity = float(_require(doc, "capacity", "scenario"))
+    capacity = _number(_require(doc, "capacity", "scenario"), "capacity")
     users = []
     for i, u in enumerate(_require(doc, "users", "scenario")):
         where = f"users[{i}]"
@@ -153,13 +163,15 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         users.append(
             User(
                 id=_integer(_require(u, "id", where), f"{where}.id"),
-                x=float(_require(u, "x", where)),
-                y=float(_require(u, "y", where)),
+                x=_number(_require(u, "x", where), f"{where}.x"),
+                y=_number(_require(u, "y", where), f"{where}.y"),
                 mvno_id=_integer(_require(u, "mvno", where), f"{where}.mvno"),
-                max_path_loss_db=float(u.get("q_db", channel.max_path_loss_db)),
-                energy_cost=float(u.get("lambda", 0.0)),
+                max_path_loss_db=_number(
+                    u.get("q_db", channel.max_path_loss_db), f"{where}.q_db"
+                ),
+                energy_cost=_number(u.get("lambda", 0.0), f"{where}.lambda"),
                 content_request=kappa,
-                resource_demand=float(u.get("r", 1.0)),
+                resource_demand=_number(u.get("r", 1.0), f"{where}.r"),
             )
         )
     return Scenario(
@@ -212,23 +224,26 @@ def experiment_config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     profile_doc = doc.get("profile", {})
     base_profile = ScenarioProfile()
     profile = ScenarioProfile(
-        max_path_loss_db=float(
-            profile_doc.get("max_path_loss_db", base_profile.max_path_loss_db)
+        max_path_loss_db=_number(
+            profile_doc.get("max_path_loss_db", base_profile.max_path_loss_db),
+            "profile.max_path_loss_db",
         ),
-        resource_demand=float(
-            profile_doc.get("resource_demand", base_profile.resource_demand)
+        resource_demand=_number(
+            profile_doc.get("resource_demand", base_profile.resource_demand),
+            "profile.resource_demand",
         ),
         energy_cost_range=_pair(
             profile_doc.get("energy_cost_range", base_profile.energy_cost_range),
             "profile.energy_cost_range",
         ),
-        content_probability=float(
-            profile_doc.get("content_probability", base_profile.content_probability)
+        content_probability=_number(
+            profile_doc.get("content_probability", base_profile.content_probability),
+            "profile.content_probability",
         ),
         capacity=(
             None
             if profile_doc.get("capacity") is None
-            else float(profile_doc["capacity"])
+            else _number(profile_doc["capacity"], "profile.capacity")
         ),
         targets=(
             None
@@ -246,7 +261,7 @@ def experiment_config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
         seed=_integer(doc.get("seed", defaults.seed), "seed"),
         environments=tuple(doc.get("environments", defaults.environments)),
         policies=tuple(doc.get("policies", defaults.policies)),
-        field_size_m=float(doc.get("field_size_m", defaults.field_size_m)),
+        field_size_m=_number(doc.get("field_size_m", defaults.field_size_m), "field_size_m"),
         profile=profile,
     )
 

@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
+from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radii, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import generate_scenario, validate
 from ..solver import (
@@ -78,10 +78,11 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         raise ValueError("altitude range must satisfy 0 < h-min <= h-max")
     env = ENVIRONMENTS[args.env]
     cfg = ChannelConfig(frequency_hz=args.frequency_hz, max_path_loss_db=args.threshold_db)
-    samples = []
-    for k in range(args.steps + 1):
-        h = args.h_min + k * (args.h_max - args.h_min) / args.steps
-        samples.append((h, coverage_radius(h, args.threshold_db, env, cfg)))
+    altitudes = [
+        args.h_min + k * (args.h_max - args.h_min) / args.steps for k in range(args.steps + 1)
+    ]
+    radii = coverage_radii(altitudes, args.threshold_db, env, cfg).tolist()
+    samples = list(zip(altitudes, radii))
     h_star, r_max = optimal_altitude(args.threshold_db, env, cfg, (args.h_min, args.h_max))
     Path(args.out).write_text(altitude_profile_csv(samples, h_star, r_max), encoding="utf-8")
     return EXIT_OK

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 
 import dronecell
 from dronecell import solver
+from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from dronecell.cli.main import main
+from dronecell.cli.report import altitude_profile_csv
 from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.solver import InfeasibleRegionError
 
@@ -156,15 +159,47 @@ def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, "6"])
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        ("solve", ("capacity",)),
+        ("solve", ("users", 0, "x")),
+        ("solve", ("users", 0, "q_db")),
+        ("solve", ("users", 0, "r")),
+        ("solve", ("weights", "w1")),
+        ("solve", ("channel", "frequency_hz")),
+        ("solve", ("region", "x", 1)),
+        ("mc", ("field_size_m",)),
+        ("mc", ("profile", "max_path_loss_db")),
+    ],
+)
+def test_a_boolean_or_string_number_exits_1(tmp_path, capsys, command, where, value):
+    # float() reads JSON true as 1.0 and "6" as 6.0: a capacity of true used
+    # to solve with capacity 1 and exit 0.
+    if command == "solve":
+        doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    else:
+        doc = dict(json.loads(mc_default_path().read_text(encoding="utf-8")), n_runs=1)
+    bad = write_edited(tmp_path / "bad.json", doc, where, value)
+    out = tmp_path / "never.csv"
+    assert main([command, str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "must be a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where, value", [(("plos_b",), 1000.0), (("plos_a",), 1e6)])
 def test_solve_with_a_steep_los_sigmoid_exits_0(tmp_path, where, value):
     # exp(-b * (theta - a)) overflows at low elevations; the LOS probability
-    # takes the sigmoid's limit, 0, instead of exiting 3.
+    # takes the sigmoid's limit, 0, instead of exiting 3, and the vectorized
+    # loss takes it without a numpy RuntimeWarning.
     doc = json.loads(case24_path().read_text(encoding="utf-8"))
     doc["environment"] = dict(CUSTOM_URBAN)
     scen = write_edited(tmp_path / "steep.json", doc, ("environment",) + where, value)
     out = tmp_path / "result.csv"
-    assert main(["solve", str(scen), "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(scen), "--out", str(out)]) == 0
     for cell in read_csv(out)[1][:6]:
         assert math.isfinite(float(cell))
 
@@ -337,6 +372,28 @@ def test_altitude_profile(tmp_path):
     assert rows[-1][0] == "optimum"
     radii = [float(r[2]) for r in rows[1:-1]]
     assert float(rows[-1][2]) >= max(radii) - 1e-9
+
+    # The samples come from one coverage_radii call; the CSV is the one the
+    # scalar coverage_radius gives at the same altitudes, byte for byte.
+    for env, threshold, h_min, h_max, steps in (
+        ("urban", 100.0, 100.0, 2000.0, 19),
+        ("highrise_urban", 100.0, 1.0, 60.0, 200),
+        ("suburban", 85.5, 20.0, 500.0, 37),
+        ("dense_urban", 130.0, 5.0, 3000.0, 100),
+    ):
+        code = main([
+            "altitude-profile", "--env", env, "--threshold-db", str(threshold),
+            "--h-min", str(h_min), "--h-max", str(h_max), "--steps", str(steps),
+            "--out", str(out),
+        ])
+        assert code == 0
+        environment, cfg = ENVIRONMENTS[env], ChannelConfig(max_path_loss_db=threshold)
+        samples = []
+        for k in range(steps + 1):
+            h = h_min + k * (h_max - h_min) / steps
+            samples.append((h, coverage_radius(h, threshold, environment, cfg)))
+        optimum = optimal_altitude(threshold, environment, cfg, (h_min, h_max))
+        assert out.read_text(encoding="utf-8") == altitude_profile_csv(samples, *optimum)
 
 
 def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
