@@ -159,7 +159,7 @@ def coverage_radius(
     """
     if altitude_m <= 0:
         raise ValueError(f"altitude must be positive, got {altitude_m}")
-    if threshold_db <= 0:
+    if not threshold_db > 0:  # NaN too, for which "<= 0" is False
         raise ValueError(f"threshold must be positive, got {threshold_db}")
     loss_lo = path_loss(altitude_m, 0.0, env, cfg)
     if loss_lo > threshold_db:
@@ -224,7 +224,7 @@ def coverage_radii(
     bad = ~(h > 0.0)
     if bad.any():
         raise ValueError(f"altitude must be positive, got {h[bad][0]}")
-    if threshold_db <= 0:
+    if not threshold_db > 0:  # NaN too, for which "<= 0" is False
         raise ValueError(f"threshold must be positive, got {threshold_db}")
     q = threshold_db
 

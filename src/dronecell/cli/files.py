@@ -37,17 +37,23 @@ def _require(doc: dict[str, Any], key: str, where: str) -> Any:
     return doc[key]
 
 
-def _integer(value: Any, where: str) -> int:
+def _location(where: str, key: str | None) -> str:
+    # Callers pass the key apart from ``where`` so that a location such as
+    # "users[3].x" is formatted only for the error message.
+    return where if key is None else f"{where}.{key}"
+
+
+def _integer(value: Any, where: str, key: str | None = None) -> int:
     # A count, id or seed written as a float (1e300, NaN) is not coerced.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FileFormatError(f"{where} must be an integer, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be an integer, got {value!r}")
     return value
 
 
-def _number(value: Any, where: str) -> float:
+def _number(value: Any, where: str, key: str | None = None) -> float:
     # JSON true and "6" are not numbers, though float() reads them as 1.0 and 6.0.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{where} must be a number, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be a number, got {value!r}")
     return float(value)
 
 
@@ -162,16 +168,14 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             raise FileFormatError(f"{where}.kappa must be true or false, got {kappa!r}")
         users.append(
             User(
-                id=_integer(_require(u, "id", where), f"{where}.id"),
-                x=_number(_require(u, "x", where), f"{where}.x"),
-                y=_number(_require(u, "y", where), f"{where}.y"),
-                mvno_id=_integer(_require(u, "mvno", where), f"{where}.mvno"),
-                max_path_loss_db=_number(
-                    u.get("q_db", channel.max_path_loss_db), f"{where}.q_db"
-                ),
-                energy_cost=_number(u.get("lambda", 0.0), f"{where}.lambda"),
+                id=_integer(_require(u, "id", where), where, "id"),
+                x=_number(_require(u, "x", where), where, "x"),
+                y=_number(_require(u, "y", where), where, "y"),
+                mvno_id=_integer(_require(u, "mvno", where), where, "mvno"),
+                max_path_loss_db=_number(u.get("q_db", channel.max_path_loss_db), where, "q_db"),
+                energy_cost=_number(u.get("lambda", 0.0), where, "lambda"),
                 content_request=kappa,
-                resource_demand=_number(u.get("r", 1.0), f"{where}.r"),
+                resource_demand=_number(u.get("r", 1.0), where, "r"),
             )
         )
     return Scenario(

@@ -8,10 +8,12 @@ its ceiling), 2 infeasible placement region, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 
+from .. import solver
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radii, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import generate_scenario, validate
@@ -70,6 +72,11 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         raise FileFormatError(f"unknown environment preset {args.env!r}")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    if args.steps + 1 > solver.MAX_SEARCH_POINTS:
+        raise ResourceGuardError(
+            f"--steps {args.steps} gives {args.steps + 1} altitudes, "
+            f"above the {solver.MAX_SEARCH_POINTS} ceiling"
+        )
     for flag in ("threshold_db", "frequency_hz", "h_min", "h_max"):
         value = getattr(args, flag)
         if not math.isfinite(value):
@@ -98,7 +105,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Building it costs a sizable share of a small solve (argparse looks up
+    translations and the terminal size on every ``add_argument``), so
+    ``main`` reuses it.  Parsing keeps no state in the parser, and each
+    call gets a fresh namespace.
+    """
     parser = _Parser(prog="dronecell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

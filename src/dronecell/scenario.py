@@ -8,6 +8,7 @@ Scenarios are immutable and freely shareable across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable
@@ -278,11 +279,17 @@ def validate(scenario: Scenario) -> list[str]:
 def _non_finite(where: str, obj: object) -> list[str]:
     """One violation per float field of the dataclass ``obj`` that is NaN or infinite."""
     out = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
         if isinstance(value, float) and not math.isfinite(value):
-            out.append(f"{where}{f.name} must be finite, got {value}")
+            out.append(f"{where}{name} must be finite, got {value}")
     return out
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    # dataclasses.fields() rebuilds its tuple on every call, once per user.
+    return tuple(f.name for f in fields(cls))
 
 
 def mvno_counts(scenario: Scenario, assignment: Assignment) -> tuple[int, ...]:

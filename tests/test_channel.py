@@ -195,6 +195,18 @@ def test_optimal_altitude_validation():
         optimal_altitude(100.0, URBAN, CFG, (100.0, 50.0))
 
 
+def test_a_nan_threshold_is_rejected():
+    # NaN <= 0 is False, so a NaN threshold used to pass the check and give
+    # a radius of 0.0 and an optimum of (20.0, 0.0) without an error.
+    with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+        coverage_radius(100.0, math.nan, URBAN, CFG)
+    with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+        coverage_radii([100.0], math.nan, URBAN, CFG)
+    for h_range in ((20.0, 80.0), (60.0, 60.0)):
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            optimal_altitude(math.nan, URBAN, CFG, h_range)
+
+
 def test_optimal_altitude_deterministic():
     a = optimal_altitude(100.0, URBAN, CFG, (1.0, 3000.0))
     b = optimal_altitude(100.0, URBAN, CFG, (1.0, 3000.0))

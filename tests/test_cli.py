@@ -15,7 +15,7 @@ import pytest
 import dronecell
 from dronecell import solver
 from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
-from dronecell.cli.main import main
+from dronecell.cli.main import build_parser, main
 from dronecell.cli.report import altitude_profile_csv
 from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.solver import InfeasibleRegionError
@@ -396,6 +396,18 @@ def test_altitude_profile(tmp_path):
         assert out.read_text(encoding="utf-8") == altitude_profile_csv(samples, *optimum)
 
 
+def test_altitude_profile_rejects_steps_above_the_ceiling(tmp_path, monkeypatch, capsys):
+    # A huge --steps used to build its altitude list and arrays first.
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
+    out = tmp_path / "profile.csv"
+    args = ["altitude-profile", "--env", "urban", "--h-min", "20", "--h-max", "500"]
+    assert main(args + ["--steps", "100", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: --steps 100 gives 101 altitudes, above the 100 ceiling" in capsys.readouterr().err
+    assert main(args + ["--steps", "99", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 1 + 100 + 1
+
+
 def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
     cases = [
         (["--h-min", "500", "--h-max", "100"], "altitude range"),
@@ -425,4 +437,41 @@ def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 1
+    capsys.readouterr()
+
+
+def test_in_process_calls_share_the_parser_but_not_their_arguments(tmp_path, capsys):
+    # main() builds its parser once per process; every call must still read
+    # only its own arguments and leave nothing behind for the next one.
+    assert build_parser() is build_parser()
+    case24 = str(case24_path())
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    svg = tmp_path / "placement.svg"
+    assert main(["solve", case24, "--out", str(first), "--svg", str(svg)]) == 0
+    assert svg.exists()
+    svg.unlink()
+    assert main(["solve", case24, "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+    # A call that fails on its arguments, then one that succeeds.
+    with pytest.raises(SystemExit) as info:
+        main(["solve", case24])
+    assert info.value.code == 1
+    after_error = tmp_path / "after_error.csv"
+    assert main(["solve", case24, "--out", str(after_error)]) == 0
+    assert after_error.read_bytes() == first.read_bytes()
+
+    # An mc call, then a solve.
+    config = tmp_path / "mc.json"
+    config.write_text(
+        json.dumps({"meta": {"version": "1"}, "n_runs": 1, "n_users": 6, "seed": 5}),
+        encoding="utf-8",
+    )
+    assert main(["mc", str(config), "--out", str(tmp_path / "mc.csv")]) == 0
+    after_mc = tmp_path / "after_mc.csv"
+    assert main(["solve", case24, "--out", str(after_mc)]) == 0
+    assert after_mc.read_bytes() == first.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "after_error.csv", "after_mc.csv", "first.csv", "mc.csv", "mc.json", "second.csv",
+    ]
     capsys.readouterr()

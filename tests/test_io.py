@@ -111,6 +111,32 @@ def test_missing_sections_are_rejected():
             scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("q_db", True, "users[3].q_db must be a number, got True"),
+        ("x", None, "missing key 'x' in users[3]"),
+        ("kappa", "yes", "users[3].kappa must be true or false, got 'yes'"),
+        ("id", 3.0, "users[3].id must be an integer, got 3.0"),
+        ("y", "6", "users[3].y must be a number, got '6'"),
+        ("mvno", True, "users[3].mvno must be an integer, got True"),
+        ("lambda", [], "users[3].lambda must be a number, got []"),
+        ("r", False, "users[3].r must be a number, got False"),
+    ],
+)
+def test_a_bad_user_field_is_named_by_its_location(key, value, message):
+    # The per-user locations are formatted only when a field is rejected;
+    # the messages are unchanged.
+    doc = scenario_to_dict(load_case24())
+    if value is None:
+        del doc["users"][3][key]
+    else:
+        doc["users"][3][key] = value
+    with pytest.raises(FileFormatError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_bad_region_bounds_are_rejected():
     doc = scenario_to_dict(load_case24())
     doc["region"]["h"] = [20.0]

@@ -180,6 +180,24 @@ def test_validate_flags_non_finite_numbers():
     assert len(finite) == 10
 
 
+def test_validate_names_each_non_finite_field_exactly():
+    nan = float("nan")
+    users = [User(id=i, x=0.0, y=0.0, mvno_id=0) for i in range(8)]
+    users[7] = User(id=7, x=nan, y=0.0, mvno_id=0)
+    sc = dataclasses.replace(
+        make_scenario(users, weights=ObjectiveWeights(w2=nan)),
+        channel=ChannelConfig(max_path_loss_db=nan),
+        environment=dataclasses.replace(URBAN, plos_b=nan),
+    )
+    finite = [v for v in validate(sc) if "must be finite" in v]
+    assert finite == [
+        "weight w2 must be finite, got nan",
+        "channel max_path_loss_db must be finite, got nan",
+        "environment plos_b must be finite, got nan",
+        "user 7: x must be finite, got nan",
+    ]
+
+
 def test_validate_ok_on_well_formed_case():
     sc = generate_scenario(5, 24, 2, URBAN)
     assert validate(sc) == []
