@@ -112,7 +112,7 @@ def los_probability(elevation_deg: float, env: Environment) -> float:
 
 def free_space_path_loss(distance_m: float, frequency_hz: float) -> float:
     """Free-space loss in dB at the given slant distance."""
-    if distance_m <= 0:
+    if not distance_m > 0:  # NaN too
         raise ValueError("distance must be positive")
     return 20.0 * math.log10(4.0 * math.pi * frequency_hz * distance_m / SPEED_OF_LIGHT)
 
@@ -130,9 +130,9 @@ def path_loss(
     mix of the excess losses.  Strictly increasing in the ground range for a
     fixed altitude (the preset invariant eta_nlos >= eta_los guarantees it).
     """
-    if altitude_m <= 0:
+    if not altitude_m > 0:  # NaN too
         raise ValueError(f"altitude must be positive, got {altitude_m}")
-    if ground_range_m < 0:
+    if not ground_range_m >= 0:
         raise ValueError(f"ground range must be non-negative, got {ground_range_m}")
     slant = math.hypot(altitude_m, ground_range_m)
     # atan2 yields 90 degrees exactly at the nadir (r = 0).
@@ -157,7 +157,7 @@ def coverage_radius(
     ``RADIUS_DB_TOLERANCE`` of the threshold; the inside end is returned,
     so the loss at the returned radius never exceeds the threshold.
     """
-    if altitude_m <= 0:
+    if not altitude_m > 0:  # NaN too
         raise ValueError(f"altitude must be positive, got {altitude_m}")
     if not threshold_db > 0:  # NaN too, for which "<= 0" is False
         raise ValueError(f"threshold must be positive, got {threshold_db}")
@@ -185,15 +185,17 @@ def coverage_radius(
     return lo
 
 
-def _path_loss_array(
+def path_loss_array(
     altitude_m: np.ndarray, ground_range_m: np.ndarray, env: Environment, cfg: ChannelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """``path_loss`` elementwise in numpy, with the elevation angles it used.
 
-    The operations follow ``path_loss`` in order, and overflow takes the same
-    limits (a LOS probability of 0, an infinite loss) without a warning.
-    Where ``path_loss`` raises, this returns a loss of -inf (a free-space
-    product that underflows to 0) or an angle of 0 instead.
+    The one numpy copy of the formula, called by ``coverage_radii`` and the
+    ``brute_force`` oracle.  The operations follow ``path_loss`` in order,
+    and overflow takes the same limits (a LOS probability of 0, an infinite
+    loss) without a warning.  Where ``path_loss`` raises, this returns a
+    loss of -inf (a free-space product that underflows to 0) or an angle of
+    0 instead.
     """
     with np.errstate(over="ignore", divide="ignore"):
         slant = np.hypot(altitude_m, ground_range_m)
@@ -229,7 +231,7 @@ def coverage_radii(
     q = threshold_db
 
     def losses(r: np.ndarray, live: np.ndarray) -> np.ndarray:
-        loss, theta = _path_loss_array(h, r, env, cfg)
+        loss, theta = path_loss_array(h, r, env, cfg)
         margin = q - loss
         redo = live & ~(
             np.isfinite(loss)

@@ -121,11 +121,11 @@ def _channel_to_dict(cfg: ChannelConfig) -> dict[str, Any]:
 
 def _weights_from_dict(doc: dict[str, Any]) -> ObjectiveWeights:
     return ObjectiveWeights(
-        w1=_number(doc.get("w1", 1.0), "weights.w1"),
-        w2=_number(doc.get("w2", 1.0), "weights.w2"),
-        w3=_number(doc.get("w3", 0.0), "weights.w3"),
-        w4=_number(doc.get("w4", 0.0), "weights.w4"),
-        norm=str(doc.get("norm", "L1")),
+        w1=_number(doc.get("w1", ObjectiveWeights.w1), "weights.w1"),
+        w2=_number(doc.get("w2", ObjectiveWeights.w2), "weights.w2"),
+        w3=_number(doc.get("w3", ObjectiveWeights.w3), "weights.w3"),
+        w4=_number(doc.get("w4", ObjectiveWeights.w4), "weights.w4"),
+        norm=str(doc.get("norm", ObjectiveWeights.norm)),
     )
 
 
@@ -163,7 +163,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     users = []
     for i, u in enumerate(_require(doc, "users", "scenario")):
         where = f"users[{i}]"
-        kappa = u.get("kappa", False)
+        kappa = u.get("kappa", User.content_request)
         if not isinstance(kappa, bool):
             raise FileFormatError(f"{where}.kappa must be true or false, got {kappa!r}")
         users.append(
@@ -173,9 +173,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 y=_number(_require(u, "y", where), where, "y"),
                 mvno_id=_integer(_require(u, "mvno", where), where, "mvno"),
                 max_path_loss_db=_number(u.get("q_db", channel.max_path_loss_db), where, "q_db"),
-                energy_cost=_number(u.get("lambda", 0.0), where, "lambda"),
+                energy_cost=_number(u.get("lambda", User.energy_cost), where, "lambda"),
                 content_request=kappa,
-                resource_demand=_number(u.get("r", 1.0), where, "r"),
+                resource_demand=_number(u.get("r", User.resource_demand), where, "r"),
             )
         )
     return Scenario(

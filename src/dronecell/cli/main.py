@@ -16,7 +16,7 @@ from pathlib import Path
 from .. import solver
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radii, optimal_altitude
 from ..experiment import run_experiment
-from ..scenario import generate_scenario, validate
+from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, validate
 from ..solver import (
     InfeasibleRegionError,
     ResourceGuardError,
@@ -130,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("altitude-profile", help="scan coverage radius vs altitude")
     p.add_argument("--env", required=True, help="environment preset name")
-    p.add_argument("--threshold-db", type=float, default=100.0)
+    p.add_argument("--threshold-db", type=float, default=ChannelConfig.max_path_loss_db)
     p.add_argument("--h-min", type=float, required=True)
     p.add_argument("--h-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--frequency-hz", type=float, default=2.0e9)
+    p.add_argument("--frequency-hz", type=float, default=ChannelConfig.frequency_hz)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_altitude_profile)
 
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-users", type=int, required=True)
     p.add_argument("--mvnos", type=int, default=2)
     p.add_argument("--env", required=True, help="environment preset name")
-    p.add_argument("--field-size", type=float, default=2000.0)
+    p.add_argument("--field-size", type=float, default=DEFAULT_FIELD_SIZE_M)
     p.add_argument("--out", required=True, help="output scenario path")
     p.set_defaults(func=_cmd_gen)
     return parser

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ENVIRONMENTS
-from .scenario import Scenario, ScenarioProfile, assignment_from_ids, generate_scenario, validate
+from .scenario import (
+    DEFAULT_FIELD_SIZE_M,
+    Scenario,
+    ScenarioProfile,
+    assignment_from_ids,
+    generate_scenario,
+    validate,
+)
 from .solver import SolveResult, check_tenancy, solve
 
 SINGLE_TENANCY = "single_tenancy"
@@ -42,7 +49,7 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     environments: tuple[str, ...] = DEFAULT_ENVIRONMENT_NAMES
     policies: tuple[str, ...] = POLICIES
-    field_size_m: float = 2000.0
+    field_size_m: float = DEFAULT_FIELD_SIZE_M
     profile: ScenarioProfile = field(default_factory=ScenarioProfile)
 
     def __post_init__(self) -> None:

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, coverage_radius, optimal_altitude, path_loss
+from .channel import coverage_radius, optimal_altitude, path_loss, path_loss_array
 from .scenario import (
     L2,
     Assignment,
@@ -525,11 +525,11 @@ def _grid_axis(lo: float, hi: float, step: float) -> list[float]:
 def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> SolveResult:
     """Independent oracle: exhaustive search over a region grid.
 
-    Eligibility is evaluated straight from the path-loss formula at every
-    grid point (no radius bisection or altitude search involved), and each
-    distinct coverage set is scored once by ``select_users``.  Ties break
-    toward more served users, then lower altitude, then the
-    lexicographically smallest center.
+    Eligibility is evaluated straight from the channel's numpy loss
+    ``path_loss_array`` at every grid point (no radius bisection or altitude
+    search involved), and each distinct coverage set is scored once by
+    ``select_users``.  Ties break toward more served users, then lower
+    altitude, then the lexicographically smallest center.
     """
     if grid_step_xy <= 0 or grid_step_h <= 0:
         raise ValueError("grid steps must be positive")
@@ -554,22 +554,12 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     ux = np.array([u.x for u in users])
     uy = np.array([u.y for u in users])
     q = np.array([u.max_path_loss_db for u in users])
-    d2 = (gx[:, None] - ux[None, :]) ** 2 + (gy[:, None] - uy[None, :]) ** 2
-    ground = np.sqrt(d2)
-    fspl_scale = 4.0 * math.pi * cfg.frequency_hz / SPEED_OF_LIGHT
-    a, b = env.plos_a, env.plos_b
-    eta_l, eta_n = env.eta_los_db, env.eta_nlos_db
+    ground = np.hypot(gx[:, None] - ux[None, :], gy[:, None] - uy[None, :])
 
     best: SolveResult | None = None
     memo: dict[bytes, tuple[float, Assignment, TermBreakdown, tuple[int, ...]]] = {}
     for h in hs:
-        theta = np.degrees(np.arctan2(h, ground))
-        p_los = 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
-        loss = (
-            20.0 * np.log10(fspl_scale * np.sqrt(d2 + h * h))
-            + p_los * eta_l
-            + (1.0 - p_los) * eta_n
-        )
+        loss, _ = path_loss_array(h, ground, env, cfg)
         eligible = loss <= q[None, :]
         packed = np.packbits(eligible, axis=1)
         void = np.ascontiguousarray(packed).view([("v", f"V{packed.shape[1]}")]).ravel()

@@ -6,6 +6,7 @@ import random
 
 import warnings
 
+import numpy as np
 import pytest
 
 from dronecell import channel
@@ -205,6 +206,32 @@ def test_a_nan_threshold_is_rejected():
     for h_range in ((20.0, 80.0), (60.0, 60.0)):
         with pytest.raises(ValueError, match="threshold must be positive, got nan"):
             optimal_altitude(math.nan, URBAN, CFG, h_range)
+
+
+def test_a_nan_altitude_range_or_distance_is_rejected():
+    # Each guard fails on NaN, so the message names the bad argument rather
+    # than the elevation angle or the loss computed from it.
+    with pytest.raises(ValueError, match="altitude must be positive, got nan"):
+        coverage_radius(math.nan, 100.0, URBAN, CFG)
+    with pytest.raises(ValueError, match="altitude must be positive, got nan"):
+        path_loss(math.nan, 10.0, URBAN, CFG)
+    with pytest.raises(ValueError, match="ground range must be non-negative, got nan"):
+        path_loss(50.0, math.nan, URBAN, CFG)
+    with pytest.raises(ValueError, match="distance must be positive"):
+        free_space_path_loss(math.nan, 2.0e9)
+
+
+@pytest.mark.parametrize("frequency_hz", (0.1e9, 2.0e9, 60.0e9))
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_scalar_and_numpy_losses_agree(name, frequency_hz):
+    env, cfg = ENVIRONMENTS[name], ChannelConfig(frequency_hz=frequency_hz)
+    rng = random.Random(f"{name}-{frequency_hz}")
+    altitudes = [1e-2, 1e4] + [10.0 ** rng.uniform(-2.0, 4.0) for _ in range(40)]
+    ranges = [0.0, 1e-2, 1e6] + [10.0 ** rng.uniform(-2.0, 6.0) for _ in range(60)]
+    h, r = (grid.ravel() for grid in np.meshgrid(altitudes, ranges))
+    got, _ = channel.path_loss_array(h, r, env, cfg)
+    want = [path_loss(a, b, env, cfg) for a, b in zip(h.tolist(), r.tolist())]
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_optimal_altitude_deterministic():

@@ -192,9 +192,37 @@ def test_bundled_default_config_matches_defaults():
     assert load_experiment_config(mc_default_path()) == default_experiment_config()
 
 
-def test_minimal_experiment_doc_uses_defaults():
-    config = experiment_config_from_dict({"meta": {"version": "1"}})
-    assert config == default_experiment_config()
+# Every optional key left out: the fields take the dataclasses' defaults.
+MINIMAL_SCENARIO_DOC = {
+    "meta": {"version": "1"},
+    "environment": {"name": "urban"},
+    "region": {"x": [-10, 10], "y": [-10, 10], "h": [20, 80]},
+    "tenancy": {"num_mvnos": 1, "targets": [1]},
+    "capacity": 1,
+    "users": [{"id": 0, "x": 0, "y": 0, "mvno": 0}],
+}
+DEFAULT_SCENARIO = Scenario(
+    users=(User(id=0, x=0.0, y=0.0, mvno_id=0),),
+    num_mvnos=1,
+    targets=TenancyTargets((1,)),
+    weights=ObjectiveWeights(),
+    capacity=1.0,
+    region=PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (20.0, 80.0)),
+    environment=ENVIRONMENTS["urban"],
+    channel=ChannelConfig(),
+)
+
+
+@pytest.mark.parametrize(
+    "parse, doc, want",
+    [
+        (experiment_config_from_dict, {"meta": {"version": "1"}}, default_experiment_config()),
+        (scenario_from_dict, MINIMAL_SCENARIO_DOC, DEFAULT_SCENARIO),
+    ],
+    ids=["experiment", "scenario"],
+)
+def test_a_minimal_doc_uses_defaults(parse, doc, want):
+    assert parse(doc) == want
 
 
 def test_experiment_doc_version_checked():

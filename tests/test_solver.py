@@ -4,12 +4,20 @@ import collections
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from dronecell import solver
-from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude, path_loss
+from dronecell.channel import (
+    ENVIRONMENTS,
+    ChannelConfig,
+    Environment,
+    coverage_radius,
+    optimal_altitude,
+    path_loss,
+)
 from dronecell.scenario import (
     L1,
     L2,
@@ -301,6 +309,45 @@ def test_solve_handles_heterogeneous_qos():
             assert loss <= u.max_path_loss_db + QOS_SLACK_DB
     oracle = brute_force(sc, 20.0, 10.0)
     assert result.objective >= oracle.objective - 1e-9
+
+
+# So steep that exp(-b * (theta - a)) overflows below about 3.6 degrees.
+STEEP = Environment("steep", 27.23, 30.0, 2.3, 34.0)
+
+
+@pytest.mark.parametrize("env", [*ENVIRONMENTS.values(), STEEP], ids=lambda e: e.name)
+def test_oracle_never_beats_solve_on_every_environment(env):
+    # Criterion 4's instances, on every preset and on a sigmoid whose
+    # exponent overflows at the grid's low elevations; no warning may fire.
+    for seed in range(5):
+        rng = random.Random(1300 + seed)
+        users = [
+            User(
+                id=i,
+                x=rng.uniform(-300.0, 300.0),
+                y=rng.uniform(-300.0, 300.0),
+                mvno_id=rng.randrange(2),
+                energy_cost=rng.randint(0, 4) / 8.0,
+                content_request=rng.random() < 0.3,
+                resource_demand=float(rng.randint(1, 2)),
+            )
+            for i in range(rng.randint(1, 12))
+        ]
+        weights = ObjectiveWeights(
+            w1=1.0,
+            w2=rng.choice([0.0, 0.5, 1.0]),
+            w3=rng.choice([0.0, 0.5]),
+            w4=rng.choice([0.0, 0.25]),
+            norm=rng.choice([L1, L2]),
+        )
+        region = PlacementRegion((-300.0, 300.0), (-300.0, 300.0), (20.0, 80.0))
+        sc = make_scenario(
+            users, weights=weights, capacity=float(rng.randint(3, 14)), region=region, env=env
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = brute_force(sc, 10.0, 10.0)
+        assert oracle.objective <= solve(sc).objective + 1e-9
 
 
 def reference_centers(users, radii, x_bounds, y_bounds):
