@@ -65,8 +65,8 @@ class Environment:
     eta_nlos_db: float
 
     def __post_init__(self) -> None:
-        if self.plos_a <= 0 or self.plos_b <= 0:
-            raise ValueError("sigmoid parameters must be positive")
+        if not (0 < self.plos_a < math.inf and 0 < self.plos_b < math.inf):
+            raise ValueError(f"sigmoid parameters must be finite and positive, got {self}")
         if not (0 <= self.eta_los_db <= self.eta_nlos_db):
             raise ValueError("excess losses must satisfy 0 <= eta_los <= eta_nlos")
 
@@ -79,10 +79,10 @@ class ChannelConfig:
     max_path_loss_db: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.max_path_loss_db <= 0:
-            raise ValueError("max path loss must be positive")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError(f"carrier frequency must be finite and positive, got {self}")
+        if not 0 < self.max_path_loss_db < math.inf:
+            raise ValueError(f"max path loss must be finite and positive, got {self}")
 
 
 # Editable presets for the four usual propagation classes.  Results are

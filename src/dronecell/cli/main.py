@@ -1,8 +1,8 @@
 """Command-line entry point with the solve/mc/altitude-profile/gen commands.
 
 Exit codes: 0 success, 1 input error (bad arguments, unparseable or invalid
-files, a scenario shape the exact engine does not support or a size above
-its ceiling), 2 infeasible placement region, 3 internal error.
+files, or a size above the solver's ceiling), 2 infeasible placement region,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from .. import solver
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radii, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, validate
-from ..solver import (
-    InfeasibleRegionError,
-    ResourceGuardError,
-    UnsupportedConfigurationError,
-    solve,
-)
+from ..solver import InfeasibleRegionError, ResourceGuardError, solve
 from .files import (
     FileFormatError,
     load_experiment_config,
@@ -159,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except (
         FileFormatError,
-        UnsupportedConfigurationError,
         ResourceGuardError,
         OSError,
         ValueError,

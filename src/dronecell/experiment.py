@@ -22,7 +22,7 @@ from .scenario import (
     generate_scenario,
     validate,
 )
-from .solver import SolveResult, check_tenancy, solve
+from .solver import SolveResult, solve
 
 SINGLE_TENANCY = "single_tenancy"
 MULTI_TENANCY_NO_FAIRNESS = "multi_tenancy_no_fairness"
@@ -67,9 +67,6 @@ class ExperimentConfig:
         missing = [e for e in self.environments if e not in ENVIRONMENTS]
         if missing:
             raise ValueError(f"unknown environments: {missing}")
-        if MULTI_TENANCY_DMF in self.policies:
-            # The one policy that keeps w2; rejected here rather than in a run.
-            check_tenancy(self.num_mvnos, self.profile.weights)
 
 
 def default_experiment_config() -> ExperimentConfig:

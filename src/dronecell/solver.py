@@ -21,9 +21,10 @@ subset-selection routine once per signature.  Each signature's score has an
 upper bound, read off its counts: a fractional knapsack (Dantzig) over what
 each of its users can add to the objective.  Signatures are scored in
 descending bound order until a bound falls below the best score.  The
-selection is one DP over the classes, on demands and capacity scaled to
-exact integers.  ``brute_force`` provides an independent grid-search oracle
-for testing.
+selection is one DP that takes the classes tenant by tenant, folding each
+tenant's gap term in when it ends, on demands and capacity scaled to exact
+integers.  ``brute_force`` provides an independent grid-search oracle for
+testing.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .scenario import (
 # candidate point constructed on a circle boundary keeps the users that
 # define it despite floating-point rounding.
 DISK_EPS = 1e-12
-# Hard ceiling on the points a search may visit: the oracle's grid points
-# and the bound on solve()'s candidate centers.
+# Hard ceiling on the points a search may visit: the oracle's grid points,
+# the bound on solve()'s candidate centers and the selection DP's states.
 MAX_SEARCH_POINTS = 10_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
 # eligibility blocks, and the knapsack bounds of a block's new signatures,
@@ -69,10 +70,6 @@ class SolverError(Exception):
 
 class InfeasibleRegionError(SolverError):
     """The placement region is empty or entirely below ground."""
-
-
-class UnsupportedConfigurationError(SolverError):
-    """The scenario shape falls outside the exact engine's domain."""
 
 
 class ResourceGuardError(SolverError):
@@ -136,28 +133,17 @@ def select_users(scenario: Scenario, eligible: Iterable[int]) -> Assignment:
 
     Maximizes the scenario objective over all subsets of ``eligible`` whose
     total resource demand fits the capacity.  Ties break toward more served
-    users, then the lexicographically smallest served id set.
+    users, then the lexicographically smallest served id set.  Raises
+    ``ResourceGuardError`` when the selection DP would hold more than
+    ``MAX_SEARCH_POINTS`` states.
     """
     by_id = {u.id: u for u in scenario.users}
     ids = sorted(set(eligible))
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise KeyError(f"eligible ids not in scenario: {unknown}")
-    check_tenancy(scenario.num_mvnos, scenario.weights)
     chosen = _choose(scenario, [by_id[i] for i in ids])
     return assignment_from_ids(scenario, chosen)
-
-
-def check_tenancy(num_mvnos: int, weights: ObjectiveWeights) -> None:
-    """Raise ``UnsupportedConfigurationError`` outside the exact selection's domain.
-
-    Tenancy-fair selection (w2 > 0) is exact only up to 3 MVNOs.
-    """
-    if weights.w2 > 0 and num_mvnos > 3:
-        raise UnsupportedConfigurationError(
-            "tenancy-fair selection is exact only up to 3 MVNOs, "
-            f"got {num_mvnos} with w2 = {weights.w2}"
-        )
 
 
 def _tenancy_gap(counts: Sequence[int], targets: Sequence[int], norm: str) -> float:
@@ -193,16 +179,22 @@ def _classes(users: Sequence[User], weights: ObjectiveWeights) -> list[list[int]
 def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     """Chosen ids for the sorted eligible ``users``: one DP over classes.
 
-    The DP state is (per-MVNO counts, scaled resource usage); the count
-    dimension collapses when w2 = 0 (the gap term is off) and the usage one
-    when capacity cannot bind.  Each class of interchangeable users adds its
-    first 0..k members in id order, since any c members of a class score
-    alike and the first c are the lexicographically smallest.  A state keeps
-    one entry, the greatest (value, served, mask): higher value, then more
-    served, then the smaller id set (an exchange argument shows this
-    preserves the global optimum and tie-break).
+    The classes are taken tenant by tenant, or as one group when w2 = 0.
+    Inside a tenant the DP state is (L2 gap S, scaled resource usage, the
+    tenant's served count c); the usage stays 0 when capacity cannot bind.
+    When a tenant ends, even one with no eligible user, (c - T)^2 adds to S
+    or |c - T| to the entry's own L1 gap, and c is dropped.  An entry's value
+    is w1*t1 - w2*t2 + its w3/w4 reward, from exact counts, so equal
+    objectives stay equal in floats.  Each class of interchangeable users
+    adds its first 0..k members in id order, since any c members of a class
+    score alike and the first c are the lexicographically smallest.  A state
+    keeps the greatest (value, served, mask): higher value, then more served,
+    then the smaller id set; later classes set bits that neither compared
+    mask holds, so the optimum and its tie-break survive.  Raises
+    ``ResourceGuardError`` when a class leaves more than
+    ``MAX_SEARCH_POINTS`` states.
     """
-    w = scenario.weights
+    w, targets = scenario.weights, scenario.targets.counts
     # Demands and capacity scaled by the lcm of their denominators: exact
     # integers, so the DP adds and compares ints rather than Fractions.
     ratios = [u.resource_demand.as_integer_ratio() for u in users]
@@ -211,50 +203,56 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     demands = [num * (scale // den) for num, den in ratios]
     cap = cap_num * (scale // cap_den)
     unconstrained = sum(demands) <= cap
-    track_counts = w.w2 > 0
+    fair, l2 = w.w2 > 0, w.norm == L2
+    norm = math.sqrt if l2 else float  # t2 from the integer gap
+    groups = [_classes(users, w)]
+    if fair:
+        groups = [[k for k in groups[0] if users[k[0]].mvno_id == j] for j in range(len(targets))]
     # The user at sorted position p is mask bit m-1-p: among sets of one
     # size, the greater mask is the lexicographically smaller id tuple.
     m = len(users)
-    zero_counts = (0,) * scenario.num_mvnos if track_counts else ()
-    # state -> (summed per-user value, served, mask)
-    states: dict[tuple[tuple[int, ...], int], tuple[float, int, int]] = {
-        (zero_counts, 0): (0.0, 0, 0)
+    # (L2 gap, used, c) -> (value, served, mask, w3/w4 reward, gap)
+    states: dict[tuple[int, int, int], tuple[float, int, int, float, int]] = {
+        (0, 0, 0): (0.0, 0, 0, 0.0, 0)
     }
-    for members in _classes(users, w):
-        u = users[members[0]]
-        demand = 0 if unconstrained else demands[members[0]]
-        delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
-        if not track_counts:
-            delta += w.w1
-        j = u.mvno_id
-        bits = [1 << (m - 1 - p) for p in members]
-        grown = dict(states)
-        for (counts, used), (value, served, mask) in states.items():
-            for c, bit in enumerate(bits, 1):
-                used += demand
-                if used > cap:
-                    break
-                value += delta
-                mask |= bit
-                new_counts = counts[:j] + (counts[j] + c,) + counts[j + 1 :] if track_counts else ()
-                key = (new_counts, used)
-                cand = (value, served + c, mask)
-                cur = grown.get(key)
+    for j, group in enumerate(groups):
+        for members in group:
+            u = users[members[0]]
+            demand = 0 if unconstrained else demands[members[0]]
+            delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
+            bits = [1 << (m - 1 - p) for p in members]
+            grown = dict(states)
+            for (s, used, c), (_, served, mask, reward, gap) in states.items():
+                penalty = w.w2 * norm(gap)
+                for i, bit in enumerate(bits, 1):
+                    used += demand
+                    if used > cap:
+                        break
+                    reward += delta
+                    mask |= bit
+                    key = (s, used, c + i if fair else 0)
+                    value = w.w1 * (served + i) - penalty + reward
+                    cand = (value, served + i, mask, reward, gap)
+                    cur = grown.get(key)
+                    if cur is None or cand > cur:
+                        grown[key] = cand
+            if len(grown) > MAX_SEARCH_POINTS:
+                raise ResourceGuardError(
+                    f"the selection DP holds {len(grown)} states, "
+                    f"above the {MAX_SEARCH_POINTS} ceiling"
+                )
+            states = grown
+        if fair:
+            folded: dict[tuple[int, int, int], tuple[float, int, int, float, int]] = {}
+            for (_, used, c), (_, served, mask, reward, gap) in states.items():
+                gap += (c - targets[j]) ** 2 if l2 else abs(c - targets[j])
+                key = (gap if l2 else 0, used, 0)
+                cand = (w.w1 * served - w.w2 * norm(gap) + reward, served, mask, reward, gap)
+                cur = folded.get(key)
                 if cur is None or cand > cur:
-                    grown[key] = cand
-        states = grown
-    targets = scenario.targets.counts
-    base: dict[tuple[int, ...], float] = {}  # counts -> w1*t1 - w2*t2
-    best: tuple[float, int, int] | None = None
-    for (counts, _used), (value, served, mask) in states.items():
-        if track_counts:
-            if counts not in base:
-                base[counts] = w.w1 * served - w.w2 * _tenancy_gap(counts, targets, w.norm)
-            value = base[counts] + value
-        if best is None or (value, served, mask) > best:
-            best = (value, served, mask)
-    assert best is not None  # the empty state is always present
-    mask = best[2]
+                    folded[key] = cand
+            states = folded
+    mask = max(states.values())[2]
     return tuple(u.id for p, u in enumerate(users) if mask >> (m - 1 - p) & 1)
 
 

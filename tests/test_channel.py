@@ -105,6 +105,23 @@ def test_environment_validation():
         ChannelConfig(max_path_loss_db=-3.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ChannelConfig(frequency_hz=v),
+        lambda v: ChannelConfig(max_path_loss_db=v),
+        lambda v: Environment("bad", v, 0.16, 1.0, 20.0),
+        lambda v: Environment("bad", 9.61, v, 1.0, 20.0),
+    ],
+    ids=["frequency_hz", "max_path_loss_db", "plos_a", "plos_b"],
+)
+def test_channel_parameters_must_be_finite(make, value):
+    # NaN passes a `<= 0` test; it would give a NaN path loss or a zero radius.
+    with pytest.raises(ValueError, match="finite and positive"):
+        make(value)
+
+
 def test_path_loss_between_pure_los_and_nlos_bounds():
     for env in ENVIRONMENTS.values():
         for h, r in ((100.0, 0.0), (100.0, 500.0), (50.0, 2000.0)):

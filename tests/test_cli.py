@@ -288,17 +288,19 @@ def test_mc_small_config(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_mc_rejects_fair_selection_over_3_tenants(tmp_path, capsys):
-    # The bundled config with 4 tenants: its multi_tenancy_dmf policy needs
-    # tenancy-fair selection, exact only up to 3 MVNOs (this exited 3).
+def test_mc_runs_fair_selection_over_4_tenants(tmp_path):
+    # The bundled config with 4 tenants: its multi_tenancy_dmf policy runs
+    # tenancy-fair selection, which has no tenant ceiling.
     doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
     doc["num_mvnos"] = 4
+    doc["n_runs"] = 2
     cfg = tmp_path / "mc4.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "never.csv"
-    assert main(["mc", str(cfg), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert "up to 3 MVNOs" in capsys.readouterr().err
+    out = tmp_path / "mc4.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0][4:-1] == [f"mean_per_mvno_{j}" for j in range(4)]
+    assert {r[1] for r in rows[1:]} == {"single_tenancy", "multi_tenancy_no_fairness", "multi_tenancy_dmf"}
 
 
 @pytest.mark.parametrize(
@@ -341,6 +343,25 @@ def test_solve_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(case24_path()), "--out", str(out)]) == 1
     assert not out.exists()
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, capsys):
+    # Twelve users one meter apart give at most 12^2 + 8*12 + 4 = 244
+    # candidate centers, while demands 1, 2, 4, ..., 2048 under a binding
+    # capacity give the selection DP a state per reachable usage, up to 4001.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    doc["users"] = [
+        {"id": k, "x": float(k), "y": 0.0, "mvno": 0, "r": float(2**k)} for k in range(12)
+    ]
+    doc["capacity"] = 4000.0
+    doc["weights"]["w2"] = 0.0
+    scenario = tmp_path / "states.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 244)
+    out = tmp_path / "never.csv"
+    assert main(["solve", str(scenario), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "selection DP" in capsys.readouterr().err
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

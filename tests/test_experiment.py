@@ -17,8 +17,7 @@ from dronecell.experiment import (
     run_policy,
 )
 from dronecell.fixtures import load_case24
-from dronecell.scenario import ObjectiveWeights, ScenarioProfile, generate_scenario, mvno_counts
-from dronecell.solver import UnsupportedConfigurationError
+from dronecell.scenario import ScenarioProfile, generate_scenario, mvno_counts
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -131,12 +130,8 @@ def test_config_validation():
         ExperimentConfig(environments=("rural",))
     with pytest.raises(ValueError, match="environments must be non-empty"):
         ExperimentConfig(environments=())
-    # Tenancy-fair selection is exact only up to 3 MVNOs: a config that would
-    # need it with 4 fails before any run, not inside one.
-    with pytest.raises(UnsupportedConfigurationError, match="up to 3 MVNOs"):
-        ExperimentConfig(num_mvnos=4)
-    ExperimentConfig(num_mvnos=4, policies=(SINGLE_TENANCY, MULTI_TENANCY_NO_FAIRNESS))
-    ExperimentConfig(num_mvnos=4, profile=ScenarioProfile(weights=ObjectiveWeights(1.0, 0.0)))
+    # Tenancy-fair selection has no tenant ceiling.
+    assert ExperimentConfig(num_mvnos=4).num_mvnos == 4
 
 
 def test_solver_failures_carry_run_context():

@@ -150,6 +150,18 @@ def test_validate_flags_bad_region():
     assert any("above ground" in v for v in violations)
 
 
+def forced(obj, **changes):
+    """A copy of the frozen dataclass ``obj`` with ``changes`` set past its checks.
+
+    The channel and environment constructors reject non-finite parameters;
+    ``validate`` must still name them in a scenario built some other way.
+    """
+    obj = dataclasses.replace(obj)
+    for name, value in changes.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def test_validate_flags_non_finite_numbers():
     nan, inf = float("nan"), float("inf")
     sc = make_scenario(
@@ -160,8 +172,8 @@ def test_validate_flags_non_finite_numbers():
     bad = dataclasses.replace(
         sc,
         region=PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, nan)),
-        channel=ChannelConfig(frequency_hz=inf),
-        environment=dataclasses.replace(URBAN, plos_a=nan),
+        channel=forced(ChannelConfig(), frequency_hz=inf),
+        environment=forced(URBAN, plos_a=nan),
     )
     finite = [v for v in validate(bad) if "must be finite" in v]
     for name in (
@@ -186,8 +198,8 @@ def test_validate_names_each_non_finite_field_exactly():
     users[7] = User(id=7, x=nan, y=0.0, mvno_id=0)
     sc = dataclasses.replace(
         make_scenario(users, weights=ObjectiveWeights(w2=nan)),
-        channel=ChannelConfig(max_path_loss_db=nan),
-        environment=dataclasses.replace(URBAN, plos_b=nan),
+        channel=forced(ChannelConfig(), max_path_loss_db=nan),
+        environment=forced(URBAN, plos_b=nan),
     )
     finite = [v for v in validate(sc) if "must be finite" in v]
     assert finite == [

@@ -17,8 +17,11 @@ from dronecell.scenario import (
     User,
     assignment_from_ids,
 )
+from dronecell import solver
 from dronecell.solver import (
-    UnsupportedConfigurationError,
+    ResourceGuardError,
+    _classes,
+    _tenancy_gap,
     objective_value,
     select_users,
 )
@@ -162,17 +165,60 @@ def test_select_prefers_balanced_counts():
     assert got.served_ids(sc) == want[2]
 
 
-def test_select_rejects_many_tenants_with_fairness():
-    users = line_users(8, lambda i: i % 4)
-    sc = make_scenario(users, 4, (2, 2, 2, 2), ObjectiveWeights(1.0, 1.0), 8)
-    with pytest.raises(UnsupportedConfigurationError):
-        select_users(sc, range(8))
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_select_fair_many_tenants_matches_exhaustive(norm):
+    # Tenancy-fair selection over 4-6 MVNOs, binding capacity, the energy
+    # and content terms on or off: exact objective and tie-break agreement.
+    rng = random.Random(f"many-tenants/{norm}")
+    for trial in range(40):
+        j = rng.randint(4, 6)
+        n = rng.randint(j, 11)
+        users = [
+            User(
+                id=i,
+                x=float(i),
+                y=0.0,
+                mvno_id=rng.randrange(j),
+                energy_cost=rng.randrange(0, 9) / 8.0,
+                content_request=rng.random() < 0.3,
+                resource_demand=rng.choice((0.5, 1.0, 1.5)),
+            )
+            for i in range(n)
+        ]
+        weights = ObjectiveWeights(
+            w1=rng.choice((0.0, 1.0, 2.5)),
+            w2=rng.choice((0.5, 1.0, 1.5)),
+            w3=rng.choice((0.0, 0.5)),
+            w4=rng.choice((0.0, 1.0)),
+            norm=norm,
+        )
+        targets = tuple(rng.randint(0, 3) for _ in range(j))
+        sc = make_scenario(users, j, targets, weights, rng.randint(1, n))
+        eligible = {i for i in range(n) if rng.random() < 0.8}
+        got = select_users(sc, eligible)
+        want = exhaustive_best(sc, eligible)
+        assert objective_value(sc, got)[0] == want[0], f"trial {trial}"
+        assert got.served_ids(sc) == want[2], f"trial {trial}"
 
 
 def test_select_allows_many_tenants_without_fairness():
     users = line_users(8, lambda i: i % 4)
     sc = make_scenario(users, 4, (2, 2, 2, 2), ObjectiveWeights(1.0, 0.0), 8)
     assert select_users(sc, range(8)).total == 8
+
+
+def test_select_refuses_more_dp_states_than_the_ceiling(monkeypatch):
+    # Demands 1, 2, 4, ..., 32 reach every usage 0..63; the capacity 60
+    # keeps 61 of them, the DP's peak state count.
+    users = [
+        User(id=i, x=float(i), y=0.0, mvno_id=0, resource_demand=float(2**i)) for i in range(6)
+    ]
+    sc = make_scenario(users, 1, (6,), ObjectiveWeights(1.0, 0.0), 60)
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 60)
+    with pytest.raises(ResourceGuardError, match="61 states"):
+        select_users(sc, range(6))
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 61)
+    assert select_users(sc, range(6)).served_ids(sc) == (0, 1, 2, 3, 4)
 
 
 def test_select_unknown_ids_rejected():
@@ -267,3 +313,91 @@ def test_select_uniform_inexact_demands_fit_by_exact_sum(demand, capacity, fits,
     got = select_users(sc, range(10))
     assert got.total == fits
     assert got.served_ids(sc) == exhaustive_best(sc, range(10))[2]
+
+
+def reference_choose(scenario, users):
+    """The selection DP keyed by the full per-MVNO count vector.
+
+    State (per-MVNO counts, scaled usage), the count dimension collapsed
+    when w2 = 0; each state keeps the greatest (value, served, mask), and
+    w1*t1 - w2*t2 is added per count vector at the end.  Its states grow as
+    a power of the tenant count, so it serves as a reference at 1-3 MVNOs.
+    """
+    w = scenario.weights
+    ratios = [u.resource_demand.as_integer_ratio() for u in users]
+    cap_num, cap_den = scenario.capacity.as_integer_ratio()
+    scale = math.lcm(cap_den, *(den for _, den in ratios))
+    demands = [num * (scale // den) for num, den in ratios]
+    cap = cap_num * (scale // cap_den)
+    unconstrained = sum(demands) <= cap
+    track_counts = w.w2 > 0
+    m = len(users)
+    zero_counts = (0,) * scenario.num_mvnos if track_counts else ()
+    states = {(zero_counts, 0): (0.0, 0, 0)}
+    for members in _classes(users, w):
+        u = users[members[0]]
+        demand = 0 if unconstrained else demands[members[0]]
+        delta = w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
+        if not track_counts:
+            delta += w.w1
+        j = u.mvno_id
+        bits = [1 << (m - 1 - p) for p in members]
+        grown = dict(states)
+        for (counts, used), (value, served, mask) in states.items():
+            for c, bit in enumerate(bits, 1):
+                used += demand
+                if used > cap:
+                    break
+                value += delta
+                mask |= bit
+                new_counts = counts[:j] + (counts[j] + c,) + counts[j + 1 :] if track_counts else ()
+                key = (new_counts, used)
+                cand = (value, served + c, mask)
+                cur = grown.get(key)
+                if cur is None or cand > cur:
+                    grown[key] = cand
+        states = grown
+    targets = scenario.targets.counts
+    best = None
+    for (counts, _used), (value, served, mask) in states.items():
+        if track_counts:
+            value = w.w1 * served - w.w2 * _tenancy_gap(counts, targets, w.norm) + value
+        if best is None or (value, served, mask) > best:
+            best = (value, served, mask)
+    mask = best[2]
+    return tuple(u.id for p, u in enumerate(users) if mask >> (m - 1 - p) & 1)
+
+
+def test_select_matches_the_count_vector_dp():
+    # Seeded instances at 1-3 MVNOs, both norms, inexact demands and binding
+    # capacity: the tenant-by-tenant DP picks the ids the DP keyed by the
+    # whole count vector picks.
+    rng = random.Random(20261018)
+    for trial in range(600):
+        j = rng.randint(1, 3)
+        n = rng.randint(0, 14)
+        users = [
+            User(
+                id=i,
+                x=float(i),
+                y=0.0,
+                mvno_id=rng.randrange(j),
+                energy_cost=rng.random(),
+                content_request=rng.random() < 0.3,
+                resource_demand=rng.choice(((1.0,), (0.5, 1.0, 1.5), (0.1, 1 / 3, 1.0))[trial % 3]),
+            )
+            for i in range(n)
+        ]
+        weights = ObjectiveWeights(
+            w1=rng.choice((0.0, 1.0, 2.5)),
+            w2=rng.choice((0.0, 0.5, 1.0, 1.5)),
+            w3=rng.choice((0.0, 0.5)),
+            w4=rng.choice((0.0, 1.0)),
+            norm=rng.choice(("L1", "L2")),
+        )
+        targets = tuple(rng.randint(0, n) for _ in range(j))
+        capacity = rng.choice((0.6, 1.0, 2.5, float(rng.randint(1, max(1, n)))))
+        sc = make_scenario(users, j, targets, weights, capacity)
+        eligible = sorted(i for i in range(n) if rng.random() < 0.85)
+        want = reference_choose(sc, [sc.user_by_id(i) for i in eligible])
+        assert select_users(sc, eligible).served_ids(sc) == want, f"trial {trial}"
