@@ -67,8 +67,8 @@ class Environment:
     def __post_init__(self) -> None:
         if not (0 < self.plos_a < math.inf and 0 < self.plos_b < math.inf):
             raise ValueError(f"sigmoid parameters must be finite and positive, got {self}")
-        if not (0 <= self.eta_los_db <= self.eta_nlos_db):
-            raise ValueError("excess losses must satisfy 0 <= eta_los <= eta_nlos")
+        if not (0 <= self.eta_los_db <= self.eta_nlos_db < math.inf):
+            raise ValueError("excess losses must be finite and satisfy 0 <= eta_los <= eta_nlos")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ documented defaults, and a preset environment is stored by name only.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -37,24 +38,144 @@ def _require(doc: dict[str, Any], key: str, where: str) -> Any:
     return doc[key]
 
 
-def _location(where: str, key: str | None) -> str:
-    # Callers pass the key apart from ``where`` so that a location such as
-    # "users[3].x" is formatted only for the error message.
-    return where if key is None else f"{where}.{key}"
+def _location(where: str, key: str) -> str:
+    # Readers take the key apart from ``where`` (empty at the top level), so
+    # that a location such as "users[3].x" is formatted only for an error.
+    return f"{where}.{key}" if where else key
 
 
-def _integer(value: Any, where: str, key: str | None = None) -> int:
+def _integer(value: Any, where: str, key: str) -> int:
     # A count, id or seed written as a float (1e300, NaN) is not coerced.
     if isinstance(value, bool) or not isinstance(value, int):
         raise FileFormatError(f"{_location(where, key)} must be an integer, got {value!r}")
     return value
 
 
-def _number(value: Any, where: str, key: str | None = None) -> float:
+def _number(value: Any, where: str, key: str) -> float:
     # JSON true and "6" are not numbers, though float() reads them as 1.0 and 6.0.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{_location(where, key)} must be a number, got {value!r}")
     return float(value)
+
+
+def _flag(value: Any, where: str, key: str) -> bool:
+    if not isinstance(value, bool):  # the string "false" is not a false flag
+        raise FileFormatError(f"{_location(where, key)} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value: Any, where: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise FileFormatError(f"{_location(where, key)} must be a string, got {value!r}")
+    return value
+
+
+def _pair(pair: Any, where: str, key: str) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise FileFormatError(f"{_location(where, key)} must be a [min, max] pair")
+    return (_number(pair[0], where, key), _number(pair[1], where, key))
+
+
+def _list_of(read: Callable[[Any, str, str], _T]) -> Callable[[Any, str, str], tuple[_T, ...]]:
+    def read_list(value: Any, where: str, key: str) -> tuple[_T, ...]:
+        if not isinstance(value, (list, tuple)):  # a string is not read letter by letter
+            raise FileFormatError(f"{_location(where, key)} must be a list, got {value!r}")
+        return tuple(read(v, where, key) for v in value)
+
+    return read_list
+
+
+def _optional(read: Callable[[Any, str, str], _T]) -> Callable[[Any, str, str], _T | None]:
+    return lambda value, where, key: None if value is None else read(value, where, key)
+
+
+_integers = _list_of(_integer)
+
+# One table per JSON section: rows of (JSON key, dataclass field, reader), in
+# the order the writer emits them.  A nested section's reader is its dataclass.
+_FIELDS: dict[type, tuple[tuple[str, str, Any], ...]] = {
+    User: (
+        ("id", "id", _integer), ("x", "x", _number), ("y", "y", _number),
+        ("mvno", "mvno_id", _integer), ("q_db", "max_path_loss_db", _number),
+        ("lambda", "energy_cost", _number), ("kappa", "content_request", _flag),
+        ("r", "resource_demand", _number),
+    ),
+    ChannelConfig: (
+        ("frequency_hz", "frequency_hz", _number),
+        ("default_max_path_loss_db", "max_path_loss_db", _number),
+    ),
+    ObjectiveWeights: (
+        ("w1", "w1", _number), ("w2", "w2", _number), ("w3", "w3", _number),
+        ("w4", "w4", _number), ("norm", "norm", _text),
+    ),
+    Environment: (  # the name first: a preset is given by its name alone
+        ("name", "name", _text), ("plos_a", "plos_a", _number), ("plos_b", "plos_b", _number),
+        ("eta_los_db", "eta_los_db", _number), ("eta_nlos_db", "eta_nlos_db", _number),
+    ),
+    ScenarioProfile: (
+        ("max_path_loss_db", "max_path_loss_db", _number),
+        ("resource_demand", "resource_demand", _number),
+        ("energy_cost_range", "energy_cost_range", _pair),
+        ("content_probability", "content_probability", _number),
+        ("capacity", "capacity", _optional(_number)), ("targets", "targets", _optional(_integers)),
+        ("weights", "weights", ObjectiveWeights), ("h_bounds", "h_bounds", _pair),
+        ("channel", "channel", ChannelConfig),
+    ),
+    ExperimentConfig: (
+        ("seed", "seed", _integer), ("n_runs", "n_runs", _integer),
+        ("n_users", "n_users", _integer), ("num_mvnos", "num_mvnos", _integer),
+        ("environments", "environments", _list_of(_text)),
+        ("policies", "policies", _list_of(_text)),
+        ("field_size_m", "field_size_m", _number), ("profile", "profile", ScenarioProfile),
+    ),
+}
+
+
+def _section(cls: type) -> Callable[[Any, str, str], Any]:
+    return lambda value, where, key: _read(cls, value, _location(where, key))
+
+
+def _by_field(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
+    # (key, field, reader, default) in field order, so that _read can pass them
+    # by position, which is faster; a required field's default is MISSING.
+    rows = {name: (key, read) for key, name, read in _FIELDS[cls]}
+    out = []
+    for f in fields(cls):
+        key, read = rows[f.name]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        out.append((key, f.name, _section(read) if read in _FIELDS else read, default))
+    return tuple(out)
+
+
+_ROWS = {cls: _by_field(cls) for cls in _FIELDS}
+_NAME, *_LOSSES = (key for key, _, _ in _FIELDS[Environment])
+
+
+def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
+    """The ``cls`` that ``doc`` gives; a key left out takes ``given``'s value, else the default."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where} must be an object, got {doc!r}")
+    args = []
+    for key, name, read, default in _ROWS[cls]:
+        if key in doc:
+            args.append(read(doc[key], where, key))
+        elif name in given:
+            args.append(given[name])
+        elif default is MISSING:
+            raise FileFormatError(f"missing key {key!r} in {where}")
+        else:
+            args.append(default)
+    return cls(*args)
+
+
+def _write(obj: Any) -> dict[str, Any]:
+    doc = {}
+    for key, name, _ in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        if type(value) in _FIELDS:
+            value = _write(value)
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def _check_version(doc: dict[str, Any]) -> None:
@@ -66,233 +187,60 @@ def _check_version(doc: dict[str, Any]) -> None:
 
 
 def _environment_from_dict(doc: dict[str, Any]) -> Environment:
-    name = doc.get("name", "custom")
-    if not isinstance(name, str):
-        raise FileFormatError(f"environment name must be a string, got {name!r}")
-    explicit = {k for k in ("plos_a", "plos_b", "eta_los_db", "eta_nlos_db") if k in doc}
+    name = _text(doc.get(_NAME, "custom"), "environment", _NAME)
+    explicit = [key for key in _LOSSES if key in doc]
     if not explicit:
         if name not in ENVIRONMENTS:
             raise FileFormatError(f"unknown environment preset {name!r}")
         return ENVIRONMENTS[name]
-    if len(explicit) != 4:
+    if len(explicit) != len(_LOSSES):
         raise FileFormatError(
-            "environment must give either a preset name or all four of "
-            "plos_a, plos_b, eta_los_db, eta_nlos_db"
+            f"environment must give either a preset name or all four of {', '.join(_LOSSES)}"
         )
-    return Environment(
-        name=name,
-        plos_a=_number(doc["plos_a"], "environment.plos_a"),
-        plos_b=_number(doc["plos_b"], "environment.plos_b"),
-        eta_los_db=_number(doc["eta_los_db"], "environment.eta_los_db"),
-        eta_nlos_db=_number(doc["eta_nlos_db"], "environment.eta_nlos_db"),
-    )
-
-
-def _environment_to_dict(env: Environment) -> dict[str, Any]:
-    if ENVIRONMENTS.get(env.name) == env:
-        return {"name": env.name}
-    return {
-        "name": env.name,
-        "plos_a": env.plos_a,
-        "plos_b": env.plos_b,
-        "eta_los_db": env.eta_los_db,
-        "eta_nlos_db": env.eta_nlos_db,
-    }
-
-
-def _channel_from_dict(doc: dict[str, Any]) -> ChannelConfig:
-    return ChannelConfig(
-        frequency_hz=_number(
-            doc.get("frequency_hz", ChannelConfig.frequency_hz), "channel.frequency_hz"
-        ),
-        max_path_loss_db=_number(
-            doc.get("default_max_path_loss_db", ChannelConfig.max_path_loss_db),
-            "channel.default_max_path_loss_db",
-        ),
-    )
-
-
-def _channel_to_dict(cfg: ChannelConfig) -> dict[str, Any]:
-    return {
-        "frequency_hz": cfg.frequency_hz,
-        "default_max_path_loss_db": cfg.max_path_loss_db,
-    }
-
-
-def _weights_from_dict(doc: dict[str, Any]) -> ObjectiveWeights:
-    return ObjectiveWeights(
-        w1=_number(doc.get("w1", ObjectiveWeights.w1), "weights.w1"),
-        w2=_number(doc.get("w2", ObjectiveWeights.w2), "weights.w2"),
-        w3=_number(doc.get("w3", ObjectiveWeights.w3), "weights.w3"),
-        w4=_number(doc.get("w4", ObjectiveWeights.w4), "weights.w4"),
-        norm=str(doc.get("norm", ObjectiveWeights.norm)),
-    )
-
-
-def _weights_to_dict(w: ObjectiveWeights) -> dict[str, Any]:
-    return {"w1": w.w1, "w2": w.w2, "w3": w.w3, "w4": w.w4, "norm": w.norm}
-
-
-def _pair(pair: Any, where: str) -> tuple[float, float]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FileFormatError(f"{where} must be a [min, max] pair")
-    return (_number(pair[0], where), _number(pair[1], where))
-
-
-def _bounds(doc: dict[str, Any], key: str, where: str) -> tuple[float, float]:
-    return _pair(_require(doc, key, where), f"{where}.{key}")
+    return _read(Environment, doc, "environment", name=name)
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _check_version(doc)
     env = _environment_from_dict(_require(doc, "environment", "scenario"))
-    channel = _channel_from_dict(doc.get("channel", {}))
-    region_doc = _require(doc, "region", "scenario")
-    region = PlacementRegion(
-        x_bounds=_bounds(region_doc, "x", "region"),
-        y_bounds=_bounds(region_doc, "y", "region"),
-        h_bounds=_bounds(region_doc, "h", "region"),
-    )
+    channel = _read(ChannelConfig, doc.get("channel", {}), "channel")
+    axes = _require(doc, "region", "scenario")
+    region = PlacementRegion(*(_pair(_require(axes, k, "region"), "region", k) for k in "xyh"))
     tenancy = _require(doc, "tenancy", "scenario")
-    num_mvnos = _integer(_require(tenancy, "num_mvnos", "tenancy"), "tenancy.num_mvnos")
-    targets = TenancyTargets(
-        tuple(_integer(t, "tenancy.targets") for t in _require(tenancy, "targets", "tenancy"))
+    num_mvnos = _integer(_require(tenancy, "num_mvnos", "tenancy"), "tenancy", "num_mvnos")
+    counts = _integers(_require(tenancy, "targets", "tenancy"), "tenancy", "targets")
+    targets = TenancyTargets(counts)
+    weights = _read(ObjectiveWeights, doc.get("weights", {}), "weights")
+    capacity = _number(_require(doc, "capacity", "scenario"), "", "capacity")
+    q_db = channel.max_path_loss_db
+    users = tuple(
+        _read(User, u, f"users[{i}]", max_path_loss_db=q_db)
+        for i, u in enumerate(_require(doc, "users", "scenario"))
     )
-    weights = _weights_from_dict(doc.get("weights", {}))
-    capacity = _number(_require(doc, "capacity", "scenario"), "capacity")
-    users = []
-    for i, u in enumerate(_require(doc, "users", "scenario")):
-        where = f"users[{i}]"
-        kappa = u.get("kappa", User.content_request)
-        if not isinstance(kappa, bool):
-            raise FileFormatError(f"{where}.kappa must be true or false, got {kappa!r}")
-        users.append(
-            User(
-                id=_integer(_require(u, "id", where), where, "id"),
-                x=_number(_require(u, "x", where), where, "x"),
-                y=_number(_require(u, "y", where), where, "y"),
-                mvno_id=_integer(_require(u, "mvno", where), where, "mvno"),
-                max_path_loss_db=_number(u.get("q_db", channel.max_path_loss_db), where, "q_db"),
-                energy_cost=_number(u.get("lambda", User.energy_cost), where, "lambda"),
-                content_request=kappa,
-                resource_demand=_number(u.get("r", User.resource_demand), where, "r"),
-            )
-        )
-    return Scenario(
-        users=tuple(users),
-        num_mvnos=num_mvnos,
-        targets=targets,
-        weights=weights,
-        capacity=capacity,
-        region=region,
-        environment=env,
-        channel=channel,
-    )
+    return Scenario(users, num_mvnos, targets, weights, capacity, region, env, channel)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    env, region = scenario.environment, scenario.region
     return {
         "meta": {"version": SCHEMA_VERSION},
-        "environment": _environment_to_dict(scenario.environment),
-        "channel": _channel_to_dict(scenario.channel),
-        "region": {
-            "x": list(scenario.region.x_bounds),
-            "y": list(scenario.region.y_bounds),
-            "h": list(scenario.region.h_bounds),
-        },
-        "tenancy": {
-            "num_mvnos": scenario.num_mvnos,
-            "targets": list(scenario.targets.counts),
-        },
-        "weights": _weights_to_dict(scenario.weights),
+        "environment": {_NAME: env.name} if ENVIRONMENTS.get(env.name) == env else _write(env),
+        "channel": _write(scenario.channel),
+        "region": dict(zip("xyh", map(list, (region.x_bounds, region.y_bounds, region.h_bounds)))),
+        "tenancy": {"num_mvnos": scenario.num_mvnos, "targets": list(scenario.targets.counts)},
+        "weights": _write(scenario.weights),
         "capacity": scenario.capacity,
-        "users": [
-            {
-                "id": u.id,
-                "x": u.x,
-                "y": u.y,
-                "mvno": u.mvno_id,
-                "q_db": u.max_path_loss_db,
-                "lambda": u.energy_cost,
-                "kappa": u.content_request,
-                "r": u.resource_demand,
-            }
-            for u in scenario.users
-        ],
+        "users": [_write(u) for u in scenario.users],
     }
 
 
 def experiment_config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     _check_version(doc)
-    defaults = ExperimentConfig()
-    profile_doc = doc.get("profile", {})
-    base_profile = ScenarioProfile()
-    profile = ScenarioProfile(
-        max_path_loss_db=_number(
-            profile_doc.get("max_path_loss_db", base_profile.max_path_loss_db),
-            "profile.max_path_loss_db",
-        ),
-        resource_demand=_number(
-            profile_doc.get("resource_demand", base_profile.resource_demand),
-            "profile.resource_demand",
-        ),
-        energy_cost_range=_pair(
-            profile_doc.get("energy_cost_range", base_profile.energy_cost_range),
-            "profile.energy_cost_range",
-        ),
-        content_probability=_number(
-            profile_doc.get("content_probability", base_profile.content_probability),
-            "profile.content_probability",
-        ),
-        capacity=(
-            None
-            if profile_doc.get("capacity") is None
-            else _number(profile_doc["capacity"], "profile.capacity")
-        ),
-        targets=(
-            None
-            if profile_doc.get("targets") is None
-            else tuple(_integer(t, "profile.targets") for t in profile_doc["targets"])
-        ),
-        weights=_weights_from_dict(profile_doc.get("weights", {})),
-        h_bounds=_pair(profile_doc.get("h_bounds", base_profile.h_bounds), "profile.h_bounds"),
-        channel=_channel_from_dict(profile_doc.get("channel", {})),
-    )
-    return ExperimentConfig(
-        n_runs=_integer(doc.get("n_runs", defaults.n_runs), "n_runs"),
-        n_users=_integer(doc.get("n_users", defaults.n_users), "n_users"),
-        num_mvnos=_integer(doc.get("num_mvnos", defaults.num_mvnos), "num_mvnos"),
-        seed=_integer(doc.get("seed", defaults.seed), "seed"),
-        environments=tuple(doc.get("environments", defaults.environments)),
-        policies=tuple(doc.get("policies", defaults.policies)),
-        field_size_m=_number(doc.get("field_size_m", defaults.field_size_m), "field_size_m"),
-        profile=profile,
-    )
+    return _read(ExperimentConfig, doc, "")
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    p = config.profile
-    return {
-        "meta": {"version": SCHEMA_VERSION},
-        "seed": config.seed,
-        "n_runs": config.n_runs,
-        "n_users": config.n_users,
-        "num_mvnos": config.num_mvnos,
-        "environments": list(config.environments),
-        "policies": list(config.policies),
-        "field_size_m": config.field_size_m,
-        "profile": {
-            "max_path_loss_db": p.max_path_loss_db,
-            "resource_demand": p.resource_demand,
-            "energy_cost_range": list(p.energy_cost_range),
-            "content_probability": p.content_probability,
-            "capacity": p.capacity,
-            "targets": None if p.targets is None else list(p.targets),
-            "weights": _weights_to_dict(p.weights),
-            "h_bounds": list(p.h_bounds),
-            "channel": _channel_to_dict(p.channel),
-        },
-    }
+    return {"meta": {"version": SCHEMA_VERSION}, **_write(config)}
 
 
 def dumps(doc: dict[str, Any]) -> str:

@@ -22,7 +22,7 @@ from .scenario import (
     generate_scenario,
     validate,
 )
-from .solver import SolveResult, solve
+from .solver import ResourceGuardError, SolveResult, solve
 
 SINGLE_TENANCY = "single_tenancy"
 MULTI_TENANCY_NO_FAIRNESS = "multi_tenancy_no_fairness"
@@ -39,6 +39,10 @@ class ExperimentError(RuntimeError):
 
 class _InvalidRunError(ExperimentError, ValueError):
     """A run whose generated scenario fails ``validate``: an input error."""
+
+
+class _OversizedRunError(ExperimentError, ResourceGuardError):
+    """A run above the solver's size ceiling: an input error."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     Raises an ``ExperimentError`` that is also a ``ValueError``, listing the
     violations, when a generated scenario fails ``validate``; nothing is
-    solved on it.
+    solved on it.  One that is also a ``ResourceGuardError`` names the run
+    whose solve was above the size ceiling.
     """
     rows: list[SummaryRow] = []
     for env_name in config.environments:
@@ -160,9 +165,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 try:
                     result = run_policy(scenario, policy)
                 except Exception as exc:
-                    raise ExperimentError(
-                        f"run {run} ({env_name}, {policy}): {exc}"
-                    ) from exc
+                    oversized = isinstance(exc, ResourceGuardError)
+                    error = _OversizedRunError if oversized else ExperimentError
+                    raise error(f"run {run} ({env_name}, {policy}): {exc}") from exc
                 # The single-tenancy sub-scenario keeps num_mvnos, so the
                 # counts stay aligned; other tenants sit at zero.
                 totals[policy].append(result.total_served)

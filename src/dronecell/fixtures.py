@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from importlib.resources import files
 from pathlib import Path
 
@@ -26,6 +25,6 @@ def mc_default_path() -> Path:
 
 
 def load_case24() -> Scenario:
-    from .cli.files import scenario_from_dict
+    from .cli.files import load_scenario
 
-    return scenario_from_dict(json.loads(case24_path().read_text(encoding="utf-8")))
+    return load_scenario(case24_path())

@@ -122,6 +122,13 @@ def test_channel_parameters_must_be_finite(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("eta_los, eta_nlos", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 20.0)])
+def test_excess_losses_must_be_finite(eta_los, eta_nlos):
+    # An infinite loss made every path loss infinite and every radius zero.
+    with pytest.raises(ValueError, match="excess losses must be finite"):
+        Environment("bad", 9.61, 0.16, eta_los, eta_nlos)
+
+
 def test_path_loss_between_pure_los_and_nlos_bounds():
     for env in ENVIRONMENTS.values():
         for h, r in ((100.0, 0.0), (100.0, 500.0), (50.0, 2000.0)):

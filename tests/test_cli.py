@@ -141,6 +141,8 @@ CUSTOM_URBAN = {
         ("mc", ("n_runs",), 1e300),
         ("mc", ("profile",), []),
         ("mc", ("profile", "h_bounds"), "28"),
+        ("mc", ("environments",), "urban"),
+        ("mc", ("policies",), "single_tenancy"),
     ],
 )
 def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
@@ -343,6 +345,18 @@ def test_solve_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(case24_path()), "--out", str(out)]) == 1
     assert not out.exists()
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_mc_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
+    # The solver's size guard inside a run is an input error, not exit 3.
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
+    doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
+    cfg = write_edited(tmp_path / "mc.json", doc, ("n_runs",), 1)
+    out = tmp_path / "never.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "run 0" in err and "ceiling" in err
 
 
 def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, capsys):

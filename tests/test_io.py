@@ -1,10 +1,12 @@
 """JSON scenario and experiment-config files: round trips and rejects."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from dronecell.channel import ChannelConfig, Environment, ENVIRONMENTS
+from dronecell.cli import files
 from dronecell.cli.files import (
     FileFormatError,
     experiment_config_from_dict,
@@ -172,20 +174,49 @@ def test_malformed_json_and_wrong_top_level(tmp_path):
 def test_experiment_config_round_trip(tmp_path):
     profile = ScenarioProfile(
         max_path_loss_db=98.0,
+        resource_demand=2.0,
         energy_cost_range=(0.0, 0.5),
         content_probability=0.3,
         capacity=12.0,
-        targets=(8, 8),
-        weights=ObjectiveWeights(1.0, 2.0, 0.5, 0.0),
+        targets=(6, 5, 5),
+        weights=ObjectiveWeights(1.5, 2.0, 0.5, 0.25, norm="L2"),
         h_bounds=(25.0, 95.0),
+        channel=ChannelConfig(frequency_hz=2.4e9, max_path_loss_db=103.0),
     )
     config = ExperimentConfig(
-        n_runs=7, n_users=16, num_mvnos=2, seed=123,
-        environments=("urban", "suburban"), field_size_m=900.0, profile=profile,
+        n_runs=7, n_users=16, num_mvnos=3, seed=123,
+        environments=("urban", "suburban"), policies=("multi_tenancy_dmf",),
+        field_size_m=900.0, profile=profile,
     )
+    # Every key is set away from its default, so none can round-trip by default.
+    for obj in (config, profile, profile.weights, profile.channel):
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(type(obj)(), f.name), f.name
     out = tmp_path / "mc.json"
     save_experiment_config(config, out)
     assert load_experiment_config(out) == config
+
+
+def test_each_table_lists_every_field_once():
+    for cls, rows in files._FIELDS.items():
+        assert sorted(name for _, name, _ in rows) == sorted(f.name for f in fields(cls)), cls
+        assert len({key for key, _, _ in rows}) == len(rows), cls
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # A bare string used to be read letter by letter: "unknown
+        # environments: ['u', 'r', 'b', 'a', 'n']".
+        ({"environments": "urban"}, "environments must be a list, got 'urban'"),
+        ({"policies": "urban"}, "policies must be a list, got 'urban'"),
+        ({"profile": {"weights": {"w1": "2"}}}, "profile.weights.w1 must be a number, got '2'"),
+    ],
+)
+def test_a_bad_experiment_field_is_named_by_its_path(edit, message):
+    with pytest.raises(FileFormatError) as info:
+        experiment_config_from_dict({"meta": {"version": "1"}, **edit})
+    assert str(info.value) == message
 
 
 def test_bundled_default_config_matches_defaults():
