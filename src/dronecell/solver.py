@@ -19,12 +19,13 @@ how many members it holds of each class.  Sets with one signature score the
 same, so the coverage sets of those centers are scored by an exact
 subset-selection routine once per signature.  Each signature's score has an
 upper bound, read off its counts: a fractional knapsack (Dantzig) over what
-each of its users can add to the objective.  Signatures are scored in
-descending bound order until a bound falls below the best score.  The
-selection is one DP that takes the classes tenant by tenant, folding each
-tenant's gap term in when it ends, on demands and capacity scaled to exact
-integers.  ``brute_force`` provides an independent grid-search oracle for
-testing.
+each of its users can add to the objective.  Only each signature's first
+center, bound and member count are kept; signatures are scored in
+descending bound order until a bound falls below the best score, and a
+scored set's members are recomputed at its center.  The selection is one
+DP that takes the classes tenant by tenant, folding each tenant's gap term
+in when it ends, on demands and capacity scaled to exact integers.
+``brute_force`` provides an independent grid-search oracle for testing.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ from .scenario import (
 # candidate point constructed on a circle boundary keeps the users that
 # define it despite floating-point rounding.
 DISK_EPS = 1e-12
-# Hard ceiling on the points a search may visit: the oracle's grid points,
-# the bound on solve()'s candidate centers and the selection DP's states.
+# Hard ceiling on the points a search may visit: the oracle's grid points
+# and the bound on solve()'s candidate centers.
 MAX_SEARCH_POINTS = 10_000_000
+# Hard ceiling on the selection DP's states.  A state costs about 450 bytes
+# (its key and entry tuples, their numbers, and its slots in the two dicts a
+# class holds), so the DP stops near 0.5 GiB rather than after several.
+MAX_DP_STATES = 1_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
-# eligibility blocks, and the knapsack bounds of a block's new signatures,
-# hold this many rows rather than one per candidate.
+# eligibility blocks hold this many rows rather than one per candidate; each
+# signature a block sees first leaves only its center, bound and size.
 ELIGIBILITY_CHUNK = 512
 # Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
@@ -135,7 +140,7 @@ def select_users(scenario: Scenario, eligible: Iterable[int]) -> Assignment:
     total resource demand fits the capacity.  Ties break toward more served
     users, then the lexicographically smallest served id set.  Raises
     ``ResourceGuardError`` when the selection DP would hold more than
-    ``MAX_SEARCH_POINTS`` states.
+    ``MAX_DP_STATES`` states.
     """
     by_id = {u.id: u for u in scenario.users}
     ids = sorted(set(eligible))
@@ -191,8 +196,9 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     keeps the greatest (value, served, mask): higher value, then more served,
     then the smaller id set; later classes set bits that neither compared
     mask holds, so the optimum and its tie-break survive.  Raises
-    ``ResourceGuardError`` when a class leaves more than
-    ``MAX_SEARCH_POINTS`` states.
+    ``ResourceGuardError`` once a class holds more than ``MAX_DP_STATES``
+    states, checked after each state it extends, so one large class cannot
+    run far past the ceiling.
     """
     w, targets = scenario.weights, scenario.targets.counts
     # Demands and capacity scaled by the lcm of their denominators: exact
@@ -236,11 +242,11 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
                     cur = grown.get(key)
                     if cur is None or cand > cur:
                         grown[key] = cand
-            if len(grown) > MAX_SEARCH_POINTS:
-                raise ResourceGuardError(
-                    f"the selection DP holds {len(grown)} states, "
-                    f"above the {MAX_SEARCH_POINTS} ceiling"
-                )
+                if len(grown) > MAX_DP_STATES:
+                    raise ResourceGuardError(
+                        f"the selection DP holds {len(grown)} states, "
+                        f"above the {MAX_DP_STATES} ceiling"
+                    )
             states = grown
         if fair:
             folded: dict[tuple[int, int, int], tuple[float, int, int, float, int]] = {}
@@ -281,21 +287,23 @@ def solve(scenario: Scenario) -> SolveResult:
     inside the region box; ``ResourceGuardError`` is raised before they are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
     eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
-    by x, so memory holds the block plus the members and bound of each of
-    the D distinct signatures, not one row per candidate, and a block
-    computes distances only to the users whose x-distance to its slab of
-    centers is within their radius.  A coverage set's signature is its
-    count vector, how many members it holds of each class of
-    interchangeable users (``_classes``).  Sets with one signature score the
-    same, so only each signature's first set, at its first center, can win;
-    its knapsack bound, which reads only the counts, is computed in its
-    block when it is first seen.  ``select_users`` scores the sets in
-    descending bound order, then more members, then center order, and stops
-    at the first bound below the best score so far less a rounding slack,
-    since no later set can reach it.  The best score wins, ties breaking
-    toward more served users, then the lexicographically smallest center;
-    a set must beat the all-zero assignment at the region's smallest
-    corner, which is the result when nobody is coverable.
+    by x, so memory holds the block plus the center, knapsack bound and
+    member count of each of the D distinct signatures, not one row per
+    candidate, and a block computes distances only to the users whose
+    x-distance to its slab of centers is within their radius.  A coverage
+    set's signature is its count vector, how many members it holds of each
+    class of interchangeable users (``_classes``).  Sets with one signature
+    score the same, so only each signature's first set, at its first
+    center, can win; its knapsack bound, which reads only the counts, is
+    computed in its block when it is first seen.  ``select_users`` scores
+    the sets in descending bound order, then more members, then center
+    order, and stops at the first bound below the best score so far less a
+    rounding slack, since no later set can reach it.  A scored set's
+    members are recomputed at its center with the block's float operations,
+    so they are the members the block counted.  The best score wins, ties
+    breaking toward more served users, then the lexicographically smallest
+    center; a set must beat the all-zero assignment at the region's
+    smallest corner, which is the result when nobody is coverable.
     """
     _check_region(scenario)
     region = scenario.region
@@ -329,29 +337,31 @@ def solve(scenario: Scenario) -> SolveResult:
 
     groups = sorted(_classes(users, w), key=density, reverse=True)
     order = [j for members in groups for j in members]
-    cols = np.array(order)
     values = np.array([value(users[members[0]]) for members in groups])
     demands = np.array([users[members[0]].resource_demand for members in groups])
     base = w2 * sum(scenario.targets.counts)
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in groups[:-1]])
 
-    # Rows of x, y and squared radius by column.  A zero radius means the
-    # user fails QoS even at the nadir; the negative sentinel keeps it out of
-    # every disk, including candidates at distance 0.
+    # Rows of x, y and squared radius by user, and by column in class order.
+    # A zero radius means the user fails QoS even at the nadir; the negative
+    # sentinel keeps it out of every disk, including candidates at distance 0.
     disks = np.array(
         [
-            [users[j].x for j in order],
-            [users[j].y for j in order],
-            [r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in (radii[j] for j in order)],
+            [u.x for u in users],
+            [u.y for u in users],
+            [r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii],
         ]
     )
-    ux, r2 = disks[0], disks[2]
+    columns = disks[:, order]
+    ux, r2 = columns[0], columns[2]
 
     # Sets with one signature score the same, and a later equal score never
-    # wins, so only first sightings count: their center, eligible user
-    # indices and bound, in center order.
-    firsts: list[tuple[float, float, np.ndarray, float]] = []
+    # wins, so only first sightings count: their center's row in ``pts``,
+    # bound and member count, block by block in center order.
+    rows: list[np.ndarray] = []
+    bounds: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
@@ -362,7 +372,7 @@ def solve(scenario: Scenario) -> SolveResult:
         gap = np.minimum(np.maximum(ux, bx[0]), bx[-1])
         gap -= ux
         near = (gap * gap <= r2).nonzero()[0]
-        near_x, near_y, near_r2 = disks[:, near]
+        near_x, near_y, near_r2 = columns[:, near]
         d2 = np.subtract.outer(bx, near_x)
         d2 *= d2
         dy2 = np.subtract.outer(by, near_y)
@@ -381,10 +391,11 @@ def solve(scenario: Scenario) -> SolveResult:
         counts = held[new]
         fill = np.cumsum(counts * demands, axis=1)
         share = np.clip((scenario.capacity - fill) / demands + counts, 0, counts)
-        for k, bound in zip(new, share @ values - base):
-            members = cols[eligible[k].nonzero()[0]]
-            if len(members):  # the zero assignment covers the empty set
-                firsts.append((float(bx[k]), float(by[k]), members, float(bound)))
+        size = counts.sum(axis=1, dtype=np.intp)
+        kept = size > 0  # the zero assignment covers the empty set
+        rows.append(np.array(new, dtype=np.intp)[kept] + start)
+        bounds.append((share @ values - base)[kept])
+        sizes.append(size[kept])
 
     # The slack covers rounding, since the bound, ``select_users`` and
     # ``objective_value`` add the same terms in different orders; it is
@@ -400,17 +411,24 @@ def solve(scenario: Scenario) -> SolveResult:
     # highest bound first, then more members, then center order (lexsort is
     # stable); once a bound is below the best score, so are all that follow.
     win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
-    bounds = [f[3] for f in firsts]
-    for i in np.lexsort(([-len(f[2]) for f in firsts], np.negative(bounds))).tolist():
-        if bounds[i] < win[0] - slack:
+    centers = pts[np.concatenate(rows)]
+    bound = np.concatenate(bounds)
+    ranked = np.lexsort((-np.concatenate(sizes), -bound)).tolist()
+    for i, b in zip(ranked, bound[ranked].tolist()):
+        if b < win[0] - slack:
             break
-        assignment = select_users(scenario, {users[j].id for j in firsts[i][2]})
+        # The set's members, by the block's float operations at its center.
+        d2 = centers[i, 0] - disks[0]
+        d2 *= d2
+        dy2 = centers[i, 1] - disks[1]
+        d2 += np.multiply(dy2, dy2, out=dy2)
+        assignment = select_users(scenario, {users[j].id for j in (d2 <= disks[2]).nonzero()[0]})
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
     obj, _, neg_index, assignment, breakdown = win
     if neg_index == 1:
         return zero
-    x, y = firsts[-neg_index][:2]
+    x, y = centers[-neg_index].tolist()
     return SolveResult(
         (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), r_default
     )

@@ -360,9 +360,9 @@ def test_mc_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, capsys):
-    # Twelve users one meter apart give at most 12^2 + 8*12 + 4 = 244
-    # candidate centers, while demands 1, 2, 4, ..., 2048 under a binding
-    # capacity give the selection DP a state per reachable usage, up to 4001.
+    # Demands 1, 2, 4, ..., 2048 under a binding capacity give the selection
+    # DP a state per reachable usage, up to 4001; the centers stay far below
+    # their own ceiling.
     doc = json.loads(case24_path().read_text(encoding="utf-8"))
     doc["users"] = [
         {"id": k, "x": float(k), "y": 0.0, "mvno": 0, "r": float(2**k)} for k in range(12)
@@ -371,7 +371,7 @@ def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, 
     doc["weights"]["w2"] = 0.0
     scenario = tmp_path / "states.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 244)
+    monkeypatch.setattr(solver, "MAX_DP_STATES", 4000)
     out = tmp_path / "never.csv"
     assert main(["solve", str(scenario), "--out", str(out)]) == 1
     assert not out.exists()

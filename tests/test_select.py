@@ -214,10 +214,10 @@ def test_select_refuses_more_dp_states_than_the_ceiling(monkeypatch):
         User(id=i, x=float(i), y=0.0, mvno_id=0, resource_demand=float(2**i)) for i in range(6)
     ]
     sc = make_scenario(users, 1, (6,), ObjectiveWeights(1.0, 0.0), 60)
-    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 60)
+    monkeypatch.setattr(solver, "MAX_DP_STATES", 60)
     with pytest.raises(ResourceGuardError, match="61 states"):
         select_users(sc, range(6))
-    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 61)
+    monkeypatch.setattr(solver, "MAX_DP_STATES", 61)
     assert select_users(sc, range(6)).served_ids(sc) == (0, 1, 2, 3, 4)
 
 

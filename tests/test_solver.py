@@ -474,6 +474,25 @@ def test_solve_refuses_more_candidate_centers_than_the_ceiling(monkeypatch):
     assert solve(sc).total_served > 0
 
 
+def reference_coverage(sc):
+    """Sorted candidate centers and their coverage, as one full matrix.
+
+    Returns the altitude, the default radius, the (k, 2) centers in sorted
+    order and the (k, n) matrix of which users each center covers.
+    """
+    env, cfg, region = sc.environment, sc.channel, sc.region
+    h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
+    users = sc.users
+    radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
+    pts = np.array(sorted(reference_centers(users, radii, region.x_bounds, region.y_bounds)))
+    pts = pts.reshape(-1, 2)
+    ux = np.array([u.x for u in users])
+    uy = np.array([u.y for u in users])
+    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])
+    d2 = (pts[:, 0:1] - ux[None, :]) ** 2 + (pts[:, 1:2] - uy[None, :]) ** 2
+    return h_star, r_default, pts, d2 <= r2[None, :]
+
+
 def reference_solve(sc):
     """solve() with every distinct coverage set scored, as one full matrix.
 
@@ -482,20 +501,11 @@ def reference_solve(sc):
     total) replaces the best.  Returns the result and the number of sets
     scored.
     """
-    env, cfg, region = sc.environment, sc.channel, sc.region
-    h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
-    users = sc.users
-    radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
+    h_star, r_default, pts, eligible = reference_coverage(sc)
+    region, users = sc.region, sc.users
     best = _zero_result(sc, (region.x_bounds[0], region.y_bounds[0], h_star), r_default)
-    centers = reference_centers(users, radii, region.x_bounds, region.y_bounds)
-    if not centers:
+    if not len(pts):
         return best, 0
-    pts = np.array(sorted(centers))
-    ux = np.array([u.x for u in users])
-    uy = np.array([u.y for u in users])
-    r2 = np.array([r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii])
-    d2 = (pts[:, 0:1] - ux[None, :]) ** 2 + (pts[:, 1:2] - uy[None, :]) ** 2
-    eligible = d2 <= r2[None, :]
     packed = np.packbits(eligible, axis=1)
     void = np.ascontiguousarray(packed).view([("v", f"V{packed.shape[1]}")]).ravel()
     _, first_idx = np.unique(void, return_index=True)
@@ -658,6 +668,30 @@ def test_solve_scores_sets_in_bound_order_and_no_set_beats_its_bound(monkeypatch
         for ids, bound in zip(calls, bounds):
             obj, _ = objective_value(sc, select_users(sc, ids))
             assert obj <= bound + slack
+
+
+@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, chunk):
+    # solve() keeps a signature's first center and recomputes its members
+    # there.  A chunk of 3 puts some first sightings in a later block, so a
+    # set taken at a later center with the same class counts would differ.
+    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    calls = count_selections(monkeypatch)
+    for _, sc in bound_instances():
+        classes = solver._classes(sc.users, sc.weights)
+
+        def signature(ids):
+            return tuple(sum(sc.users[p].id in ids for p in members) for members in classes)
+
+        first = {}
+        for row in reference_coverage(sc)[3]:
+            ids = frozenset(sc.users[i].id for i in row.nonzero()[0])
+            first.setdefault(signature(ids), ids)
+        calls.clear()
+        solve(sc)
+        assert calls
+        for ids in calls:
+            assert sorted(ids) == sorted(first[signature(ids)])
 
 
 def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
