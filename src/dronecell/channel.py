@@ -7,12 +7,10 @@ improves the LOS odds but lengthens the slant path, so the usable cell
 radius first grows and then shrinks with altitude; ``optimal_altitude``
 finds the interior maximum.
 
-``coverage_radius`` is the scalar reference for the cell radius.
-``coverage_radii`` runs the same bisection on many altitudes at once in
-numpy; numpy's transcendental functions may differ from ``math``'s in the
-last bits, so every decision it makes close to its bound is made again with
-the scalar ``path_loss``, and its results equal ``coverage_radius``'s bit
-for bit.
+``coverage_radius`` is the only code that computes a cell radius.
+``path_loss_array`` is the formula in numpy; the altitude search uses it only
+to find the few grid altitudes that could hold the largest radius, and
+``coverage_radius`` decides among them.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -40,12 +38,10 @@ ALTITUDE_TOLERANCE_M = 1.0
 ALTITUDE_GRID_STEPS = 200
 # Upper limit for the radius bracket expansion, in meters.
 MAX_RADIUS_M = 1.0e6
+# Width to which the altitude search brackets each numpy loss crossing.
+_CROSSING_TOLERANCE_M = 1.0e-3
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# A numpy loss within this many dB of a bound that a decision compares it
-# with is recomputed with the scalar ``path_loss`` before the decision; the
-# two differ by under 1e-13 dB wherever both are finite.
-_DECISION_SLACK_DB = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -190,12 +186,12 @@ def path_loss_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``path_loss`` elementwise in numpy, with the elevation angles it used.
 
-    The one numpy copy of the formula, called by ``coverage_radii`` and the
-    ``brute_force`` oracle.  The operations follow ``path_loss`` in order,
-    and overflow takes the same limits (a LOS probability of 0, an infinite
-    loss) without a warning.  Where ``path_loss`` raises, this returns a
-    loss of -inf (a free-space product that underflows to 0) or an angle of
-    0 instead.
+    The one numpy copy of the formula, called by ``_boundaries`` and the
+    ``brute_force`` oracle.  The operations follow ``path_loss`` in order, but
+    may differ from it in the last bits.  Overflow takes the same limits (a
+    LOS probability of 0, an infinite loss) without a warning.  Where
+    ``path_loss`` raises, this returns a loss of -inf (a free-space product
+    that underflows to 0) or an angle of 0 instead.
     """
     with np.errstate(over="ignore", divide="ignore"):
         slant = np.hypot(altitude_m, ground_range_m)
@@ -206,73 +202,28 @@ def path_loss_array(
         return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db, theta
 
 
-def coverage_radii(
-    altitudes: Sequence[float] | np.ndarray,
-    threshold_db: float,
-    env: Environment,
-    cfg: ChannelConfig,
-) -> np.ndarray:
-    """``coverage_radius`` at every altitude, in one vectorized bisection.
+def _boundaries(
+    grid: list[float], threshold_db: float, env: Environment, cfg: ChannelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outside ends of the numpy loss crossings, and where ``path_loss`` may raise.
 
-    Element ``i`` equals ``coverage_radius(altitudes[i], threshold_db, env,
-    cfg)`` bit for bit.  All altitudes step through the nadir test, the
-    bracket doubling and the bisection together, each leaving the loop where
-    the scalar one would.  A numpy loss that is not finite, or that lies
-    within ``_DECISION_SLACK_DB`` of the threshold or of the threshold less
-    ``RADIUS_DB_TOLERANCE``, is replaced by the scalar ``path_loss`` before
-    any decision reads it, so no decision can differ from the scalar one.
+    Bisects ``path_loss_array`` on [0, ``MAX_RADIUS_M``] at every altitude at
+    once to ``_CROSSING_TOLERANCE_M``; the loss rises with ground range, so
+    each bracket closes on the crossing.  The mask flags a loss that is not
+    finite or an elevation that is not positive at either end of the range,
+    where the free-space product and the elevation are least.
     """
-    h = np.array(altitudes, dtype=float).reshape(-1)
-    bad = ~(h > 0.0)
-    if bad.any():
-        raise ValueError(f"altitude must be positive, got {h[bad][0]}")
-    if not threshold_db > 0:  # NaN too, for which "<= 0" is False
-        raise ValueError(f"threshold must be positive, got {threshold_db}")
-    q = threshold_db
-
-    def losses(r: np.ndarray, live: np.ndarray) -> np.ndarray:
+    h = np.array(grid)
+    flagged = np.zeros(h.shape, dtype=bool)
+    for r in (0.0, MAX_RADIUS_M):
         loss, theta = path_loss_array(h, r, env, cfg)
-        margin = q - loss
-        redo = live & ~(
-            np.isfinite(loss)
-            & (theta > 0.0)
-            & (np.abs(margin) > _DECISION_SLACK_DB)
-            & (np.abs(margin - RADIUS_DB_TOLERANCE) > _DECISION_SLACK_DB)
-        )
-        if redo.any():
-            for i in np.flatnonzero(redo):
-                loss[i] = path_loss(float(h[i]), float(r[i]), env, cfg)
-        return loss
-
-    lo = np.zeros_like(h)
-    loss_lo = losses(lo, np.ones(h.shape, dtype=bool))
-    covered = loss_lo <= q
-    hi = np.full_like(h, 100.0)
-    capped = np.zeros(h.shape, dtype=bool)
-    growing = covered.copy()
-    while growing.any():
-        loss_hi = losses(hi, growing)
-        inside = growing & (loss_hi <= q)
-        lo = np.where(inside, hi, lo)
-        loss_lo = np.where(inside, loss_hi, loss_lo)
-        hi = np.where(inside, hi * 2.0, hi)
-        capped |= inside & (hi >= MAX_RADIUS_M)
-        growing = inside & ~capped
-
-    live = covered & ~capped
-    while True:
-        mid = 0.5 * (lo + hi)
-        live &= ((hi - lo > RADIUS_TOLERANCE_M) | (q - loss_lo > RADIUS_DB_TOLERANCE)) & (
-            (mid > lo) & (mid < hi)
-        )
-        if not live.any():
-            break
-        loss_mid = losses(mid, live)
-        inside = live & (loss_mid <= q)
-        lo = np.where(inside, mid, lo)
-        loss_lo = np.where(inside, loss_mid, loss_lo)
-        hi = np.where(live & ~inside, mid, hi)
-    return np.where(capped, MAX_RADIUS_M, np.where(covered, lo, 0.0))
+        flagged |= ~np.isfinite(loss) | (theta <= 0.0)
+    lo, width = np.zeros_like(h), MAX_RADIUS_M  # every bracket is [lo, lo + width]
+    while width >= _CROSSING_TOLERANCE_M:
+        width *= 0.5
+        loss, _ = path_loss_array(h, lo + width, env, cfg)
+        lo += width * (loss <= threshold_db)
+    return lo + width, flagged
 
 
 def optimal_altitude(
@@ -283,11 +234,12 @@ def optimal_altitude(
 ) -> tuple[float, float]:
     """Altitude in ``h_range`` maximizing the coverage radius, with that radius.
 
-    A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals, all radii in one
-    ``coverage_radii`` pass, which rechecks with the scalar loss near the
-    threshold) seeds a golden-section refinement around the best grid point
-    on the cached scalar ``coverage_radius``; the best altitude ever
-    evaluated is returned, so the result always dominates the grid.
+    A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals) seeds a
+    golden-section refinement around the best grid point, both on the cached
+    scalar ``coverage_radius``.  The scan calls it only where ``_boundaries``
+    puts the loss crossing within ``RADIUS_TOLERANCE_M`` of the farthest one
+    or flags the altitude; no other grid altitude can hold the largest
+    radius.  The best altitude ever evaluated is returned.
     Returns ``(h_min, 0.0)`` when no altitude in range yields coverage.
     A degenerate range with ``h_min == h_max`` evaluates that single altitude.
     """
@@ -299,11 +251,7 @@ def optimal_altitude(
 
 @lru_cache(maxsize=512)
 def _optimal_altitude_cached(
-    threshold_db: float,
-    env: Environment,
-    cfg: ChannelConfig,
-    h_min: float,
-    h_max: float,
+    threshold_db: float, env: Environment, cfg: ChannelConfig, h_min: float, h_max: float
 ) -> tuple[float, float]:
     def radius(h: float) -> float:
         return coverage_radius(h, threshold_db, env, cfg)
@@ -312,9 +260,14 @@ def _optimal_altitude_cached(
         return h_min, radius(h_min)
     step = (h_max - h_min) / ALTITUDE_GRID_STEPS
     grid = [h_min + k * step for k in range(ALTITUDE_GRID_STEPS + 1)]
-    radii = coverage_radii(grid, threshold_db, env, cfg).tolist()
-    best_idx = max(range(len(grid)), key=lambda i: (radii[i], -grid[i]))
-    best_h, best_r = grid[best_idx], radii[best_idx]
+    reach, flagged = _boundaries(grid, threshold_db, env, cfg)
+    # coverage_radius returns a radius less than RADIUS_TOLERANCE_M inside
+    # the crossing, or MAX_RADIUS_M once its doubling passes MAX_RADIUS_M / 2.
+    # The 2 mm cover the bracket width and the numpy loss's last bits.
+    floor = min(reach.max(), MAX_RADIUS_M / 2) - RADIUS_TOLERANCE_M - 2 * _CROSSING_TOLERANCE_M
+    candidates = np.flatnonzero(flagged | (reach >= floor)).tolist()
+    best_idx = max(candidates, key=lambda i: (radius(grid[i]), -grid[i]))
+    best_h, best_r = grid[best_idx], radius(grid[best_idx])
     if best_r <= 0.0:
         return h_min, 0.0
 

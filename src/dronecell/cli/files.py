@@ -32,12 +32,6 @@ class FileFormatError(ValueError):
     """The document is structurally or semantically malformed."""
 
 
-def _require(doc: dict[str, Any], key: str, where: str) -> Any:
-    if key not in doc:
-        raise FileFormatError(f"missing key {key!r} in {where}")
-    return doc[key]
-
-
 def _location(where: str, key: str) -> str:
     # Readers take the key apart from ``where`` (empty at the top level), so
     # that a location such as "users[3].x" is formatted only for an error.
@@ -100,6 +94,7 @@ _FIELDS: dict[type, tuple[tuple[str, str, Any], ...]] = {
         ("lambda", "energy_cost", _number), ("kappa", "content_request", _flag),
         ("r", "resource_demand", _number),
     ),
+    PlacementRegion: (("x", "x_bounds", _pair), ("y", "y_bounds", _pair), ("h", "h_bounds", _pair)),
     ChannelConfig: (
         ("frequency_hz", "frequency_hz", _number),
         ("default_max_path_loss_db", "max_path_loss_db", _number),
@@ -168,6 +163,15 @@ def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
     return cls(*args)
 
 
+def _take(doc: Any, where: str, key: str, read: Callable[[Any, str, str], _T] | None = None) -> Any:
+    """The required ``doc[key]``, through ``read`` if given; ``doc`` is the object at ``where``."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where} must be an object, got {doc!r}")
+    if key not in doc:
+        raise FileFormatError(f"missing key {key!r} in {where or 'scenario'}")
+    return doc[key] if read is None else read(doc[key], where, key)
+
+
 def _write(obj: Any) -> dict[str, Any]:
     doc = {}
     for key, name, _ in _FIELDS[type(obj)]:
@@ -186,9 +190,10 @@ def _check_version(doc: dict[str, Any]) -> None:
         )
 
 
-def _environment_from_dict(doc: dict[str, Any]) -> Environment:
-    name = _text(doc.get(_NAME, "custom"), "environment", _NAME)
-    explicit = [key for key in _LOSSES if key in doc]
+def _environment(doc: Any, where: str, key: str) -> Environment:
+    where = _location(where, key)
+    name = _text(doc.get(_NAME, "custom"), where, _NAME)
+    explicit = [k for k in _LOSSES if k in doc]
     if not explicit:
         if name not in ENVIRONMENTS:
             raise FileFormatError(f"unknown environment preset {name!r}")
@@ -197,36 +202,34 @@ def _environment_from_dict(doc: dict[str, Any]) -> Environment:
         raise FileFormatError(
             f"environment must give either a preset name or all four of {', '.join(_LOSSES)}"
         )
-    return _read(Environment, doc, "environment", name=name)
+    return _read(Environment, doc, where, name=name)
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _check_version(doc)
-    env = _environment_from_dict(_require(doc, "environment", "scenario"))
+    env = _take(doc, "", "environment", _environment)
     channel = _read(ChannelConfig, doc.get("channel", {}), "channel")
-    axes = _require(doc, "region", "scenario")
-    region = PlacementRegion(*(_pair(_require(axes, k, "region"), "region", k) for k in "xyh"))
-    tenancy = _require(doc, "tenancy", "scenario")
-    num_mvnos = _integer(_require(tenancy, "num_mvnos", "tenancy"), "tenancy", "num_mvnos")
-    counts = _integers(_require(tenancy, "targets", "tenancy"), "tenancy", "targets")
-    targets = TenancyTargets(counts)
+    region = _take(doc, "", "region", _section(PlacementRegion))
+    tenancy = _take(doc, "", "tenancy")
+    num_mvnos = _take(tenancy, "tenancy", "num_mvnos", _integer)
+    targets = TenancyTargets(_take(tenancy, "tenancy", "targets", _integers))
     weights = _read(ObjectiveWeights, doc.get("weights", {}), "weights")
-    capacity = _number(_require(doc, "capacity", "scenario"), "", "capacity")
+    capacity = _take(doc, "", "capacity", _number)
     q_db = channel.max_path_loss_db
     users = tuple(
         _read(User, u, f"users[{i}]", max_path_loss_db=q_db)
-        for i, u in enumerate(_require(doc, "users", "scenario"))
+        for i, u in enumerate(_take(doc, "", "users"))
     )
     return Scenario(users, num_mvnos, targets, weights, capacity, region, env, channel)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    env, region = scenario.environment, scenario.region
+    env = scenario.environment
     return {
         "meta": {"version": SCHEMA_VERSION},
         "environment": {_NAME: env.name} if ENVIRONMENTS.get(env.name) == env else _write(env),
         "channel": _write(scenario.channel),
-        "region": dict(zip("xyh", map(list, (region.x_bounds, region.y_bounds, region.h_bounds)))),
+        "region": _write(scenario.region),
         "tenancy": {"num_mvnos": scenario.num_mvnos, "targets": list(scenario.targets.counts)},
         "weights": _write(scenario.weights),
         "capacity": scenario.capacity,

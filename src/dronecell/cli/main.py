@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .. import solver
-from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radii, optimal_altitude
+from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, validate
 from ..solver import InfeasibleRegionError, ResourceGuardError, solve
@@ -83,8 +83,7 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
     altitudes = [
         args.h_min + k * (args.h_max - args.h_min) / args.steps for k in range(args.steps + 1)
     ]
-    radii = coverage_radii(altitudes, args.threshold_db, env, cfg).tolist()
-    samples = list(zip(altitudes, radii))
+    samples = [(h, coverage_radius(h, args.threshold_db, env, cfg)) for h in altitudes]
     h_star, r_max = optimal_altitude(args.threshold_db, env, cfg, (args.h_min, args.h_max))
     Path(args.out).write_text(altitude_profile_csv(samples, h_star, r_max), encoding="utf-8")
     return EXIT_OK

@@ -18,8 +18,6 @@ MVNO_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"
 
 
 def _fmt(value: float | int) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     return format(value, ".6g")

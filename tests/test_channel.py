@@ -1,9 +1,7 @@
 """Channel model: LOS sigmoid, mean path loss, coverage radius, altitude search."""
 
-import itertools
 import math
 import random
-
 import warnings
 
 import numpy as np
@@ -19,7 +17,6 @@ from dronecell.channel import (
     RADIUS_TOLERANCE_M,
     ChannelConfig,
     Environment,
-    coverage_radii,
     coverage_radius,
     free_space_path_loss,
     los_probability,
@@ -30,15 +27,6 @@ from dronecell.channel import (
 CFG = ChannelConfig()
 URBAN = ENVIRONMENTS["urban"]
 CARRIERS = (0.7e9, 2.0e9, 5.8e9)
-
-
-def scalar_radii(altitudes, threshold, env, cfg):
-    # The uncached reference, so no earlier call can answer for it.
-    return [coverage_radius.__wrapped__(h, threshold, env, cfg) for h in altitudes]
-
-
-def same_bits(got, want):
-    return [repr(g) for g in got.tolist()] == [repr(w) for w in want]
 
 
 def random_environment(rng):
@@ -158,7 +146,9 @@ def test_coverage_radius_is_zero_when_nadir_fails():
 
 def test_coverage_radius_boundary_contract():
     # The loss at the returned radius never exceeds the threshold and stays
-    # within a hundredth of a dB of it.
+    # within RADIUS_DB_TOLERANCE of it, also where the loss is so steep in
+    # range (dense urban and highrise, 20-120 m) that the dB test, not the
+    # 0.1 m width, ends the bisection.
     for env in ENVIRONMENTS.values():
         for h in (20.0, 50.0, 120.0, 400.0, 1500.0):
             r = coverage_radius(h, 100.0, env, CFG)
@@ -166,7 +156,7 @@ def test_coverage_radius_boundary_contract():
                 continue
             loss = path_loss(h, r, env, CFG)
             assert loss <= 100.0
-            assert 100.0 - loss <= 0.01
+            assert 100.0 - loss <= RADIUS_DB_TOLERANCE
             assert path_loss(h, r + RADIUS_TOLERANCE_M, env, CFG) > 100.0
 
 
@@ -225,8 +215,6 @@ def test_a_nan_threshold_is_rejected():
     # a radius of 0.0 and an optimum of (20.0, 0.0) without an error.
     with pytest.raises(ValueError, match="threshold must be positive, got nan"):
         coverage_radius(100.0, math.nan, URBAN, CFG)
-    with pytest.raises(ValueError, match="threshold must be positive, got nan"):
-        coverage_radii([100.0], math.nan, URBAN, CFG)
     for h_range in ((20.0, 80.0), (60.0, 60.0)):
         with pytest.raises(ValueError, match="threshold must be positive, got nan"):
             optimal_altitude(math.nan, URBAN, CFG, h_range)
@@ -262,105 +250,6 @@ def test_optimal_altitude_deterministic():
     a = optimal_altitude(100.0, URBAN, CFG, (1.0, 3000.0))
     b = optimal_altitude(100.0, URBAN, CFG, (1.0, 3000.0))
     assert a == b
-
-
-@pytest.mark.parametrize("frequency_hz", CARRIERS)
-@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
-def test_coverage_radii_equal_the_scalar_radii_bit_for_bit(name, frequency_hz):
-    env, cfg = ENVIRONMENTS[name], ChannelConfig(frequency_hz=frequency_hz)
-    grid = [1.0 + k * (3000.0 - 1.0) / 150 for k in range(151)]
-    for threshold in (20.0, 45.0, 60.0, 95.0, 100.0, 117.3, 130.0, 300.0):
-        want = scalar_radii(grid, threshold, env, cfg)
-        assert same_bits(coverage_radii(grid, threshold, env, cfg), want), threshold
-    # 20 dB leaves every altitude without coverage, 300 dB caps every radius.
-    assert scalar_radii(grid, 20.0, env, cfg) == [0.0] * len(grid)
-    assert scalar_radii(grid, 300.0, env, cfg) == [MAX_RADIUS_M] * len(grid)
-
-
-def test_coverage_radii_follow_the_db_test_below_the_width_tolerance():
-    # Near the ground in highrise the loss climbs faster than 0.005 dB per
-    # 0.05 m, so the bisection keeps halving after the bracket is 0.1 m wide.
-    env = ENVIRONMENTS["highrise_urban"]
-    grid = [1.0 + 0.25 * k for k in range(120)]
-    for cfg in (ChannelConfig(frequency_hz=f) for f in CARRIERS):
-        want = scalar_radii(grid, 100.0, env, cfg)
-        assert same_bits(coverage_radii(grid, 100.0, env, cfg), want)
-        steep = [
-            h for h, r in zip(grid, want)
-            if 0.0 < r < MAX_RADIUS_M
-            and path_loss(h, r + RADIUS_TOLERANCE_M / 2, env, cfg) - path_loss(h, r, env, cfg)
-            > RADIUS_DB_TOLERANCE
-        ]
-        assert len(steep) == len(grid)
-
-
-def test_coverage_radii_recheck_a_decision_at_the_threshold_with_the_scalar_loss(monkeypatch):
-    # With q equal to the loss at 100 m, the first doubling decision sits
-    # inside the numpy slack and must be made by the scalar path_loss; with q
-    # RADIUS_DB_TOLERANCE above it, the first dB test of the bisection does.
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return path_loss(*args)
-
-    for env in ENVIRONMENTS.values():
-        for h, offset in itertools.product((25.0, 80.0, 300.0), (0.0, RADIUS_DB_TOLERANCE)):
-            q = path_loss(h, 100.0, env, CFG) + offset
-            want = scalar_radii([h], q, env, CFG)
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(channel, "path_loss", counted)
-                got = coverage_radii([h], q, env, CFG)
-            assert (h, 100.0, env, CFG) in calls
-            assert same_bits(got, want)
-
-
-def test_coverage_radii_take_the_scalar_limits_without_warnings():
-    # A carrier of 1e300 Hz overflows the free-space product (infinite loss,
-    # no coverage); 5e-324 Hz underflows it to 0, where math.log10 raises.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for frequency_hz in (1e-300, 1e300, 1e308):
-            cfg = ChannelConfig(frequency_hz=frequency_hz)
-            grid = [1.0, 50.0, 2000.0]
-            want = scalar_radii(grid, 100.0, URBAN, cfg)
-            assert same_bits(coverage_radii(grid, 100.0, URBAN, cfg), want)
-        grid = [20.0 + 10.0 * k for k in range(50)]
-        for plos_b in (1000.0, 1e15):
-            steep = Environment("steep", 9.61, plos_b, 1.0, 20.0)
-            for threshold in (100.0, 105.0):
-                want = scalar_radii(grid, threshold, steep, CFG)
-                assert same_bits(coverage_radii(grid, threshold, steep, CFG), want)
-        # At plos_b = 1e15 the LOS probability steps from 0 to 1 within a few
-        # ulps of the range where the elevation is 9.61 degrees.  At 105 dB
-        # the threshold falls inside that 19 dB step, so the dB test never
-        # holds and the bisection ends with its bracket exhausted.
-        exhausted = [
-            h for h, r in zip(grid, want)
-            if 105.0 - path_loss(h, r, steep, CFG) > RADIUS_DB_TOLERANCE
-        ]
-        assert len(exhausted) > 10
-        tiny = ChannelConfig(frequency_hz=5e-324)
-        with pytest.raises(ValueError):
-            coverage_radius.__wrapped__(50.0, 100.0, URBAN, tiny)
-        with pytest.raises(ValueError):
-            coverage_radii([50.0], 100.0, URBAN, tiny)
-
-
-def test_coverage_radii_validation():
-    assert coverage_radii([], 100.0, URBAN, CFG).shape == (0,)
-    for bad in ([10.0, 0.0], [-1.0], [math.nan]):
-        with pytest.raises(ValueError, match="altitude"):
-            coverage_radii(bad, 100.0, URBAN, CFG)
-    with pytest.raises(ValueError, match="threshold"):
-        coverage_radii([10.0], 0.0, URBAN, CFG)
-    # At 5e-324 m every elevation off the nadir rounds to 0 degrees, which
-    # los_probability rejects.
-    with pytest.raises(ValueError, match="elevation"):
-        coverage_radius.__wrapped__(5e-324, 100.0, URBAN, CFG)
-    with pytest.raises(ValueError, match="elevation"):
-        coverage_radii([50.0, 5e-324], 100.0, URBAN, CFG)
 
 
 def scalar_optimal_altitude(threshold, env, cfg, h_min, h_max):
@@ -406,14 +295,61 @@ def scalar_optimal_altitude(threshold, env, cfg, h_min, h_max):
     return best_h, best_r
 
 
+def edge_searches():
+    """Inputs at the limits of the loss formula and of the radius bisection."""
+    for frequency_hz in (1e-300, 1e300, 1e308, 5e-324):
+        # 1e300 Hz and up overflow the free-space product (an infinite loss,
+        # no coverage); 5e-324 Hz underflows it to 0, where math.log10 raises.
+        yield 100.0, URBAN, ChannelConfig(frequency_hz=frequency_hz), 1.0, 2000.0
+    for plos_b in (1000.0, 1e15):
+        # At 1e15 the LOS probability steps from 0 to 1 within a few ulps of
+        # range, and 105 dB falls inside that 19 dB step.
+        steep = Environment("steep", 9.61, plos_b, 1.0, 20.0)
+        for threshold in (100.0, 105.0):
+            yield threshold, steep, CFG, 20.0, 510.0
+    for env in ENVIRONMENTS.values():
+        # 20 dB covers no altitude.  From 176 dB the radii of the milder
+        # presets lie above MAX_RADIUS_M / 2 or at the cap; 300 dB caps all.
+        for threshold in (20.0, 176.0, 177.0, 178.0, 300.0):
+            yield threshold, env, CFG, 1.0, 3000.0
+        for h_min, h_max in ((20.0, 80.0), (50.0, 1000.0)):
+            yield 100.0, env, CFG, h_min, h_max
+        # A crossing at exactly 100 m, the first step of the radius doubling,
+        # and a threshold RADIUS_DB_TOLERANCE above it.
+        for h in (25.0, 80.0, 300.0):
+            for offset in (0.0, RADIUS_DB_TOLERANCE):
+                yield path_loss(h, 100.0, env, CFG) + offset, env, CFG, h, 4.0 * h
+    # At 5e-324 m every elevation off the nadir rounds to 0 degrees, which
+    # los_probability rejects.  At 1.5e-318 m that happens only beyond about
+    # 600 km: at 171.5 dB the radius doubling reaches 819.2 km, but a
+    # crossing search that bisects toward 470 km need not look that far.
+    yield 100.0, URBAN, CFG, 5e-324, 1000.0
+    yield 171.5, URBAN, CFG, 1.5e-318, 1000.0
+
+
+def search_outcome(search, *args):
+    try:
+        return repr(search(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def test_optimal_altitude_equals_the_all_scalar_search():
     rng = random.Random(20261018)
+    searches = []
     for _ in range(240):
         env = random_environment(rng)
         cfg = ChannelConfig(frequency_hz=rng.uniform(0.7e9, 5.8e9))
         threshold = rng.uniform(60.0, 130.0)
         h_min = rng.choice([1.0, 20.0, rng.uniform(1.0, 1500.0)])
         h_max = h_min + rng.choice([0.0, 60.0, rng.uniform(0.0, 1500.0)])
-        want = scalar_optimal_altitude(threshold, env, cfg, h_min, h_max)
-        got = optimal_altitude(threshold, env, cfg, (h_min, h_max))
-        assert repr(got) == repr(want), (threshold, env, cfg, h_min, h_max)
+        searches.append((threshold, env, cfg, h_min, h_max))
+    raised = 0
+    for threshold, env, cfg, h_min, h_max in searches + list(edge_searches()):
+        want = search_outcome(scalar_optimal_altitude, threshold, env, cfg, h_min, h_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow may slip by
+            got = search_outcome(optimal_altitude, threshold, env, cfg, (h_min, h_max))
+        assert got == want, (threshold, env, cfg, h_min, h_max)
+        raised += want.startswith("ValueError")
+    assert raised == 3  # the 5e-324 Hz carrier and the two tiny floors

@@ -408,8 +408,8 @@ def test_altitude_profile(tmp_path):
     radii = [float(r[2]) for r in rows[1:-1]]
     assert float(rows[-1][2]) >= max(radii) - 1e-9
 
-    # The samples come from one coverage_radii call; the CSV is the one the
-    # scalar coverage_radius gives at the same altitudes, byte for byte.
+    # The CSV holds coverage_radius at each evenly spaced altitude and then
+    # optimal_altitude's optimum, byte for byte.
     for env, threshold, h_min, h_max, steps in (
         ("urban", 100.0, 100.0, 2000.0, 19),
         ("highrise_urban", 100.0, 1.0, 60.0, 200),
@@ -459,6 +459,20 @@ def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
         assert code == 1, args
         assert message in capsys.readouterr().err, args
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--env", "rural"], "error: unknown environment preset 'rural'"),
+        (["--env", "urban", "--steps", "0"], "error: steps must be at least 1"),
+    ],
+)
+def test_altitude_profile_rejects_an_unknown_preset_or_no_steps(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert main(["altitude-profile", *args, "--h-min", "20", "--h-max", "500", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_argument_exits_1(capsys):

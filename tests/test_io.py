@@ -139,6 +139,18 @@ def test_a_bad_user_field_is_named_by_its_location(key, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key", ["region", "tenancy"])
+def test_a_section_that_is_not_an_object_is_rejected(key):
+    # A list used to be reported as missing its first key, a number as a
+    # malformed document.
+    doc = scenario_to_dict(load_case24())
+    for value in (["x"], 3):
+        doc[key] = value
+        with pytest.raises(FileFormatError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == f"{key} must be an object, got {value!r}"
+
+
 def test_bad_region_bounds_are_rejected():
     doc = scenario_to_dict(load_case24())
     doc["region"]["h"] = [20.0]

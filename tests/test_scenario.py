@@ -128,6 +128,18 @@ def test_validate_flags_capacity_and_targets():
     assert any("exceeds the user count" in v for v in violations)
 
 
+def test_validate_flags_a_negative_target():
+    sc = make_scenario([User(id=1, x=0.0, y=0.0, mvno_id=0)], targets=(-1, 1))
+    assert validate(sc) == ["target for MVNO 0 is negative: -1"]
+
+
+def test_user_by_id_rejects_an_unknown_id():
+    sc = make_scenario([User(id=1, x=0.0, y=0.0, mvno_id=0)])
+    assert sc.user_by_id(1) == sc.users[0]
+    with pytest.raises(KeyError):
+        sc.user_by_id(2)
+
+
 def test_validate_flags_duplicates_bounds_and_fields():
     users = [
         User(id=1, x=0.0, y=0.0, mvno_id=0),

@@ -274,6 +274,19 @@ def test_brute_force_empty_scenario():
     assert result.assignment.served == ()
 
 
+def test_brute_force_grid_ends_at_the_top_of_the_window():
+    # A step of 300 m does not divide [0, 1000]: the axis appends 1000, and
+    # only there does the drone-cell reach a user 50 m inside its radius.
+    assert solver._grid_axis(0.0, 1000.0, 300.0) == [0.0, 300.0, 600.0, 900.0, 1000.0]
+    assert solver._grid_axis(0.0, 900.0, 300.0) == [0.0, 300.0, 600.0, 900.0]
+    reach = coverage_radius(60.0, CFG.max_path_loss_db, URBAN, CFG)
+    users = [User(id=0, x=1000.0 + reach - 50.0, y=0.0, mvno_id=0)]
+    region = PlacementRegion((0.0, 1000.0), (0.0, 0.0), (60.0, 60.0))
+    result = brute_force(make_scenario(users, num_mvnos=1, region=region), 300.0, 10.0)
+    assert result.placement == (1000.0, 0.0, 60.0)
+    assert result.assignment.served == (1,)
+
+
 def test_brute_force_resource_guard():
     sc = generate_scenario(1, 3, 2, URBAN)
     with pytest.raises(ResourceGuardError):
