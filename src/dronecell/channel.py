@@ -7,10 +7,11 @@ improves the LOS odds but lengthens the slant path, so the usable cell
 radius first grows and then shrinks with altitude; ``optimal_altitude``
 finds the interior maximum.
 
-``coverage_radius`` is the only code that computes a cell radius.
-``path_loss_array`` is the formula in numpy; the altitude search uses it only
-to find the few grid altitudes that could hold the largest radius, and
-``coverage_radius`` decides among them.
+``coverage_radius`` is the only code that computes a cell radius, and it
+keeps no cache: each caller keeps the radii it reuses.  ``path_loss_array``
+is the formula in numpy; the altitude search uses it only to find the few
+grid altitudes that could hold the largest radius, and ``coverage_radius``
+decides among them.  The search's results are the module's only cache.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -138,7 +139,6 @@ def path_loss(
     return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db
 
 
-@lru_cache(maxsize=4096)
 def coverage_radius(
     altitude_m: float,
     threshold_db: float,
@@ -235,11 +235,13 @@ def optimal_altitude(
     """Altitude in ``h_range`` maximizing the coverage radius, with that radius.
 
     A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals) seeds a
-    golden-section refinement around the best grid point, both on the cached
-    scalar ``coverage_radius``.  The scan calls it only where ``_boundaries``
-    puts the loss crossing within ``RADIUS_TOLERANCE_M`` of the farthest one
-    or flags the altitude; no other grid altitude can hold the largest
-    radius.  The best altitude ever evaluated is returned.
+    golden-section refinement around the best grid point, both on the scalar
+    ``coverage_radius``, called once per altitude.  The scan calls it only
+    where ``_boundaries`` puts the loss crossing within ``RADIUS_TOLERANCE_M``
+    of the farthest one or flags the altitude; no other grid altitude can
+    hold the largest radius.  The best altitude ever evaluated is returned,
+    ties going to the lower one, and the radius returned is
+    ``coverage_radius`` at that altitude.
     Returns ``(h_min, 0.0)`` when no altitude in range yields coverage.
     A degenerate range with ``h_min == h_max`` evaluates that single altitude.
     """
@@ -253,11 +255,13 @@ def optimal_altitude(
 def _optimal_altitude_cached(
     threshold_db: float, env: Environment, cfg: ChannelConfig, h_min: float, h_max: float
 ) -> tuple[float, float]:
-    def radius(h: float) -> float:
-        return coverage_radius(h, threshold_db, env, cfg)
+    radii: dict[float, float] = {}  # every altitude evaluated, with its radius
 
-    if h_min == h_max:
-        return h_min, radius(h_min)
+    def radius(h: float) -> float:
+        if h not in radii:
+            radii[h] = coverage_radius(h, threshold_db, env, cfg)
+        return radii[h]
+
     step = (h_max - h_min) / ALTITUDE_GRID_STEPS
     grid = [h_min + k * step for k in range(ALTITUDE_GRID_STEPS + 1)]
     reach, flagged = _boundaries(grid, threshold_db, env, cfg)
@@ -267,34 +271,20 @@ def _optimal_altitude_cached(
     floor = min(reach.max(), MAX_RADIUS_M / 2) - RADIUS_TOLERANCE_M - 2 * _CROSSING_TOLERANCE_M
     candidates = np.flatnonzero(flagged | (reach >= floor)).tolist()
     best_idx = max(candidates, key=lambda i: (radius(grid[i]), -grid[i]))
-    best_h, best_r = grid[best_idx], radius(grid[best_idx])
-    if best_r <= 0.0:
-        return h_min, 0.0
-
-    # Refine inside the bracket around the best grid point; the best point
-    # ever evaluated wins, ties going to the lower altitude.
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, len(grid) - 1)]
-
-    def consider(h: float, r: float) -> None:
-        nonlocal best_h, best_r
-        if r > best_r or (r == best_r and h < best_h):
-            best_h, best_r = h, r
-
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = radius(c), radius(d)
-    consider(c, fc)
-    consider(d, fd)
-    while hi - lo > ALTITUDE_TOLERANCE_M:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = radius(c)
-            consider(c, fc)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = radius(d)
-            consider(d, fd)
-    return best_h, best_r
+    if radius(grid[best_idx]) > 0.0:
+        # Refine inside the bracket around the best grid point.
+        lo = grid[max(best_idx - 1, 0)]
+        hi = grid[min(best_idx + 1, len(grid) - 1)]
+        c = hi - _GOLDEN * (hi - lo)
+        d = lo + _GOLDEN * (hi - lo)
+        while hi - lo > ALTITUDE_TOLERANCE_M:
+            if radius(c) > radius(d):
+                hi, d = d, c
+                c = hi - _GOLDEN * (hi - lo)
+            else:
+                lo, c = c, d
+                d = lo + _GOLDEN * (hi - lo)
+        radius(c), radius(d)  # the last point placed is evaluated too
+    # The best altitude evaluated wins, ties going to the lower altitude.
+    h, r = max(radii.items(), key=lambda item: (item[1], -item[0]))
+    return (h, r) if r > 0.0 else (h_min, 0.0)

@@ -70,6 +70,12 @@ def _pair(pair: Any, where: str, key: str) -> tuple[float, float]:
     return (_number(pair[0], where, key), _number(pair[1], where, key))
 
 
+def _object(doc: Any, where: str) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where} must be an object, got {doc!r}")
+    return doc
+
+
 def _list_of(read: Callable[[Any, str, str], _T]) -> Callable[[Any, str, str], tuple[_T, ...]]:
     def read_list(value: Any, where: str, key: str) -> tuple[_T, ...]:
         if not isinstance(value, (list, tuple)):  # a string is not read letter by letter
@@ -148,8 +154,7 @@ _NAME, *_LOSSES = (key for key, _, _ in _FIELDS[Environment])
 
 def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
     """The ``cls`` that ``doc`` gives; a key left out takes ``given``'s value, else the default."""
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where} must be an object, got {doc!r}")
+    _object(doc, where)
     args = []
     for key, name, read, default in _ROWS[cls]:
         if key in doc:
@@ -165,9 +170,7 @@ def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
 
 def _take(doc: Any, where: str, key: str, read: Callable[[Any, str, str], _T] | None = None) -> Any:
     """The required ``doc[key]``, through ``read`` if given; ``doc`` is the object at ``where``."""
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where} must be an object, got {doc!r}")
-    if key not in doc:
+    if key not in _object(doc, where):
         raise FileFormatError(f"missing key {key!r} in {where or 'scenario'}")
     return doc[key] if read is None else read(doc[key], where, key)
 
@@ -183,7 +186,7 @@ def _write(obj: Any) -> dict[str, Any]:
 
 
 def _check_version(doc: dict[str, Any]) -> None:
-    version = doc.get("meta", {}).get("version")
+    version = _object(doc.get("meta", {}), "meta").get("version")
     if version != SCHEMA_VERSION:
         raise FileFormatError(
             f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
@@ -192,7 +195,7 @@ def _check_version(doc: dict[str, Any]) -> None:
 
 def _environment(doc: Any, where: str, key: str) -> Environment:
     where = _location(where, key)
-    name = _text(doc.get(_NAME, "custom"), where, _NAME)
+    name = _text(_object(doc, where).get(_NAME, "custom"), where, _NAME)
     explicit = [k for k in _LOSSES if k in doc]
     if not explicit:
         if name not in ENVIRONMENTS:
@@ -216,9 +219,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     weights = _read(ObjectiveWeights, doc.get("weights", {}), "weights")
     capacity = _take(doc, "", "capacity", _number)
     q_db = channel.max_path_loss_db
+    listed = _take(doc, "", "users", _list_of(lambda u, where, key: u))
     users = tuple(
-        _read(User, u, f"users[{i}]", max_path_loss_db=q_db)
-        for i, u in enumerate(_take(doc, "", "users"))
+        _read(User, u, f"users[{i}]", max_path_loss_db=q_db) for i, u in enumerate(listed)
     )
     return Scenario(users, num_mvnos, targets, weights, capacity, region, env, channel)
 

@@ -22,9 +22,10 @@ upper bound, read off its counts: a fractional knapsack (Dantzig) over what
 each of its users can add to the objective.  Only each signature's first
 center, bound and member count are kept; signatures are scored in
 descending bound order until a bound falls below the best score, and a
-scored set's members are recomputed at its center.  The selection is one
-DP that takes the classes tenant by tenant, folding each tenant's gap term
-in when it ends, on demands and capacity scaled to exact integers.
+scored set's members are recomputed at its center by the blocks' disk
+test.  The selection is one DP that takes the classes tenant by tenant,
+folding each tenant's gap term in when it ends, on demands and capacity
+scaled to exact integers.
 ``brute_force`` provides an independent grid-search oracle for testing.
 """
 
@@ -282,8 +283,8 @@ def solve(scenario: Scenario) -> SolveResult:
     """Exact optimum placement and assignment for the scenario.
 
     The altitude search maximizes the coverage radius at the scenario's
-    default QoS threshold; per-user thresholds then size individual disks at
-    that altitude.  Candidate centers realize every maximal coverage set
+    default QoS threshold and sizes its disk; each other threshold gets one
+    radius there.  Candidate centers realize every maximal coverage set
     inside the region box; ``ResourceGuardError`` is raised before they are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
     eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
@@ -299,7 +300,7 @@ def solve(scenario: Scenario) -> SolveResult:
     the sets in descending bound order, then more members, then center
     order, and stops at the first bound below the best score so far less a
     rounding slack, since no later set can reach it.  A scored set's
-    members are recomputed at its center with the block's float operations,
+    members are recomputed at its center by the blocks' routine ``_inside``,
     so they are the members the block counted.  The best score wins, ties
     breaking toward more served users, then the lexicographically smallest
     center; a set must beat the all-zero assignment at the region's
@@ -311,7 +312,11 @@ def solve(scenario: Scenario) -> SolveResult:
     env, cfg = scenario.environment, scenario.channel
     h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
     users = scenario.users
-    radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in users]
+    # One radius per distinct threshold; the search sized the default one.
+    sized = {cfg.max_path_loss_db: r_default}
+    for q in {u.max_path_loss_db for u in users} - sized.keys():
+        sized[q] = coverage_radius(h_star, q, env, cfg)
+    radii = [sized[u.max_path_loss_db] for u in users]
 
     zero = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
     pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
@@ -343,7 +348,7 @@ def solve(scenario: Scenario) -> SolveResult:
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in groups[:-1]])
 
-    # Rows of x, y and squared radius by user, and by column in class order.
+    # Rows of x, y and squared radius, one column per user in class order.
     # A zero radius means the user fails QoS even at the nadir; the negative
     # sentinel keeps it out of every disk, including candidates at distance 0.
     disks = np.array(
@@ -352,9 +357,8 @@ def solve(scenario: Scenario) -> SolveResult:
             [u.y for u in users],
             [r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii],
         ]
-    )
-    columns = disks[:, order]
-    ux, r2 = columns[0], columns[2]
+    )[:, order]
+    ux, r2 = disks[0], disks[2]
 
     # Sets with one signature score the same, and a later equal score never
     # wins, so only first sightings count: their center's row in ``pts``,
@@ -372,13 +376,8 @@ def solve(scenario: Scenario) -> SolveResult:
         gap = np.minimum(np.maximum(ux, bx[0]), bx[-1])
         gap -= ux
         near = (gap * gap <= r2).nonzero()[0]
-        near_x, near_y, near_r2 = columns[:, near]
-        d2 = np.subtract.outer(bx, near_x)
-        d2 *= d2
-        dy2 = np.subtract.outer(by, near_y)
-        d2 += np.multiply(dy2, dy2, out=dy2)
         eligible = np.zeros((len(bx), len(order)), dtype=bool)
-        eligible[:, near] = d2 <= near_r2
+        eligible[:, near] = _inside(bx, by, disks[:, near])
         held = np.add.reduceat(eligible, class_start, axis=1, dtype=count_type)
         signatures = held.view(np.dtype((np.void, held.strides[0]))).ravel().tolist()
         new = []
@@ -417,12 +416,8 @@ def solve(scenario: Scenario) -> SolveResult:
     for i, b in zip(ranked, bound[ranked].tolist()):
         if b < win[0] - slack:
             break
-        # The set's members, by the block's float operations at its center.
-        d2 = centers[i, 0] - disks[0]
-        d2 *= d2
-        dy2 = centers[i, 1] - disks[1]
-        d2 += np.multiply(dy2, dy2, out=dy2)
-        assignment = select_users(scenario, {users[j].id for j in (d2 <= disks[2]).nonzero()[0]})
+        members = _inside(*centers[i], disks).nonzero()[0]
+        assignment = select_users(scenario, {users[order[j]].id for j in members})
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
     obj, _, neg_index, assignment, breakdown = win
@@ -432,6 +427,19 @@ def solve(scenario: Scenario) -> SolveResult:
     return SolveResult(
         (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), r_default
     )
+
+
+def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
+    """Whether each point (px, py) lies in each disk column (x, y, r^2) of ``disks``.
+
+    The one membership test of ``solve()``: its eligibility blocks and its
+    score-time member lists both call it, so both see the same bits.
+    """
+    d2 = np.subtract.outer(px, disks[0])
+    d2 *= d2
+    dy2 = np.subtract.outer(py, disks[1])
+    d2 += np.multiply(dy2, dy2, out=dy2)
+    return d2 <= disks[2]
 
 
 def _candidate_centers(
@@ -561,10 +569,6 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
         )
     env, cfg = scenario.environment, scenario.channel
     users = scenario.users
-    if not users:
-        radius = coverage_radius(hs[0], cfg.max_path_loss_db, env, cfg)
-        return _zero_result(scenario, (xs[0], ys[0], hs[0]), radius)
-
     gx = np.repeat(np.asarray(xs), len(ys))
     gy = np.tile(np.asarray(ys), len(xs))
     ux = np.array([u.x for u in users])
@@ -572,14 +576,15 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     q = np.array([u.max_path_loss_db for u in users])
     ground = np.hypot(gx[:, None] - ux[None, :], gy[:, None] - uy[None, :])
 
-    best: SolveResult | None = None
+    # The winner's (objective, served), grid point and memo entry.  With no
+    # users every row is empty, so the first grid point wins.
+    best = None
     memo: dict[bytes, tuple[float, Assignment, TermBreakdown, tuple[int, ...]]] = {}
     for h in hs:
         loss, _ = path_loss_array(h, ground, env, cfg)
         eligible = loss <= q[None, :]
         packed = np.packbits(eligible, axis=1)
-        void = np.ascontiguousarray(packed).view([("v", f"V{packed.shape[1]}")]).ravel()
-        _, first_idx = np.unique(void, return_index=True)
+        _, first_idx = np.unique(packed, axis=0, return_index=True)
         for k in np.sort(first_idx):
             key = packed[k].tobytes()
             entry = memo.get(key)
@@ -587,18 +592,10 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
                 ids = {users[i].id for i in np.nonzero(eligible[k])[0]}
                 assignment = select_users(scenario, ids)
                 obj, breakdown = objective_value(scenario, assignment)
-                entry = (obj, assignment, breakdown, mvno_counts(scenario, assignment))
-                memo[key] = entry
-            obj, assignment, breakdown, counts = entry
-            if best is None or (obj, assignment.total) > (best.objective, best.total_served):
-                radius = coverage_radius(float(h), cfg.max_path_loss_db, env, cfg)
-                best = SolveResult(
-                    (float(gx[k]), float(gy[k]), float(h)),
-                    assignment,
-                    obj,
-                    breakdown,
-                    counts,
-                    radius,
-                )
+                entry = memo[key] = (obj, assignment, breakdown, mvno_counts(scenario, assignment))
+            if best is None or (entry[0], entry[1].total) > best[0]:
+                best = (entry[0], entry[1].total), (float(gx[k]), float(gy[k]), h), entry
     assert best is not None
-    return best
+    _, (x, y, h), (obj, assignment, breakdown, counts) = best
+    radius = coverage_radius(h, cfg.max_path_loss_db, env, cfg)
+    return SolveResult((x, y, h), assignment, obj, breakdown, counts, radius)

@@ -334,6 +334,21 @@ def search_outcome(search, *args):
         return f"ValueError: {exc}"
 
 
+def test_a_cold_search_sizes_each_altitude_once(monkeypatch):
+    asked = []
+
+    def counted(h, threshold, env, cfg):
+        asked.append(h)
+        return coverage_radius(h, threshold, env, cfg)
+
+    monkeypatch.setattr(channel, "coverage_radius", counted)
+    for threshold, env, cfg, h_min, h_max in [*edge_searches(), (100.0, URBAN, CFG, 60.0, 60.0)]:
+        channel._optimal_altitude_cached.cache_clear()
+        asked.clear()
+        search_outcome(optimal_altitude, threshold, env, cfg, (h_min, h_max))
+        assert asked and len(asked) == len(set(asked)), (threshold, env, cfg, h_min, h_max)
+
+
 def test_optimal_altitude_equals_the_all_scalar_search():
     rng = random.Random(20261018)
     searches = []
@@ -352,4 +367,8 @@ def test_optimal_altitude_equals_the_all_scalar_search():
             got = search_outcome(optimal_altitude, threshold, env, cfg, (h_min, h_max))
         assert got == want, (threshold, env, cfg, h_min, h_max)
         raised += want.startswith("ValueError")
+        if not want.startswith("ValueError"):
+            # solve() takes this radius as the default threshold's disk at h.
+            h, r = optimal_altitude(threshold, env, cfg, (h_min, h_max))
+            assert r == coverage_radius(h, threshold, env, cfg)
     assert raised == 3  # the 5e-324 Hz carrier and the two tiny floors

@@ -1,6 +1,7 @@
 """End-to-end checks of the dronecell command line."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.solver import InfeasibleRegionError
 
 SRC = str(Path(dronecell.__file__).resolve().parents[1])
+REFS = Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json"
 
 
 def read_csv(path):
@@ -41,6 +43,24 @@ def test_solve_case24(tmp_path):
     assert record["served_ids"].split(";") == [
         "1", "3", "6", "7", "11", "12", "13", "14", "15", "17",
     ]
+
+
+CASE24_CSV = (
+    "x_m,y_m,h_m,radius_m,objective,served,tenancy_gap,energy_reward,content_reward,"
+    "count_0,count_1,served_ids\n"
+    "277.129,1010.98,639,706.445,-4,10,14,0,0,5,5,1;3;6;7;11;12;13;14;15;17\n"
+)
+
+
+def test_solve_case24_writes_the_recorded_csv(tmp_path):
+    # The benchmark checks the same bytes against its recorded digest, so a
+    # change that moves the case24 optimum updates both in one diff.
+    out = tmp_path / "result.csv"
+    assert main(["solve", str(case24_path()), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.decode("utf-8") == CASE24_CSV
+    refs = json.loads(REFS.read_text(encoding="utf-8"))
+    assert hashlib.sha256(data).hexdigest() == refs["case24"]
 
 
 def test_solve_writes_svg(tmp_path):
@@ -143,6 +163,9 @@ CUSTOM_URBAN = {
         ("mc", ("profile", "h_bounds"), "28"),
         ("mc", ("environments",), "urban"),
         ("mc", ("policies",), "single_tenancy"),
+        ("solve", ("meta",), 1),
+        ("solve", ("users",), {}),
+        ("solve", ("users",), "ab"),
     ],
 )
 def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):

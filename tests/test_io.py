@@ -139,7 +139,7 @@ def test_a_bad_user_field_is_named_by_its_location(key, value, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("key", ["region", "tenancy"])
+@pytest.mark.parametrize("key", ["region", "tenancy", "environment", "meta"])
 def test_a_section_that_is_not_an_object_is_rejected(key):
     # A list used to be reported as missing its first key, a number as a
     # malformed document.
@@ -229,6 +229,16 @@ def test_a_bad_experiment_field_is_named_by_its_path(edit, message):
     with pytest.raises(FileFormatError) as info:
         experiment_config_from_dict({"meta": {"version": "1"}, **edit})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("users", [{}, {"a": {}}, "ab", 3])
+def test_users_that_are_not_a_list_are_rejected(users):
+    # An object used to read as its keys ({} as no users at all) and a
+    # string as its letters: "users[0] must be an object, got 'a'".
+    doc = dict(scenario_to_dict(load_case24()), users=users)
+    with pytest.raises(FileFormatError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == f"users must be a list, got {users!r}"
 
 
 def test_bundled_default_config_matches_defaults():

@@ -18,6 +18,7 @@ from dronecell.channel import (
     optimal_altitude,
     path_loss,
 )
+from dronecell.fixtures import load_case24
 from dronecell.scenario import (
     L1,
     L2,
@@ -322,6 +323,29 @@ def test_solve_handles_heterogeneous_qos():
             assert loss <= u.max_path_loss_db + QOS_SLACK_DB
     oracle = brute_force(sc, 20.0, 10.0)
     assert result.objective >= oracle.objective - 1e-9
+
+
+def test_solve_sizes_each_threshold_once(monkeypatch):
+    # The altitude search sizes the default threshold's disk, and each other
+    # threshold is sized once at h*, however many users share it.
+    thresholds = []
+
+    def counted(h, q, env, cfg):
+        thresholds.append(q)
+        return coverage_radius(h, q, env, cfg)
+
+    monkeypatch.setattr(solver, "coverage_radius", counted)
+    solve(load_case24())
+    assert thresholds == []
+    q = CFG.max_path_loss_db
+    users = [
+        User(id=i, x=40.0 * i - 150.0, y=(-1.0) ** i * 30.0, mvno_id=i % 2,
+             max_path_loss_db=q + (0.0, -2.0, 3.0)[i % 3])
+        for i in range(9)
+    ]
+    sc = make_scenario(users)
+    assert solve(sc) == reference_solve(sc)[0]
+    assert sorted(thresholds) == [q - 2.0, q + 3.0]
 
 
 # So steep that exp(-b * (theta - a)) overflows below about 3.6 degrees.
