@@ -161,14 +161,11 @@ def coverage_radius(
     if loss_lo > threshold_db:
         return 0.0
     lo, hi = 0.0, 100.0
-    while path_loss(altitude_m, hi, env, cfg) <= threshold_db:
-        lo = hi
-        loss_lo = None  # stale; only needed once the bracket is final
+    while (loss_hi := path_loss(altitude_m, hi, env, cfg)) <= threshold_db:
+        lo, loss_lo = hi, loss_hi
         hi *= 2.0
         if hi >= MAX_RADIUS_M:
             return MAX_RADIUS_M
-    if loss_lo is None:
-        loss_lo = path_loss(altitude_m, lo, env, cfg)
     while hi - lo > RADIUS_TOLERANCE_M or threshold_db - loss_lo > RADIUS_DB_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -19,7 +19,6 @@ from ..scenario import (
     PlacementRegion,
     Scenario,
     ScenarioProfile,
-    TenancyTargets,
     User,
 )
 
@@ -70,9 +69,12 @@ def _pair(pair: Any, where: str, key: str) -> tuple[float, float]:
     return (_number(pair[0], where, key), _number(pair[1], where, key))
 
 
-def _object(doc: Any, where: str) -> dict[str, Any]:
+def _object(doc: Any, where: str, keys: frozenset[str] | None = None) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where} must be an object, got {doc!r}")
+    # Given ``keys``, a misspelt key is an error, not dropped for its default.
+    if keys is not None and doc.keys() - keys:
+        raise FileFormatError(f"unknown key {_location(where, min(doc.keys() - keys))!r}")
     return doc
 
 
@@ -149,12 +151,17 @@ def _by_field(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
 
 
 _ROWS = {cls: _by_field(cls) for cls in _FIELDS}
+_KEYS = {cls: frozenset(key for key, _, _ in rows) for cls, rows in _FIELDS.items()}
+_KEYS[ExperimentConfig] |= {"meta"}  # a whole document, so it holds the version
+_SCENARIO_KEYS = frozenset(
+    ("meta", "environment", "channel", "region", "tenancy", "weights", "capacity", "users")
+)
 _NAME, *_LOSSES = (key for key, _, _ in _FIELDS[Environment])
 
 
 def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
     """The ``cls`` that ``doc`` gives; a key left out takes ``given``'s value, else the default."""
-    _object(doc, where)
+    _object(doc, where, _KEYS[cls])
     args = []
     for key, name, read, default in _ROWS[cls]:
         if key in doc:
@@ -195,7 +202,7 @@ def _check_version(doc: dict[str, Any]) -> None:
 
 def _environment(doc: Any, where: str, key: str) -> Environment:
     where = _location(where, key)
-    name = _text(_object(doc, where).get(_NAME, "custom"), where, _NAME)
+    name = _text(_object(doc, where, _KEYS[Environment]).get(_NAME, "custom"), where, _NAME)
     explicit = [k for k in _LOSSES if k in doc]
     if not explicit:
         if name not in ENVIRONMENTS:
@@ -210,12 +217,13 @@ def _environment(doc: Any, where: str, key: str) -> Environment:
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _check_version(doc)
+    _object(doc, "", _SCENARIO_KEYS)
     env = _take(doc, "", "environment", _environment)
     channel = _read(ChannelConfig, doc.get("channel", {}), "channel")
     region = _take(doc, "", "region", _section(PlacementRegion))
-    tenancy = _take(doc, "", "tenancy")
+    tenancy = _object(_take(doc, "", "tenancy"), "tenancy", frozenset(("num_mvnos", "targets")))
     num_mvnos = _take(tenancy, "tenancy", "num_mvnos", _integer)
-    targets = TenancyTargets(_take(tenancy, "tenancy", "targets", _integers))
+    targets = _take(tenancy, "tenancy", "targets", _integers)
     weights = _read(ObjectiveWeights, doc.get("weights", {}), "weights")
     capacity = _take(doc, "", "capacity", _number)
     q_db = channel.max_path_loss_db
@@ -233,7 +241,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "environment": {_NAME: env.name} if ENVIRONMENTS.get(env.name) == env else _write(env),
         "channel": _write(scenario.channel),
         "region": _write(scenario.region),
-        "tenancy": {"num_mvnos": scenario.num_mvnos, "targets": list(scenario.targets.counts)},
+        "tenancy": {"num_mvnos": scenario.num_mvnos, "targets": list(scenario.targets)},
         "weights": _write(scenario.weights),
         "capacity": scenario.capacity,
         "users": [_write(u) for u in scenario.users],

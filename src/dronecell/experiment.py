@@ -73,10 +73,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown environments: {missing}")
 
 
-def default_experiment_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 @dataclass(frozen=True)
 class SummaryRow:
     environment: str

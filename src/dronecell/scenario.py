@@ -46,16 +46,6 @@ class User:
 
 
 @dataclass(frozen=True)
-class TenancyTargets:
-    """Ideal number of served users per tenant (the vector v)."""
-
-    counts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class ObjectiveWeights:
     """Weights of the four objective terms plus the tenancy-deviation norm.
 
@@ -90,7 +80,7 @@ class PlacementRegion:
 class Scenario:
     users: tuple[User, ...]
     num_mvnos: int
-    targets: TenancyTargets
+    targets: tuple[int, ...]  # ideal served users per tenant (the vector v)
     weights: ObjectiveWeights
     capacity: float
     region: PlacementRegion
@@ -206,7 +196,7 @@ def generate_scenario(
     return Scenario(
         users=users,
         num_mvnos=num_mvnos,
-        targets=TenancyTargets(tuple(targets)),
+        targets=tuple(targets),
         weights=profile.weights,
         capacity=capacity,
         region=region,
@@ -236,7 +226,7 @@ def validate(scenario: Scenario) -> list[str]:
         v.append(
             f"targets length {len(scenario.targets)} does not match num_mvnos {scenario.num_mvnos}"
         )
-    for j, t in enumerate(scenario.targets.counts):
+    for j, t in enumerate(scenario.targets):
         if t < 0:
             v.append(f"target for MVNO {j} is negative: {t}")
         elif t > len(scenario.users):
@@ -273,7 +263,16 @@ def validate(scenario: Scenario) -> list[str]:
             v.append(f"user {u.id}: max_path_loss_db must be positive, got {u.max_path_loss_db}")
         if not (x_lo <= u.x <= x_hi and y_lo <= u.y <= y_hi):
             v.append(f"user {u.id}: position ({u.x}, {u.y}) outside the field of interest")
+    if not v and not math.isfinite(term_magnitude(scenario)):  # once every field is sound
+        v.append("objective weights are too large: the largest possible objective overflows")
     return v
+
+
+def term_magnitude(scenario: Scenario) -> float:
+    """Largest possible sum of the objective's terms; ``solve()`` scales its slack by it."""
+    w, users = scenario.weights, scenario.users
+    energy = w.w3 * sum(u.energy_cost for u in users)
+    return (w.w1 + w.w2 + w.w4) * len(users) + w.w2 * sum(scenario.targets) + energy
 
 
 def _non_finite(where: str, obj: object) -> list[str]:

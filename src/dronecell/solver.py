@@ -19,9 +19,9 @@ how many members it holds of each class.  Sets with one signature score the
 same, so the coverage sets of those centers are scored by an exact
 subset-selection routine once per signature.  Each signature's score has an
 upper bound, read off its counts: a fractional knapsack (Dantzig) over what
-each of its users can add to the objective.  Only each signature's first
-center, bound and member count are kept; signatures are scored in
-descending bound order until a bound falls below the best score, and a
+each of its users can add to the objective.  A signature's bound and
+member count are kept at the row of its first center; signatures are scored
+in descending bound order until a bound falls below the best score, and a
 scored set's members are recomputed at its center by the blocks' disk
 test.  The selection is one DP that takes the classes tenant by tenant,
 folding each tenant's gap term in when it ends, on demands and capacity
@@ -47,6 +47,7 @@ from .scenario import (
     User,
     assignment_from_ids,
     mvno_counts,
+    term_magnitude,
 )
 
 # Relative slack on squared distances when testing disk membership, so a
@@ -62,7 +63,7 @@ MAX_SEARCH_POINTS = 10_000_000
 MAX_DP_STATES = 1_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
 # eligibility blocks hold this many rows rather than one per candidate; each
-# signature a block sees first leaves only its center, bound and size.
+# signature a block sees first leaves only a bound and a size at its center.
 ELIGIBILITY_CHUNK = 512
 # Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
@@ -114,7 +115,7 @@ def objective_value(scenario: Scenario, assignment: Assignment) -> tuple[float, 
     penalty; the energy and content terms as rewards.
     """
     w = scenario.weights
-    t2 = _tenancy_gap(mvno_counts(scenario, assignment), scenario.targets.counts, w.norm)
+    t2 = _tenancy_gap(mvno_counts(scenario, assignment), scenario.targets, w.norm)
     t1 = float(assignment.total)
     t3 = sum(u.energy_cost for u, s in zip(scenario.users, assignment.served) if s)
     t4 = float(sum(1 for u, s in zip(scenario.users, assignment.served) if s and u.content_request))
@@ -201,7 +202,7 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     states, checked after each state it extends, so one large class cannot
     run far past the ceiling.
     """
-    w, targets = scenario.weights, scenario.targets.counts
+    w, targets = scenario.weights, scenario.targets
     # Demands and capacity scaled by the lcm of their denominators: exact
     # integers, so the DP adds and compares ints rather than Fractions.
     ratios = [u.resource_demand.as_integer_ratio() for u in users]
@@ -288,15 +289,15 @@ def solve(scenario: Scenario) -> SolveResult:
     inside the region box; ``ResourceGuardError`` is raised before they are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
     eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
-    by x, so memory holds the block plus the center, knapsack bound and
-    member count of each of the D distinct signatures, not one row per
-    candidate, and a block computes distances only to the users whose
-    x-distance to its slab of centers is within their radius.  A coverage
-    set's signature is its count vector, how many members it holds of each
-    class of interchangeable users (``_classes``).  Sets with one signature
-    score the same, so only each signature's first set, at its first
-    center, can win; its knapsack bound, which reads only the counts, is
-    computed in its block when it is first seen.  ``select_users`` scores
+    by x, so memory holds one block and a knapsack bound and member count per
+    center, not an eligibility row per candidate, and a block computes
+    distances only to the users whose x-distance to its slab of centers is
+    within their radius.  A coverage set's signature is its count vector,
+    how many members it holds of each class of interchangeable users
+    (``_classes``).  Sets with one signature score the same, so only each
+    signature's first set, at its first center, can win; its bound, which
+    reads only the counts, and its member count are computed in its block
+    when it is first seen and kept at that center.  ``select_users`` scores
     the sets in descending bound order, then more members, then center
     order, and stops at the first bound below the best score so far less a
     rounding slack, since no later set can reach it.  A scored set's
@@ -344,7 +345,7 @@ def solve(scenario: Scenario) -> SolveResult:
     order = [j for members in groups for j in members]
     values = np.array([value(users[members[0]]) for members in groups])
     demands = np.array([users[members[0]].resource_demand for members in groups])
-    base = w2 * sum(scenario.targets.counts)
+    base = w2 * sum(scenario.targets)
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in groups[:-1]])
 
@@ -361,11 +362,10 @@ def solve(scenario: Scenario) -> SolveResult:
     ux, r2 = disks[0], disks[2]
 
     # Sets with one signature score the same, and a later equal score never
-    # wins, so only first sightings count: their center's row in ``pts``,
-    # bound and member count, block by block in center order.
-    rows: list[np.ndarray] = []
-    bounds: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
+    # wins, so only first sightings count: each keeps its bound and member
+    # count at its center's row in ``pts``; other rows keep a size of 0.
+    bound = np.empty(len(pts))
+    size = np.zeros(len(pts), dtype=np.intp)
     seen: set[bytes] = set()
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
@@ -386,44 +386,38 @@ def solve(scenario: Scenario) -> SolveResult:
                 seen.add(signature)
                 new.append(k)
         # Each class's share of its members: all while the fill stays within
-        # the capacity, then the part that still fits, then none.
+        # the capacity, then the part that still fits, then none.  A fill or
+        # quotient that overflows to +-inf clips to the same share.
         counts = held[new]
-        fill = np.cumsum(counts * demands, axis=1)
-        share = np.clip((scenario.capacity - fill) / demands + counts, 0, counts)
-        size = counts.sum(axis=1, dtype=np.intp)
-        kept = size > 0  # the zero assignment covers the empty set
-        rows.append(np.array(new, dtype=np.intp)[kept] + start)
-        bounds.append((share @ values - base)[kept])
-        sizes.append(size[kept])
+        with np.errstate(over="ignore"):
+            fill = np.cumsum(counts * demands, axis=1)
+            share = np.clip((scenario.capacity - fill) / demands + counts, 0, counts)
+        bound[start:][new] = share @ values - base
+        size[start:][new] = counts.sum(axis=1)
 
     # The slack covers rounding, since the bound, ``select_users`` and
     # ``objective_value`` add the same terms in different orders; it is
     # relative to the largest possible sum of the objective's terms.
-    magnitude = (
-        (w.w1 + w.w2 + w.w4) * len(users)
-        + w.w2 * sum(scenario.targets.counts)
-        + w.w3 * sum(u.energy_cost for u in users)
-    )
-    slack = SCORE_RTOL * (1.0 + magnitude)
-    # The winner is the greatest (objective, served, -index); the zero
-    # assignment ranks as index -1, so a set must beat it outright.  Sets go
-    # highest bound first, then more members, then center order (lexsort is
-    # stable); once a bound is below the best score, so are all that follow.
+    slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
+    # The winner is the greatest (objective, served, -row); the zero
+    # assignment covers the empty set and ranks as row -1, so a set must beat
+    # it outright.  Nonempty sets go highest bound first, then more members,
+    # then center order (lexsort is stable); once a bound is below the best
+    # score, so are all that follow.
     win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
-    centers = pts[np.concatenate(rows)]
-    bound = np.concatenate(bounds)
-    ranked = np.lexsort((-np.concatenate(sizes), -bound)).tolist()
+    rows = size.nonzero()[0]
+    ranked = rows[np.lexsort((-size[rows], -bound[rows]))].tolist()
     for i, b in zip(ranked, bound[ranked].tolist()):
         if b < win[0] - slack:
             break
-        members = _inside(*centers[i], disks).nonzero()[0]
+        members = _inside(*pts[i], disks).nonzero()[0]
         assignment = select_users(scenario, {users[order[j]].id for j in members})
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
     obj, _, neg_index, assignment, breakdown = win
     if neg_index == 1:
         return zero
-    x, y = centers[-neg_index].tolist()
+    x, y = pts[-neg_index].tolist()
     return SolveResult(
         (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), r_default
     )

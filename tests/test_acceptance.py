@@ -17,7 +17,6 @@ from dronecell.experiment import (
     MULTI_TENANCY_NO_FAIRNESS,
     SINGLE_TENANCY,
     ExperimentConfig,
-    default_experiment_config,
     run_experiment,
     run_policy,
 )
@@ -27,7 +26,6 @@ from dronecell.scenario import (
     ObjectiveWeights,
     PlacementRegion,
     Scenario,
-    TenancyTargets,
     User,
     assignment_from_ids,
     even_targets,
@@ -42,7 +40,7 @@ CFG = ChannelConfig()
 @pytest.fixture(scope="module")
 def default_mc():
     start = time.perf_counter()
-    summary = run_experiment(default_experiment_config())
+    summary = run_experiment(ExperimentConfig())
     return summary, time.perf_counter() - start
 
 
@@ -120,7 +118,7 @@ def _oracle_instance(seed: int) -> Scenario:
     return Scenario(
         users=users,
         num_mvnos=2,
-        targets=TenancyTargets(even_targets(n, 2)),
+        targets=even_targets(n, 2),
         weights=weights,
         capacity=float(rng.randint(3, 14)),
         region=PlacementRegion((-300.0, 300.0), (-300.0, 300.0), (20.0, 80.0)),
@@ -186,7 +184,7 @@ def _selection_instance(seed: int) -> tuple[Scenario, set[int]]:
     scenario = Scenario(
         users=users,
         num_mvnos=j,
-        targets=TenancyTargets(targets),
+        targets=targets,
         weights=weights,
         capacity=float(rng.randint(2, 2 * n)),
         region=PlacementRegion((-100.0, 100.0), (-100.0, 100.0), (20.0, 80.0)),

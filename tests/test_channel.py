@@ -169,6 +169,22 @@ def test_coverage_radius_monotone_in_threshold():
     assert all(a <= b for a, b in zip(radii, radii[1:]))
 
 
+def test_coverage_radius_evaluates_the_loss_once_per_range(monkeypatch):
+    # The bracket's inside end keeps the loss its doubling computed there.
+    ranges = []
+
+    def counted(h, r, env, cfg):
+        ranges.append(r)
+        return path_loss(h, r, env, cfg)
+
+    monkeypatch.setattr(channel, "path_loss", counted)
+    for env in ENVIRONMENTS.values():
+        for threshold in (95.0, 100.0, 110.0):
+            ranges.clear()
+            coverage_radius(50.0, threshold, env, CFG)
+            assert len(ranges) > 2 and len(ranges) == len(set(ranges)), (env.name, threshold)
+
+
 def test_coverage_radius_validation():
     with pytest.raises(ValueError):
         coverage_radius(-1.0, 100.0, URBAN, CFG)

@@ -166,13 +166,18 @@ CUSTOM_URBAN = {
         ("solve", ("meta",), 1),
         ("solve", ("users",), {}),
         ("solve", ("users",), "ab"),
+        ("solve", ("wieghts",), {"w2": 0.0}),
+        ("solve", ("users", 0, "qdb"), 50),
+        ("mc", ("n_run",), 1),
+        ("mc", ("profile", "capacty"), 3),
     ],
 )
 def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
     # Wrong JSON types used to escape the parser as TypeError, AttributeError
     # or OverflowError and exit 3; a float run count of 1e300 ran for ever,
     # the string "false" read as a true content flag, and the string "28"
-    # as the altitude window (2, 8).
+    # as the altitude window (2, 8).  A misspelt key was dropped, and the
+    # run exited 0 on its default.
     if command == "solve":
         doc = json.loads(case24_path().read_text(encoding="utf-8"))
     else:
@@ -182,6 +187,25 @@ def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
     assert main([command, str(bad), "--out", str(out)]) == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weight, csv_text", [(1e300, CASE24_CSV.replace(",-4,", ",-4e+300,")), (1e308, None)]
+)
+def test_weights_exit_1_only_when_the_objective_could_overflow(tmp_path, capsys, weight, csv_text):
+    # Weights of 1e308 used to exit 0 with an objective of -inf and 1 user
+    # served; 1e300 still solves, to case24's optimum scaled by the weight.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    doc["weights"].update(w1=weight, w2=weight)
+    scen = tmp_path / "heavy.json"
+    scen.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "result.csv"
+    assert main(["solve", str(scen), "--out", str(out)]) == (1 if csv_text is None else 0)
+    if csv_text is None:
+        assert not out.exists()
+        assert "the largest possible objective overflows" in capsys.readouterr().err
+    else:
+        assert out.read_text(encoding="utf-8") == csv_text
 
 
 @pytest.mark.parametrize("value", [True, "6"])

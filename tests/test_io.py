@@ -18,14 +18,13 @@ from dronecell.cli.files import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from dronecell.experiment import ExperimentConfig, default_experiment_config
+from dronecell.experiment import ExperimentConfig
 from dronecell.fixtures import case24_path, load_case24, mc_default_path
 from dronecell.scenario import (
     ObjectiveWeights,
     PlacementRegion,
     Scenario,
     ScenarioProfile,
-    TenancyTargets,
     User,
     generate_scenario,
 )
@@ -62,7 +61,7 @@ def test_round_trip_preserves_overrides(tmp_path):
     sc = Scenario(
         users=users,
         num_mvnos=2,
-        targets=TenancyTargets((1, 1)),
+        targets=(1, 1),
         weights=ObjectiveWeights(2.0, 1.5, 0.5, 0.25, norm="L2"),
         capacity=3.5,
         region=PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (30.0, 90.0)),
@@ -124,6 +123,7 @@ def test_missing_sections_are_rejected():
         ("mvno", True, "users[3].mvno must be an integer, got True"),
         ("lambda", [], "users[3].lambda must be a number, got []"),
         ("r", False, "users[3].r must be a number, got False"),
+        ("qdb", 50, "unknown key 'users[3].qdb'"),
     ],
 )
 def test_a_bad_user_field_is_named_by_its_location(key, value, message):
@@ -223,12 +223,52 @@ def test_each_table_lists_every_field_once():
         ({"environments": "urban"}, "environments must be a list, got 'urban'"),
         ({"policies": "urban"}, "policies must be a list, got 'urban'"),
         ({"profile": {"weights": {"w1": "2"}}}, "profile.weights.w1 must be a number, got '2'"),
+        ({"n_run": 1}, "unknown key 'n_run'"),
+        ({"profile": {"capacty": 3}}, "unknown key 'profile.capacty'"),
+        ({"profile": {"weights": {"w0": 1}}}, "unknown key 'profile.weights.w0'"),
+        ({"profile": {"channel": {"freq_hz": 1}}}, "unknown key 'profile.channel.freq_hz'"),
     ],
 )
 def test_a_bad_experiment_field_is_named_by_its_path(edit, message):
     with pytest.raises(FileFormatError) as info:
         experiment_config_from_dict({"meta": {"version": "1"}, **edit})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (("wieghts",), "unknown key 'wieghts'"),
+        (("environment", "plos"), "unknown key 'environment.plos'"),
+        (("channel", "freq_hz"), "unknown key 'channel.freq_hz'"),
+        (("region", "z"), "unknown key 'region.z'"),
+        (("tenancy", "target"), "unknown key 'tenancy.target'"),
+        (("weights", "w5"), "unknown key 'weights.w5'"),
+    ],
+)
+def test_an_unknown_scenario_key_is_named_by_its_path(where, message):
+    # A misspelt key used to be dropped, and its default used unseen.
+    doc = scenario_to_dict(load_case24())
+    doc["environment"] = {
+        "name": "lunar", "plos_a": 5.0, "plos_b": 0.3, "eta_los_db": 0.5, "eta_nlos_db": 15.0,
+    }
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = 50
+    with pytest.raises(FileFormatError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_an_unknown_key_in_a_preset_environment_or_meta():
+    doc = scenario_to_dict(load_case24())
+    doc["meta"]["note"] = "meta holds anything besides the version"
+    assert scenario_from_dict(doc) == load_case24()
+    doc["environment"]["plos_c"] = 1.0
+    with pytest.raises(FileFormatError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == "unknown key 'environment.plos_c'"
 
 
 @pytest.mark.parametrize("users", [{}, {"a": {}}, "ab", 3])
@@ -242,7 +282,7 @@ def test_users_that_are_not_a_list_are_rejected(users):
 
 
 def test_bundled_default_config_matches_defaults():
-    assert load_experiment_config(mc_default_path()) == default_experiment_config()
+    assert load_experiment_config(mc_default_path()) == ExperimentConfig()
 
 
 # Every optional key left out: the fields take the dataclasses' defaults.
@@ -257,7 +297,7 @@ MINIMAL_SCENARIO_DOC = {
 DEFAULT_SCENARIO = Scenario(
     users=(User(id=0, x=0.0, y=0.0, mvno_id=0),),
     num_mvnos=1,
-    targets=TenancyTargets((1,)),
+    targets=(1,),
     weights=ObjectiveWeights(),
     capacity=1.0,
     region=PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (20.0, 80.0)),
@@ -269,7 +309,7 @@ DEFAULT_SCENARIO = Scenario(
 @pytest.mark.parametrize(
     "parse, doc, want",
     [
-        (experiment_config_from_dict, {"meta": {"version": "1"}}, default_experiment_config()),
+        (experiment_config_from_dict, {"meta": {"version": "1"}}, ExperimentConfig()),
         (scenario_from_dict, MINIMAL_SCENARIO_DOC, DEFAULT_SCENARIO),
     ],
     ids=["experiment", "scenario"],
@@ -279,7 +319,7 @@ def test_a_minimal_doc_uses_defaults(parse, doc, want):
 
 
 def test_experiment_doc_version_checked():
-    doc = experiment_config_to_dict(default_experiment_config())
+    doc = experiment_config_to_dict(ExperimentConfig())
     doc["meta"]["version"] = "0"
     with pytest.raises(FileFormatError, match="version"):
         experiment_config_from_dict(doc)
@@ -289,4 +329,4 @@ def test_bundled_case24_loads():
     sc = load_scenario(case24_path())
     assert len(sc.users) == 24
     assert sc.num_mvnos == 2
-    assert sc.targets.counts == (12, 12)
+    assert sc.targets == (12, 12)

@@ -11,7 +11,6 @@ from dronecell.scenario import (
     PlacementRegion,
     Scenario,
     ScenarioProfile,
-    TenancyTargets,
     User,
     assignment_from_ids,
     even_targets,
@@ -28,7 +27,7 @@ def make_scenario(users, num_mvnos=2, targets=None, capacity=None, weights=None)
     return Scenario(
         users=users,
         num_mvnos=num_mvnos,
-        targets=TenancyTargets(targets or even_targets(len(users), num_mvnos)),
+        targets=tuple(targets or even_targets(len(users), num_mvnos)),
         weights=weights or ObjectiveWeights(),
         capacity=capacity if capacity is not None else float(max(len(users), 1)),
         region=PlacementRegion((-1000.0, 1000.0), (-1000.0, 1000.0), (20.0, 80.0)),
@@ -51,7 +50,7 @@ def test_generate_shape_and_defaults():
     sc = generate_scenario(3, 24, 2, URBAN)
     assert len(sc.users) == 24
     assert sc.num_mvnos == 2
-    assert sc.targets.counts == (12, 12)
+    assert sc.targets == (12, 12)
     assert sc.capacity == 24.0
     counts = [0, 0]
     for u in sc.users:
@@ -83,7 +82,7 @@ def test_generate_profile_overrides():
     )
     sc = generate_scenario(11, 12, 3, URBAN, field_size_m=500.0, profile=profile)
     assert sc.capacity == 10.0
-    assert sc.targets.counts == (5, 3, 2)
+    assert sc.targets == (5, 3, 2)
     assert sc.region.h_bounds == (10.0, 50.0)
     assert sc.region.x_bounds == (-250.0, 250.0)
     for u in sc.users:
@@ -122,7 +121,7 @@ def test_validate_flags_bad_mvno_id():
 
 def test_validate_flags_capacity_and_targets():
     sc = make_scenario([User(id=1, x=0.0, y=0.0, mvno_id=0)])
-    bad = dataclasses.replace(sc, capacity=0.0, targets=TenancyTargets((5, 0)))
+    bad = dataclasses.replace(sc, capacity=0.0, targets=(5, 0))
     violations = validate(bad)
     assert any("capacity" in v for v in violations)
     assert any("exceeds the user count" in v for v in violations)

@@ -13,7 +13,6 @@ from dronecell.scenario import (
     ObjectiveWeights,
     PlacementRegion,
     Scenario,
-    TenancyTargets,
     User,
     assignment_from_ids,
 )
@@ -33,7 +32,7 @@ def make_scenario(users, num_mvnos, targets, weights, capacity):
     return Scenario(
         users=tuple(users),
         num_mvnos=num_mvnos,
-        targets=TenancyTargets(tuple(targets)),
+        targets=tuple(targets),
         weights=weights,
         capacity=float(capacity),
         region=PlacementRegion((-100.0, 100.0), (-100.0, 100.0), (20.0, 80.0)),
@@ -357,7 +356,7 @@ def reference_choose(scenario, users):
                 if cur is None or cand > cur:
                     grown[key] = cand
         states = grown
-    targets = scenario.targets.counts
+    targets = scenario.targets
     best = None
     for (counts, _used), (value, served, mask) in states.items():
         if track_counts:

@@ -1,6 +1,7 @@
 """Placement engine: covered sets, exact solve, and the grid oracle."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -26,10 +27,10 @@ from dronecell.scenario import (
     PlacementRegion,
     Scenario,
     ScenarioProfile,
-    TenancyTargets,
     User,
     generate_scenario,
     mvno_counts,
+    validate,
 )
 from dronecell.solver import (
     DISK_EPS,
@@ -67,7 +68,7 @@ def make_scenario(
     return Scenario(
         users=users,
         num_mvnos=num_mvnos,
-        targets=TenancyTargets(tuple(targets)),
+        targets=tuple(targets),
         weights=weights or ObjectiveWeights(),
         capacity=capacity if capacity is not None else float(max(len(users), 1)),
         region=region or PlacementRegion((-1000.0, 1000.0), (-1000.0, 1000.0), (20.0, 80.0)),
@@ -254,7 +255,7 @@ def test_fairness_dominance_at_returned_placement():
             counts = [0, 0]
             for i in combo:
                 counts[sc.user_by_id(i).mvno_id] += 1
-            gap = sum(abs(c - t) for c, t in zip(counts, sc.targets.counts))
+            gap = sum(abs(c - t) for c, t in zip(counts, sc.targets))
             best_gap = gap if best_gap is None else min(best_gap, gap)
         assert result.term_breakdown.tenancy_gap == best_gap
 
@@ -618,10 +619,11 @@ def count_selections(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, solver.ELIGIBILITY_CHUNK])
 def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, chunk):
     # A small chunk puts the first sighting of a signature in a later block,
-    # and computes the knapsack bounds in many blocks.
+    # and computes the knapsack bounds in many blocks; a chunk of 1 decides
+    # every first sighting across blocks.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     calls = count_selections(monkeypatch)
     skipped = collections.Counter()
@@ -679,7 +681,7 @@ def reference_bound(sc, ids):
     def value(u):
         return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * u.content_request
 
-    room, bound = sc.capacity, -w2 * sum(sc.targets.counts)
+    room, bound = sc.capacity, -w2 * sum(sc.targets)
     for u in sorted(map(sc.user_by_id, ids), key=lambda u: value(u) / u.resource_demand, reverse=True):
         if room <= 0:
             break
@@ -694,7 +696,7 @@ def test_solve_scores_sets_in_bound_order_and_no_set_beats_its_bound(monkeypatch
         w = sc.weights
         magnitude = (
             (w.w1 + w.w2 + w.w4) * len(sc.users)
-            + w.w2 * sum(sc.targets.counts)
+            + w.w2 * sum(sc.targets)
             + w.w3 * sum(u.energy_cost for u in sc.users)
         )
         slack = solver.SCORE_RTOL * (1.0 + magnitude)
@@ -707,11 +709,12 @@ def test_solve_scores_sets_in_bound_order_and_no_set_beats_its_bound(monkeypatch
             assert obj <= bound + slack
 
 
-@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, solver.ELIGIBILITY_CHUNK])
 def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, chunk):
-    # solve() keeps a signature's first center and recomputes its members
-    # there.  A chunk of 3 puts some first sightings in a later block, so a
-    # set taken at a later center with the same class counts would differ.
+    # solve() keeps a signature's bound and size at its first center's row
+    # and recomputes its members there.  A chunk of 3 puts some first
+    # sightings in a later block, and a chunk of 1 all of them, so a set
+    # taken at a later center with the same class counts would differ.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     calls = count_selections(monkeypatch)
     for _, sc in bound_instances():
@@ -729,6 +732,23 @@ def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, chunk
         assert calls
         for ids in calls:
             assert sorted(ids) == sorted(first[signature(ids)])
+
+
+@pytest.mark.parametrize("demand", [1e308, 5e-324])
+def test_solve_with_extreme_demands_matches_every_set_scored(demand):
+    # The knapsack bound's fill overflowed at a demand of 1e308 and its
+    # quotient at 5e-324: a RuntimeWarning, and exit 3 under -W error.  The
+    # infinities clip to the right share, so the warning is silenced.
+    sc = load_case24()
+    users = tuple(
+        dataclasses.replace(u, resource_demand=demand) if p < 3 else u
+        for p, u in enumerate(sc.users)
+    )
+    sc = dataclasses.replace(sc, users=users)
+    assert validate(sc) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve(sc) == reference_solve(sc)[0]
 
 
 def test_solve_tie_between_equal_count_vectors_goes_to_the_earlier_center(monkeypatch):
