@@ -7,11 +7,13 @@ improves the LOS odds but lengthens the slant path, so the usable cell
 radius first grows and then shrinks with altitude; ``optimal_altitude``
 finds the interior maximum.
 
-``coverage_radius`` is the only code that computes a cell radius, and it
-keeps no cache: each caller keeps the radii it reuses.  ``path_loss_array``
-is the formula in numpy; the altitude search uses it only to find the few
-grid altitudes that could hold the largest radius, and ``coverage_radius``
-decides among them.  The search's results are the module's only cache.
+``path_loss`` and ``path_loss_array`` run the one loss formula with the
+routines of ``math`` and of numpy.  ``coverage_radius`` is the only code
+that computes a cell radius, and it keeps no cache: each caller keeps the
+radii it reuses.  The altitude search uses ``path_loss_array`` only to find
+the few grid altitudes that could hold the largest radius, and
+``coverage_radius`` decides among them.  The search's results are the
+module's only cache.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -92,26 +94,27 @@ ENVIRONMENTS: dict[str, Environment] = {
 }
 
 
-def los_probability(elevation_deg: float, env: Environment) -> float:
-    """Probability of a line-of-sight link at the given elevation angle.
+def _air_to_ground(h, r, env, cfg, hypot, arctan2, degrees, exp, log10):
+    """The loss in dB and the elevation in degrees, with ``math``'s or numpy's routines.
 
-    Sigmoid in the elevation angle: P = 1 / (1 + a*exp(-b*(theta - a))).
-    Strictly increasing in ``elevation_deg``, bounded in (0, 1).
+    Free-space loss at the slant distance plus the excess losses weighted by
+    the LOS probability P = 1 / (1 + a*exp(-b*(theta - a))), which is 0 where
+    ``exp`` overflows to inf.
     """
-    if not 0.0 < elevation_deg <= 90.0:
-        raise ValueError(f"elevation angle must be in (0, 90], got {elevation_deg}")
+    slant = hypot(h, r)
+    # atan2 yields 90 degrees exactly at the nadir (r = 0).
+    theta = degrees(arctan2(h, r))
     a, b = env.plos_a, env.plos_b
+    p_los = 1.0 / (1.0 + a * exp(-b * (theta - a)))
+    fspl = 20.0 * log10(4.0 * math.pi * cfg.frequency_hz * slant / SPEED_OF_LIGHT)
+    return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db, theta
+
+
+def _exp(x: float) -> float:
     try:
-        return 1.0 / (1.0 + a * math.exp(-b * (elevation_deg - a)))
-    except OverflowError:
-        return 0.0  # the sigmoid's limit as the exponent grows without bound
-
-
-def free_space_path_loss(distance_m: float, frequency_hz: float) -> float:
-    """Free-space loss in dB at the given slant distance."""
-    if not distance_m > 0:  # NaN too
-        raise ValueError("distance must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * frequency_hz * distance_m / SPEED_OF_LIGHT)
+        return math.exp(x)
+    except OverflowError:  # to inf, as numpy's exp does
+        return math.inf
 
 
 def path_loss(
@@ -131,12 +134,12 @@ def path_loss(
         raise ValueError(f"altitude must be positive, got {altitude_m}")
     if not ground_range_m >= 0:
         raise ValueError(f"ground range must be non-negative, got {ground_range_m}")
-    slant = math.hypot(altitude_m, ground_range_m)
-    # atan2 yields 90 degrees exactly at the nadir (r = 0).
-    theta = math.degrees(math.atan2(altitude_m, ground_range_m))
-    p_los = los_probability(theta, env)
-    fspl = free_space_path_loss(slant, cfg.frequency_hz)
-    return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db
+    loss, theta = _air_to_ground(
+        altitude_m, ground_range_m, env, cfg, math.hypot, math.atan2, math.degrees, _exp, math.log10
+    )
+    if not 0.0 < theta <= 90.0:
+        raise ValueError(f"elevation angle must be in (0, 90], got {theta}")
+    return loss
 
 
 def coverage_radius(
@@ -183,20 +186,16 @@ def path_loss_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``path_loss`` elementwise in numpy, with the elevation angles it used.
 
-    The one numpy copy of the formula, called by ``_boundaries`` and the
-    ``brute_force`` oracle.  The operations follow ``path_loss`` in order, but
-    may differ from it in the last bits.  Overflow takes the same limits (a
-    LOS probability of 0, an infinite loss) without a warning.  Where
-    ``path_loss`` raises, this returns a loss of -inf (a free-space product
-    that underflows to 0) or an angle of 0 instead.
+    Called by ``_boundaries`` and the ``brute_force`` oracle.  Numpy's
+    routines may differ from ``math``'s in the last bits.  Overflow takes the
+    same limits (a LOS probability of 0, an infinite loss) without a warning.
+    Where ``path_loss`` raises, this returns a loss of -inf (a free-space
+    product that underflows to 0) or an angle of 0 instead.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        slant = np.hypot(altitude_m, ground_range_m)
-        theta = np.degrees(np.arctan2(altitude_m, ground_range_m))
-        a, b = env.plos_a, env.plos_b
-        p_los = 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
-        fspl = 20.0 * np.log10(4.0 * math.pi * cfg.frequency_hz * slant / SPEED_OF_LIGHT)
-        return fspl + p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db, theta
+        return _air_to_ground(
+            altitude_m, ground_range_m, env, cfg, np.hypot, np.arctan2, np.degrees, np.exp, np.log10
+        )
 
 
 def _boundaries(

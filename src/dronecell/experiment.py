@@ -38,7 +38,8 @@ class ExperimentError(RuntimeError):
 
 
 class _InvalidRunError(ExperimentError, ValueError):
-    """A run whose generated scenario fails ``validate``: an input error."""
+    """An input error: a run whose scenario fails ``validate`` or whose solve
+    raises ``ValueError``."""
 
 
 class _OversizedRunError(ExperimentError, ResourceGuardError):
@@ -134,8 +135,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     Raises an ``ExperimentError`` that is also a ``ValueError``, listing the
     violations, when a generated scenario fails ``validate``; nothing is
-    solved on it.  One that is also a ``ResourceGuardError`` names the run
-    whose solve was above the size ceiling.
+    solved on it.  One names the run whose solve raised ``ValueError``, and
+    one that is also a ``ResourceGuardError`` the run above the size ceiling.
     """
     rows: list[SummaryRow] = []
     for env_name in config.environments:
@@ -161,8 +162,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 try:
                     result = run_policy(scenario, policy)
                 except Exception as exc:
-                    oversized = isinstance(exc, ResourceGuardError)
-                    error = _OversizedRunError if oversized else ExperimentError
+                    error = ExperimentError
+                    if isinstance(exc, ResourceGuardError):
+                        error = _OversizedRunError
+                    elif isinstance(exc, ValueError):
+                        error = _InvalidRunError
                     raise error(f"run {run} ({env_name}, {policy}): {exc}") from exc
                 # The single-tenancy sub-scenario keeps num_mvnos, so the
                 # counts stay aligned; other tenants sit at zero.

@@ -321,8 +321,6 @@ def solve(scenario: Scenario) -> SolveResult:
 
     zero = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
     pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
-    if not len(pts):
-        return zero
 
     # A served user adds at most value = w1 + w2' + w3*e + w4*kappa to the
     # objective, less w2' times the summed targets: with k users served the

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from dronecell.channel import (
     MAX_RADIUS_M,
     RADIUS_DB_TOLERANCE,
     RADIUS_TOLERANCE_M,
+    SPEED_OF_LIGHT,
     ChannelConfig,
     Environment,
     coverage_radius,
-    free_space_path_loss,
-    los_probability,
     optimal_altitude,
     path_loss,
 )
@@ -27,6 +27,8 @@ from dronecell.channel import (
 CFG = ChannelConfig()
 URBAN = ENVIRONMENTS["urban"]
 CARRIERS = (0.7e9, 2.0e9, 5.8e9)
+# No excess loss: path_loss is the free-space loss.
+FREE_SPACE = replace(URBAN, name="free_space", eta_los_db=0.0, eta_nlos_db=0.0)
 
 
 def random_environment(rng):
@@ -39,41 +41,70 @@ def random_environment(rng):
     )
 
 
+def free_space_loss(distance_m, frequency_hz):
+    """20*log10(4*pi*f*d/c), the free-space loss in dB."""
+    return 20.0 * math.log10(4.0 * math.pi * frequency_hz * distance_m / SPEED_OF_LIGHT)
+
+
+def los_probability(altitude_m, ground_range_m, env):
+    """The LOS probability P read back from ``path_loss``.
+
+    The loss less the free-space loss is eta_nlos - P * (eta_nlos - eta_los).
+    """
+    free_space = replace(env, eta_los_db=0.0, eta_nlos_db=0.0)
+    excess = path_loss(altitude_m, ground_range_m, env, CFG) - path_loss(
+        altitude_m, ground_range_m, free_space, CFG
+    )
+    return (env.eta_nlos_db - excess) / (env.eta_nlos_db - env.eta_los_db)
+
+
 def test_free_space_loss_reference_value():
     # 20*log10(4*pi*f*d/c) at 2 GHz and 1 km
-    assert free_space_path_loss(1000.0, 2.0e9) == pytest.approx(98.4684, abs=5e-4)
+    assert path_loss(1000.0, 0.0, FREE_SPACE, CFG) == pytest.approx(98.4684, abs=5e-4)
+    assert path_loss(600.0, 800.0, FREE_SPACE, CFG) == pytest.approx(98.4684, abs=5e-4)
 
 
 def test_free_space_loss_slope_is_six_db_per_doubling():
-    l1 = free_space_path_loss(500.0, 2.0e9)
-    l2 = free_space_path_loss(1000.0, 2.0e9)
+    l1 = path_loss(300.0, 400.0, FREE_SPACE, CFG)
+    l2 = path_loss(600.0, 800.0, FREE_SPACE, CFG)
     assert l2 - l1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
 def test_free_space_loss_rejects_nonpositive_distance():
+    with pytest.raises(ValueError, match="altitude must be positive"):
+        path_loss(0.0, 0.0, FREE_SPACE, CFG)
+    # A free-space product that underflows to 0 has no logarithm.
     with pytest.raises(ValueError):
-        free_space_path_loss(0.0, 2.0e9)
+        path_loss(1.0, 0.0, FREE_SPACE, ChannelConfig(frequency_hz=5e-324))
 
 
 def test_los_probability_at_nadir_is_nearly_one():
-    assert los_probability(90.0, URBAN) == pytest.approx(0.99997, abs=1e-5)
+    assert los_probability(100.0, 0.0, URBAN) == pytest.approx(0.99997, abs=1e-5)
     for env in ENVIRONMENTS.values():
-        assert 0.8 < los_probability(90.0, env) <= 1.0
+        assert 0.8 < los_probability(100.0, 0.0, env) <= 1.0
 
 
 def test_los_probability_increases_with_elevation():
+    # With eta_los = 0 and eta_nlos = 2^996 the loss is (1 - P) * 2^996
+    # exactly, which dwarfs the free-space term, so the loss falls strictly
+    # wherever P rises by an ulp.
     rng = random.Random(1)
     for env in ENVIRONMENTS.values():
+        probe = replace(env, eta_los_db=0.0, eta_nlos_db=2.0**996)
+
+        def loss(elevation_deg):
+            return path_loss(100.0, 100.0 / math.tan(math.radians(elevation_deg)), probe, CFG)
+
         for _ in range(50):
             a = rng.uniform(0.1, 89.0)
             b = rng.uniform(a + 0.5, 90.0)
-            assert los_probability(a, env) < los_probability(b, env)
+            assert loss(a) > loss(b)
 
 
 def test_los_probability_rejects_out_of_range_angles():
-    for bad in (0.0, -5.0, 90.0001, 180.0):
-        with pytest.raises(ValueError):
-            los_probability(bad, URBAN)
+    # Off the nadir of a 5e-324 m altitude every elevation rounds to 0 degrees.
+    with pytest.raises(ValueError, match=r"elevation angle must be in \(0, 90\], got 0.0"):
+        path_loss(5e-324, 1e6, URBAN, CFG)
 
 
 def test_environment_presets_are_exposed():
@@ -120,7 +151,7 @@ def test_excess_losses_must_be_finite(eta_los, eta_nlos):
 def test_path_loss_between_pure_los_and_nlos_bounds():
     for env in ENVIRONMENTS.values():
         for h, r in ((100.0, 0.0), (100.0, 500.0), (50.0, 2000.0)):
-            fspl = free_space_path_loss(math.hypot(h, r), CFG.frequency_hz)
+            fspl = free_space_loss(math.hypot(h, r), CFG.frequency_hz)
             loss = path_loss(h, r, env, CFG)
             assert fspl + env.eta_los_db <= loss <= fspl + env.eta_nlos_db
 
@@ -245,14 +276,17 @@ def test_a_nan_altitude_range_or_distance_is_rejected():
         path_loss(math.nan, 10.0, URBAN, CFG)
     with pytest.raises(ValueError, match="ground range must be non-negative, got nan"):
         path_loss(50.0, math.nan, URBAN, CFG)
-    with pytest.raises(ValueError, match="distance must be positive"):
-        free_space_path_loss(math.nan, 2.0e9)
+
+
+# Below about 8.9 degrees of elevation the sigmoid's exp overflows, on both paths.
+STEEP = Environment("steep", 9.61, 1000.0, 1.0, 20.0)
 
 
 @pytest.mark.parametrize("frequency_hz", (0.1e9, 2.0e9, 60.0e9))
-@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS) + ["steep"])
 def test_scalar_and_numpy_losses_agree(name, frequency_hz):
-    env, cfg = ENVIRONMENTS[name], ChannelConfig(frequency_hz=frequency_hz)
+    env = STEEP if name == "steep" else ENVIRONMENTS[name]
+    cfg = ChannelConfig(frequency_hz=frequency_hz)
     rng = random.Random(f"{name}-{frequency_hz}")
     altitudes = [1e-2, 1e4] + [10.0 ** rng.uniform(-2.0, 4.0) for _ in range(40)]
     ranges = [0.0, 1e-2, 1e6] + [10.0 ** rng.uniform(-2.0, 6.0) for _ in range(60)]
@@ -336,7 +370,7 @@ def edge_searches():
             for offset in (0.0, RADIUS_DB_TOLERANCE):
                 yield path_loss(h, 100.0, env, CFG) + offset, env, CFG, h, 4.0 * h
     # At 5e-324 m every elevation off the nadir rounds to 0 degrees, which
-    # los_probability rejects.  At 1.5e-318 m that happens only beyond about
+    # path_loss rejects.  At 1.5e-318 m that happens only beyond about
     # 600 km: at 171.5 dB the radius doubling reaches 819.2 km, but a
     # crossing search that bisects toward 470 km need not look that far.
     yield 100.0, URBAN, CFG, 5e-324, 1000.0

@@ -406,6 +406,22 @@ def test_mc_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):
     assert "run 0" in err and "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "where", [("profile", "h_bounds", 0), ("profile", "channel", "frequency_hz")]
+)
+def test_mc_with_a_value_the_loss_formula_rejects_exits_1(tmp_path, capsys, where):
+    # At 5e-324 the elevation off the nadir, or the free-space product,
+    # rounds to 0 and the run's solve raises ValueError: an input error that
+    # names its run, not exit 3.
+    doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
+    doc["n_runs"] = 1
+    cfg = write_edited(tmp_path / "mc.json", doc, where, 5e-324)
+    out = tmp_path / "never.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: run 0 (suburban, single_tenancy): " in capsys.readouterr().err
+
+
 def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, capsys):
     # Demands 1, 2, 4, ..., 2048 under a binding capacity give the selection
     # DP a state per reachable usage, up to 4001; the centers stay far below

@@ -1,8 +1,9 @@
 """Mutation fuzzing of the CLI's input files.
 
-One field of a valid document is replaced or deleted at a time.  Whatever
-the mutation, the CLI must exit 0, 1 or 2 (never 3, an internal error), and
-a CSV it writes must hold no NaN or infinite cell.
+One field of a valid document is replaced or deleted at a time, and every
+such mutation is tried.  Whatever the mutation, the CLI must exit 0, 1 or 2
+(never 3, an internal error), and a CSV it writes must hold no NaN or
+infinite cell.
 """
 
 import csv
@@ -11,17 +12,14 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from dronecell.cli.main import main
 from dronecell.fixtures import case24_path, mc_default_path
 
 REPLACEMENTS = (
     None, "text", [], {}, True, math.nan, math.inf, -math.inf, 1e300, -1e300, 0, -1, 1e-300,
+    5e-324,
 )
 DELETE = "<delete>"
-FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 
 def case24_six_users():
@@ -75,28 +73,26 @@ def run_cli(command, doc):
         return code, [part for row in rows for cell in row for part in cell.split(";")]
 
 
-def assert_sound(command, doc, mutation):
-    code, cells = run_cli(command, mutated(doc, *mutation))
-    assert code in (0, 1, 2), mutation
-    for cell in cells:
-        try:
-            number = float(cell)
-        except ValueError:
-            continue
-        assert math.isfinite(number), (mutation, cell)
+def unsound(command, doc):
+    """Every mutation of ``doc`` on which ``command`` exits 3 or writes a non-finite cell."""
+    failures = []
+    for mutation in mutations(doc):
+        code, cells = run_cli(command, mutated(doc, *mutation))
+        if code not in (0, 1, 2):
+            failures.append((mutation, f"exit {code}"))
+        for cell in cells:
+            try:
+                number = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(number):
+                failures.append((mutation, cell))
+    return failures
 
 
-CASE24 = case24_six_users()
-MC = mc_one_run()
+def test_a_mutated_scenario_never_exits_3_or_writes_a_non_finite_cell():
+    assert unsound("solve", case24_six_users()) == []
 
 
-@FUZZ
-@given(st.sampled_from(list(mutations(CASE24))))
-def test_a_mutated_scenario_never_exits_3_or_writes_a_non_finite_cell(mutation):
-    assert_sound("solve", CASE24, mutation)
-
-
-@FUZZ
-@given(st.sampled_from(list(mutations(MC))))
-def test_a_mutated_mc_config_never_exits_3_or_writes_a_non_finite_cell(mutation):
-    assert_sound("mc", MC, mutation)
+def test_a_mutated_mc_config_never_exits_3_or_writes_a_non_finite_cell():
+    assert unsound("mc", mc_one_run()) == []
