@@ -156,8 +156,6 @@ def coverage_radius(
     ``RADIUS_DB_TOLERANCE`` of the threshold; the inside end is returned,
     so the loss at the returned radius never exceeds the threshold.
     """
-    if not altitude_m > 0:  # NaN too
-        raise ValueError(f"altitude must be positive, got {altitude_m}")
     if not threshold_db > 0:  # NaN too, for which "<= 0" is False
         raise ValueError(f"threshold must be positive, got {threshold_db}")
     loss_lo = path_loss(altitude_m, 0.0, env, cfg)

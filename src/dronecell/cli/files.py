@@ -3,6 +3,11 @@
 Parsing and serialization are exact inverses on the data model: floats pass
 through Python's repr round-trip, optional user fields fall back to the
 documented defaults, and a preset environment is stored by name only.
+
+A malformed document raises ``FileFormatError`` from one of two places:
+``_load``, which names the file when its text does not decode as a JSON
+object, and the typed readers (``_number``, ``_object`` and the rest), which
+name the field they reject, such as ``users[3].x``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ _T = TypeVar("_T")
 
 
 class FileFormatError(ValueError):
-    """The document is structurally or semantically malformed."""
+    """The document does not decode as JSON, or a field in it is malformed."""
 
 
 def _location(where: str, key: str) -> str:
@@ -48,7 +53,10 @@ def _number(value: Any, where: str, key: str) -> float:
     # JSON true and "6" are not numbers, though float() reads them as 1.0 and 6.0.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{_location(where, key)} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer such as 10**400, whose digits are not echoed
+        raise FileFormatError(f"{_location(where, key)} is too large for a float") from exc
 
 
 def _flag(value: Any, where: str, key: str) -> bool:
@@ -264,21 +272,19 @@ def dumps(doc: dict[str, Any]) -> str:
 def _load(path: str | Path, parse: Callable[[dict[str, Any]], _T]) -> _T:
     """Parse the JSON object at ``path``; every malformed document is a ``FileFormatError``.
 
-    A field of the wrong JSON type (null for a number, a list for an object)
-    fails inside ``parse`` with a TypeError, AttributeError or, for an
-    integer too large for a float, OverflowError; all three are reported as
-    malformed.
+    Text that is not JSON, bytes that are not UTF-8, an integer literal over
+    Python's digit limit (all ``ValueError``) and nesting too deep for the
+    decoder (``RecursionError``) are reported with the path.  Everything
+    past the decoder is checked field by field by the typed readers, which
+    name the field they reject.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
-    try:
-        return parse(doc)
-    except (TypeError, AttributeError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: malformed document: {exc}") from exc
+    return parse(doc)
 
 
 def load_scenario(path: str | Path) -> Scenario:

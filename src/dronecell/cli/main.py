@@ -18,12 +18,7 @@ from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_alti
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, validate
 from ..solver import InfeasibleRegionError, ResourceGuardError, solve
-from .files import (
-    FileFormatError,
-    load_experiment_config,
-    load_scenario,
-    save_scenario,
-)
+from .files import load_experiment_config, load_scenario, save_scenario
 from .report import altitude_profile_csv, mc_csv, placement_svg, solve_csv
 
 EXIT_OK = 0
@@ -64,7 +59,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_altitude_profile(args: argparse.Namespace) -> int:
     if args.env not in ENVIRONMENTS:
-        raise FileFormatError(f"unknown environment preset {args.env!r}")
+        raise ValueError(f"unknown environment preset {args.env!r}")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     if args.steps + 1 > solver.MAX_SEARCH_POINTS:
@@ -91,7 +86,7 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.env not in ENVIRONMENTS:
-        raise FileFormatError(f"unknown environment preset {args.env!r}")
+        raise ValueError(f"unknown environment preset {args.env!r}")
     scenario = generate_scenario(
         args.seed, args.n_users, args.mvnos, ENVIRONMENTS[args.env], args.field_size
     )
@@ -151,13 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleRegionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (
-        FileFormatError,
-        ResourceGuardError,
-        OSError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (ResourceGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

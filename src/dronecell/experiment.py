@@ -103,16 +103,14 @@ def policy_scenario(scenario: Scenario, policy: str) -> Scenario:
     and multi_tenancy_no_fairness drop the tenancy-gap penalty (w2 = 0);
     multi_tenancy_dmf solves the scenario as given.
     """
-    if policy == SINGLE_TENANCY:
-        kept = tuple(u for u in scenario.users if u.mvno_id == 0)
-        return replace(
-            scenario, users=kept, weights=replace(scenario.weights, w2=0.0)
-        )
-    if policy == MULTI_TENANCY_NO_FAIRNESS:
-        return replace(scenario, weights=replace(scenario.weights, w2=0.0))
     if policy == MULTI_TENANCY_DMF:
         return scenario
-    raise ValueError(f"unknown policy: {policy}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy: {policy}")
+    users = scenario.users
+    if policy == SINGLE_TENANCY:
+        users = tuple(u for u in users if u.mvno_id == 0)
+    return replace(scenario, users=users, weights=replace(scenario.weights, w2=0.0))
 
 
 def run_policy(scenario: Scenario, policy: str) -> SolveResult:
@@ -141,7 +139,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     rows: list[SummaryRow] = []
     for env_name in config.environments:
         env = ENVIRONMENTS[env_name]
-        totals: dict[str, list[int]] = {p: [] for p in config.policies}
         per_mvno: dict[str, list[list[int]]] = {p: [] for p in config.policies}
         for run in range(config.n_runs):
             scenario = generate_scenario(
@@ -170,11 +167,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     raise error(f"run {run} ({env_name}, {policy}): {exc}") from exc
                 # The single-tenancy sub-scenario keeps num_mvnos, so the
                 # counts stay aligned; other tenants sit at zero.
-                totals[policy].append(result.total_served)
                 per_mvno[policy].append(list(result.mvno_counts))
         for policy in config.policies:
-            t = np.asarray(totals[policy], dtype=float)
+            # Every served user has a tenant, so a run's total is its row sum.
             m = np.asarray(per_mvno[policy], dtype=float)
+            t = m.sum(axis=1)
             rows.append(
                 SummaryRow(
                     environment=env_name,

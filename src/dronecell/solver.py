@@ -485,7 +485,6 @@ def _candidate_centers(
     blocks = [np.array(flat).reshape(-1, 2)]
     circles = np.array(active)  # rows of (x, y, r)
     x, y, r = circles.T
-    idx = np.arange(m)
     for start in range(0, m, ELIGIBILITY_CHUNK):
         rows = slice(start, start + ELIGIBILITY_CHUNK)
         # The pairs i < j whose circles can cross, tested on squared
@@ -497,11 +496,10 @@ def _candidate_centers(
         dist2 += np.multiply(dy2, dy2, out=dy2)
         bound = r + r[rows, None]
         bound *= bound * (1.0 + 1e-9)
-        near = dist2 <= bound
+        near = np.triu(dist2 <= bound, start + 1)
         bound = r - r[rows, None]
         bound *= bound * (1.0 - 1e-9)
         near &= dist2 >= bound
-        near &= idx > idx[rows, None]
         i, j = np.nonzero(near)
         c1, c2 = circles[i + start], circles[j]
         delta = c2 - c1  # rows of (x2 - x1, y2 - y1, r2 - r1)

@@ -189,6 +189,48 @@ def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "mc"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[" * 100_000 + b"]" * 100_000,  # too deep for the decoder
+        b'{"meta": ' + b"1" * 5000 + b"}",  # over Python's integer digit limit
+        b'{"meta": "\xff"}',  # not UTF-8
+    ],
+    ids=["nested", "digits", "bytes"],
+)
+def test_a_file_the_decoder_rejects_exits_1_and_is_named(tmp_path, capsys, command, data):
+    # Deep nesting used to raise RecursionError and exit 3; the other two
+    # exited 1 with a message that did not name the file.
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(data)
+    out = tmp_path / "never.csv"
+    assert main([command, str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, where, location",
+    [("solve", ("users", 0, "x"), "users[0].x"), ("mc", ("profile", "capacity"), "profile.capacity")],
+)
+def test_an_integer_beyond_the_float_range_exits_1_and_names_its_field(
+    tmp_path, capsys, command, where, location
+):
+    # It used to be reported as a malformed document that named no field.
+    if command == "solve":
+        doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    else:
+        doc = dict(json.loads(mc_default_path().read_text(encoding="utf-8")), n_runs=1)
+    bad = write_edited(tmp_path / "huge.json", doc, where, 10**400)
+    out = tmp_path / "never.csv"
+    assert main([command, str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {location} is too large for a float" in err
+    assert "0" * 100 not in err  # the 401 digits are not echoed
+
+
 @pytest.mark.parametrize(
     "weight, csv_text", [(1e300, CASE24_CSV.replace(",-4,", ",-4e+300,")), (1e308, None)]
 )

@@ -1,9 +1,9 @@
 """Mutation fuzzing of the CLI's input files.
 
-One field of a valid document is replaced or deleted at a time, and every
-such mutation is tried.  Whatever the mutation, the CLI must exit 0, 1 or 2
-(never 3, an internal error), and a CSV it writes must hold no NaN or
-infinite cell.
+One node of a valid document (a field, a list item or a whole section) is
+replaced or deleted at a time, and every such mutation is tried.  Whatever
+the mutation, the CLI must exit 0, 1 or 2 (never 3, an internal error), and
+a CSV it writes must hold no NaN or infinite cell.
 """
 
 import csv
@@ -15,9 +15,10 @@ from pathlib import Path
 from dronecell.cli.main import main
 from dronecell.fixtures import case24_path, mc_default_path
 
+HUGE = 10**400  # an integer that float() cannot convert
 REPLACEMENTS = (
     None, "text", [], {}, True, math.nan, math.inf, -math.inf, 1e300, -1e300, 0, -1, 1e-300,
-    5e-324,
+    5e-324, HUGE, [[]], [{}],
 )
 DELETE = "<delete>"
 
@@ -36,13 +37,16 @@ def mc_one_run():
 
 
 def mutations(node, path=()):
-    """(path, value) for every leaf replacement and every key deletion."""
+    """(path, value) for every node replacement, containers included, and every key deletion."""
+    if path:
+        for value in REPLACEMENTS:
+            # A valid but endless job: mc has no ceiling on its run count.
+            if not (path == ("n_runs",) and value is HUGE):
+                yield path, value
     if isinstance(node, dict):
         children = list(node.items())
     else:
         children = list(enumerate(node)) if isinstance(node, list) else []
-    if not children and path:
-        yield from ((path, value) for value in REPLACEMENTS)
     for key, child in children:
         if isinstance(node, dict):
             yield path + (key,), DELETE
@@ -81,6 +85,8 @@ def unsound(command, doc):
         if code not in (0, 1, 2):
             failures.append((mutation, f"exit {code}"))
         for cell in cells:
+            if cell.lstrip("-").isdigit():
+                continue  # an integer, such as a 401-digit user id, which float() reads as inf
             try:
                 number = float(cell)
             except ValueError:
