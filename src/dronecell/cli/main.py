@@ -1,8 +1,8 @@
 """Command-line entry point with the solve/mc/altitude-profile/gen commands.
 
 Exit codes: 0 success, 1 input error (bad arguments, unparseable or invalid
-files, or a size above the solver's ceiling), 2 infeasible placement region,
-3 internal error.
+files, or a size above a ceiling), 2 infeasible placement region, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -71,15 +71,14 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if not math.isfinite(value):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
-    if not 0.0 < args.h_min <= args.h_max:
-        raise ValueError("altitude range must satisfy 0 < h-min <= h-max")
     env = ENVIRONMENTS[args.env]
     cfg = ChannelConfig(frequency_hz=args.frequency_hz, max_path_loss_db=args.threshold_db)
+    # The search checks the altitude window before anything is sampled.
+    h_star, r_max = optimal_altitude(args.threshold_db, env, cfg, (args.h_min, args.h_max))
     altitudes = [
         args.h_min + k * (args.h_max - args.h_min) / args.steps for k in range(args.steps + 1)
     ]
     samples = [(h, coverage_radius(h, args.threshold_db, env, cfg)) for h in altitudes]
-    h_star, r_max = optimal_altitude(args.threshold_db, env, cfg, (args.h_min, args.h_max))
     Path(args.out).write_text(altitude_profile_csv(samples, h_star, r_max), encoding="utf-8")
     return EXIT_OK
 
@@ -146,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleRegionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ResourceGuardError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,13 +16,14 @@ import numpy as np
 from .channel import ENVIRONMENTS
 from .scenario import (
     DEFAULT_FIELD_SIZE_M,
+    MAX_COUNT,
     Scenario,
     ScenarioProfile,
     assignment_from_ids,
     generate_scenario,
     validate,
 )
-from .solver import ResourceGuardError, SolveResult, solve
+from .solver import SolveResult, solve
 
 SINGLE_TENANCY = "single_tenancy"
 MULTI_TENANCY_NO_FAIRNESS = "multi_tenancy_no_fairness"
@@ -30,7 +31,7 @@ MULTI_TENANCY_DMF = "multi_tenancy_dmf"
 POLICIES = (SINGLE_TENANCY, MULTI_TENANCY_NO_FAIRNESS, MULTI_TENANCY_DMF)
 
 DEFAULT_SEED = 31415
-DEFAULT_ENVIRONMENT_NAMES = ("suburban", "urban", "dense_urban", "highrise_urban")
+DEFAULT_ENVIRONMENT_NAMES = tuple(ENVIRONMENTS)
 
 
 class ExperimentError(RuntimeError):
@@ -39,11 +40,7 @@ class ExperimentError(RuntimeError):
 
 class _InvalidRunError(ExperimentError, ValueError):
     """An input error: a run whose scenario fails ``validate`` or whose solve
-    raises ``ValueError``."""
-
-
-class _OversizedRunError(ExperimentError, ResourceGuardError):
-    """A run above the solver's size ceiling: an input error."""
+    raises ``ValueError``, a size refusal included."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
+        if self.n_runs > MAX_COUNT:
+            raise ValueError(f"n_runs must be at most {MAX_COUNT}")
         if not 0 < self.field_size_m < math.inf:
             raise ValueError(f"field_size_m must be finite and positive, got {self.field_size_m}")
         if not self.policies:
@@ -131,10 +130,10 @@ def run_policy(scenario: Scenario, policy: str) -> SolveResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Deterministic summary over n_runs seeded layouts per environment.
 
-    Raises an ``ExperimentError`` that is also a ``ValueError``, listing the
-    violations, when a generated scenario fails ``validate``; nothing is
-    solved on it.  One names the run whose solve raised ``ValueError``, and
-    one that is also a ``ResourceGuardError`` the run above the size ceiling.
+    A failing run raises an ``ExperimentError`` that names it.  That error
+    is also a ``ValueError`` when the generated scenario fails ``validate``
+    (it lists the violations, and nothing is solved) or when the solve
+    raised ``ValueError``, such as a ``ResourceGuardError`` above a ceiling.
     """
     rows: list[SummaryRow] = []
     for env_name in config.environments:
@@ -159,11 +158,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 try:
                     result = run_policy(scenario, policy)
                 except Exception as exc:
-                    error = ExperimentError
-                    if isinstance(exc, ResourceGuardError):
-                        error = _OversizedRunError
-                    elif isinstance(exc, ValueError):
-                        error = _InvalidRunError
+                    error = _InvalidRunError if isinstance(exc, ValueError) else ExperimentError
                     raise error(f"run {run} ({env_name}, {policy}): {exc}") from exc
                 # The single-tenancy sub-scenario keeps num_mvnos, so the
                 # counts stay aligned; other tenants sit at zero.

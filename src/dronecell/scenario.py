@@ -8,9 +8,8 @@ Scenarios are immutable and freely shareable across workers.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -26,6 +25,9 @@ MAX_REGION_M = 1.0e7
 # so the default cells stay far below macro size; the window is plain
 # configuration and any scenario file may widen it.
 DEFAULT_H_BOUNDS = (20.0, 80.0)
+# Largest user, tenant or Monte Carlo run count: over 200 times the largest the
+# bundled data and benchmarks use, and far below one that fills memory.
+MAX_COUNT = 100_000
 
 L1 = "L1"
 L2 = "L2"
@@ -52,6 +54,8 @@ class ObjectiveWeights:
     The solver maximizes
     ``w1*served - w2*||counts - targets|| + w3*energy_reward + w4*content_reward``;
     w2 enters as a penalty, w3 rewards serving energy-critical users.
+    Each weight must be finite and non-negative: the constructor checks it,
+    as ``ChannelConfig`` and ``Environment`` do theirs, and ``validate`` does not.
     """
 
     w1: float = 1.0
@@ -61,6 +65,8 @@ class ObjectiveWeights:
     norm: str = L1
 
     def __post_init__(self) -> None:
+        if not all(-math.inf < w < math.inf for w in (self.w1, self.w2, self.w3, self.w4)):
+            raise ValueError(f"objective weights must be finite, got {self}")
         if min(self.w1, self.w2, self.w3, self.w4) < 0:
             raise ValueError("objective weights must be non-negative")
         if self.norm not in (L1, L2):
@@ -149,14 +155,18 @@ def generate_scenario(
 
     Pure function of the arguments; the same seed yields the bit-identical
     scenario (positions from PCG64 via ``numpy.random.default_rng``).
-    Raises ``ValueError`` on a negative user count, no tenant, a field size
-    that is not finite and positive, or an energy-cost range whose width is
-    not finite.
+    Raises ``ValueError``, before anything is allocated, on a negative user
+    count, no tenant, a user or tenant count above ``MAX_COUNT``, a field
+    size that is not finite and positive, or an energy-cost range whose
+    width is not finite.
     """
     if n_users < 0:
         raise ValueError("n_users must be non-negative")
     if num_mvnos < 1:
         raise ValueError("num_mvnos must be at least 1")
+    for name, count in (("n_users", n_users), ("num_mvnos", num_mvnos)):
+        if count > MAX_COUNT:
+            raise ValueError(f"{name} must be at most {MAX_COUNT}")
     if not 0 < field_size_m < math.inf:
         raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
     lam_lo, lam_hi = profile.energy_cost_range
@@ -209,15 +219,15 @@ def validate(scenario: Scenario) -> list[str]:
     """Every invariant violation in the scenario, or an empty list if sound.
 
     Violations are data, not faults: callers decide whether to proceed.
+    Only the scenario's own data is checked here: the weights, channel and
+    environment objects check their numbers when they are built.
     """
     # A NaN passes or fails the comparisons below by accident, and the exact
-    # selection cannot scale an infinity, so every float field must be finite.
-    v = (
-        _non_finite("", scenario)
-        + _non_finite("weight ", scenario.weights)
-        + _non_finite("channel ", scenario.channel)
-        + _non_finite("environment ", scenario.environment)
-    )
+    # selection cannot scale an infinity, so the capacity, the region bounds
+    # and every float field of a user must be finite.
+    v: list[str] = []
+    if not -math.inf < scenario.capacity < math.inf:
+        v.append(f"capacity must be finite, got {scenario.capacity}")
     if scenario.num_mvnos < 1:
         v.append(f"num_mvnos must be >= 1, got {scenario.num_mvnos}")
     if scenario.capacity <= 0:
@@ -252,7 +262,10 @@ def validate(scenario: Scenario) -> list[str]:
         if u.id in seen_ids:
             v.append(f"user id {u.id} is duplicated")
         seen_ids.add(u.id)
-        v += _non_finite(f"user {u.id}: ", u)
+        for name in ("x", "y", "max_path_loss_db", "energy_cost", "resource_demand"):
+            value = getattr(u, name)
+            if not -math.inf < value < math.inf:  # an int of any size is finite
+                v.append(f"user {u.id}: {name} must be finite, got {value}")
         if not 0 <= u.mvno_id < scenario.num_mvnos:
             v.append(f"user {u.id}: mvno_id {u.mvno_id} outside [0, {scenario.num_mvnos})")
         if u.resource_demand <= 0:
@@ -273,22 +286,6 @@ def term_magnitude(scenario: Scenario) -> float:
     w, users = scenario.weights, scenario.users
     energy = w.w3 * sum(u.energy_cost for u in users)
     return (w.w1 + w.w2 + w.w4) * len(users) + w.w2 * sum(scenario.targets) + energy
-
-
-def _non_finite(where: str, obj: object) -> list[str]:
-    """One violation per float field of the dataclass ``obj`` that is NaN or infinite."""
-    out = []
-    for name in _field_names(type(obj)):
-        value = getattr(obj, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            out.append(f"{where}{name} must be finite, got {value}")
-    return out
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    # dataclasses.fields() rebuilds its tuple on every call, once per user.
-    return tuple(f.name for f in fields(cls))
 
 
 def mvno_counts(scenario: Scenario, assignment: Assignment) -> tuple[int, ...]:

@@ -79,8 +79,8 @@ class InfeasibleRegionError(SolverError):
     """The placement region is empty or entirely below ground."""
 
 
-class ResourceGuardError(SolverError):
-    """A requested computation exceeds the configured size ceiling."""
+class ResourceGuardError(SolverError, ValueError):
+    """A requested computation exceeds the configured size ceiling: an input error."""
 
 
 class TermBreakdown(NamedTuple):

@@ -19,6 +19,7 @@ from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, opti
 from dronecell.cli.main import build_parser, main
 from dronecell.cli.report import altitude_profile_csv
 from dronecell.fixtures import case24_path, mc_default_path
+from dronecell.scenario import MAX_COUNT
 from dronecell.solver import InfeasibleRegionError
 
 SRC = str(Path(dronecell.__file__).resolve().parents[1])
@@ -170,6 +171,9 @@ CUSTOM_URBAN = {
         ("solve", ("users", 0, "qdb"), 50),
         ("mc", ("n_run",), 1),
         ("mc", ("profile", "capacty"), 3),
+        ("mc", ("n_runs",), 10**12),
+        ("mc", ("n_users",), 10**12),
+        ("mc", ("num_mvnos",), 10**12),
     ],
 )
 def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
@@ -177,7 +181,8 @@ def test_a_malformed_document_exits_1(tmp_path, capsys, command, where, value):
     # or OverflowError and exit 3; a float run count of 1e300 ran for ever,
     # the string "false" read as a true content flag, and the string "28"
     # as the altitude window (2, 8).  A misspelt key was dropped, and the
-    # run exited 0 on its default.
+    # run exited 0 on its default.  A count of 10**12 exited 3, filled
+    # memory or never ended; it is above the count ceiling.
     if command == "solve":
         doc = json.loads(case24_path().read_text(encoding="utf-8"))
     else:
@@ -344,6 +349,17 @@ def test_gen_unknown_environment_exits_1(tmp_path, capsys):
     code = main(["gen", "--seed", "1", "--n-users", "4", "--env", "rural", "--out", str(tmp_path / "x.json")])
     assert code == 1
     assert "rural" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n-users", "--mvnos"])
+def test_gen_refuses_a_count_above_the_ceiling(tmp_path, capsys, flag):
+    # 10**13 users used to exit 3 when numpy could not allocate them, and
+    # 10**12 tenants grew an even split until memory ran out.
+    out = tmp_path / "never.json"
+    args = ["gen", "--seed", "1", "--n-users", "4", "--env", "urban", flag, str(10**13)]
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"must be at most {MAX_COUNT}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])

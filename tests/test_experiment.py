@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dronecell import experiment
+from dronecell import experiment, solver
 from dronecell.channel import ENVIRONMENTS
 from dronecell.experiment import (
     MULTI_TENANCY_DMF,
@@ -17,7 +17,7 @@ from dronecell.experiment import (
     run_policy,
 )
 from dronecell.fixtures import load_case24
-from dronecell.scenario import ScenarioProfile, generate_scenario, mvno_counts
+from dronecell.scenario import MAX_COUNT, ScenarioProfile, generate_scenario, mvno_counts
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -130,6 +130,9 @@ def test_config_validation():
         ExperimentConfig(environments=("rural",))
     with pytest.raises(ValueError, match="environments must be non-empty"):
         ExperimentConfig(environments=())
+    with pytest.raises(ValueError, match=f"n_runs must be at most {MAX_COUNT}"):
+        ExperimentConfig(n_runs=MAX_COUNT + 1)
+    assert ExperimentConfig(n_runs=MAX_COUNT).n_runs == MAX_COUNT
     # Tenancy-fair selection has no tenant ceiling.
     assert ExperimentConfig(num_mvnos=4).num_mvnos == 4
 
@@ -141,6 +144,15 @@ def test_solver_failures_carry_run_context():
     )
     with pytest.raises(ExperimentError, match=r"run 0 \(urban,"):
         run_experiment(config)
+
+
+def test_an_oversized_run_is_an_input_error_that_names_its_run(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
+    config = ExperimentConfig(n_runs=2, n_users=12, environments=("urban",))
+    with pytest.raises(ExperimentError, match=r"run 0 \(urban, single_tenancy\): .*ceiling") as info:
+        run_experiment(config)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value.__cause__, solver.ResourceGuardError)
 
 
 def test_a_solver_failure_inside_a_run_carries_its_run_and_policy(monkeypatch):

@@ -1,11 +1,13 @@
 """Scenario data model: generation, validation, per-MVNO counting."""
 
 import dataclasses
+import math
 
 import pytest
 
 from dronecell.channel import ENVIRONMENTS, ChannelConfig
 from dronecell.scenario import (
+    MAX_COUNT,
     Assignment,
     ObjectiveWeights,
     PlacementRegion,
@@ -99,6 +101,27 @@ def test_generate_rejects_bad_arguments():
         generate_scenario(1, 10, 0, URBAN)
 
 
+@pytest.mark.parametrize(
+    "n_users, num_mvnos, name",
+    [
+        (MAX_COUNT + 1, 2, "n_users"),
+        (10**12, 2, "n_users"),
+        (10, MAX_COUNT + 1, "num_mvnos"),
+        (10, 10**12, "num_mvnos"),
+    ],
+)
+def test_generate_refuses_a_count_above_the_ceiling(n_users, num_mvnos, name):
+    # Refused before anything is allocated: 10**12 users would ask numpy for
+    # terabytes, and 10**12 tenants would build a target tuple that long.
+    with pytest.raises(ValueError, match=f"{name} must be at most {MAX_COUNT}"):
+        generate_scenario(1, n_users, num_mvnos, URBAN)
+
+
+def test_generate_accepts_the_ceiling_itself():
+    sc = generate_scenario(1, 3, MAX_COUNT, URBAN)
+    assert len(sc.targets) == MAX_COUNT
+
+
 def test_even_targets_splits_remainder_forward():
     assert even_targets(24, 2) == (12, 12)
     assert even_targets(10, 3) == (4, 3, 3)
@@ -111,6 +134,14 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         ObjectiveWeights(norm="L3")
     assert ObjectiveWeights(norm="L2").norm == "L2"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("weight", ["w1", "w2", "w3", "w4"])
+def test_weights_must_be_finite(weight, value):
+    # NaN passes a `< 0` test; the constructor, not validate(), rejects it.
+    with pytest.raises(ValueError, match="objective weights must be finite, got"):
+        ObjectiveWeights(**{weight: value})
 
 
 def test_validate_flags_bad_mvno_id():
@@ -161,64 +192,32 @@ def test_validate_flags_bad_region():
     assert any("above ground" in v for v in violations)
 
 
-def forced(obj, **changes):
-    """A copy of the frozen dataclass ``obj`` with ``changes`` set past its checks.
-
-    The channel and environment constructors reject non-finite parameters;
-    ``validate`` must still name them in a scenario built some other way.
-    """
-    obj = dataclasses.replace(obj)
-    for name, value in changes.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def test_validate_flags_non_finite_numbers():
     nan, inf = float("nan"), float("inf")
     sc = make_scenario(
         [User(id=1, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=nan, energy_cost=nan, resource_demand=inf)],
         capacity=inf,
-        weights=ObjectiveWeights(w1=nan, w4=inf),
     )
-    bad = dataclasses.replace(
-        sc,
-        region=PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, nan)),
-        channel=forced(ChannelConfig(), frequency_hz=inf),
-        environment=forced(URBAN, plos_a=nan),
-    )
+    bad = dataclasses.replace(sc, region=PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, nan)))
     finite = [v for v in validate(bad) if "must be finite" in v]
     for name in (
         "capacity",
-        "weight w1",
-        "weight w4",
         "region x_bounds",
         "region h_bounds",
-        "channel frequency_hz",
-        "environment plos_a",
         "user 1: max_path_loss_db",
         "user 1: energy_cost",
         "user 1: resource_demand",
     ):
         assert sum(v.startswith(name) for v in finite) == 1, name
-    assert len(finite) == 10
+    assert len(finite) == 6
 
 
 def test_validate_names_each_non_finite_field_exactly():
     nan = float("nan")
     users = [User(id=i, x=0.0, y=0.0, mvno_id=0) for i in range(8)]
     users[7] = User(id=7, x=nan, y=0.0, mvno_id=0)
-    sc = dataclasses.replace(
-        make_scenario(users, weights=ObjectiveWeights(w2=nan)),
-        channel=forced(ChannelConfig(), max_path_loss_db=nan),
-        environment=forced(URBAN, plos_b=nan),
-    )
-    finite = [v for v in validate(sc) if "must be finite" in v]
-    assert finite == [
-        "weight w2 must be finite, got nan",
-        "channel max_path_loss_db must be finite, got nan",
-        "environment plos_b must be finite, got nan",
-        "user 7: x must be finite, got nan",
-    ]
+    finite = [v for v in validate(make_scenario(users)) if "must be finite" in v]
+    assert finite == ["user 7: x must be finite, got nan"]
 
 
 def test_validate_ok_on_well_formed_case():

@@ -295,6 +295,11 @@ def test_brute_force_resource_guard():
         brute_force(sc, 0.1, 0.1)
 
 
+def test_a_size_refusal_is_an_input_error():
+    # Callers catch one ValueError for every input error, size refusals included.
+    assert issubclass(ResourceGuardError, ValueError)
+
+
 def test_brute_force_rejects_bad_steps():
     sc = generate_scenario(1, 3, 2, URBAN)
     with pytest.raises(ValueError):
