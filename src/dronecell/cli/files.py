@@ -42,17 +42,22 @@ def _location(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _kind(value: Any) -> str:  # named in place of a rejected value, which may be a whole section
+    kinds = {bool: "a boolean", int: "an integer", float: "a float", str: "a string", dict: "an object"}
+    return "a list" if isinstance(value, (list, tuple)) else kinds.get(type(value), "null")
+
+
 def _integer(value: Any, where: str, key: str) -> int:
     # A count, id or seed written as a float (1e300, NaN) is not coerced.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FileFormatError(f"{_location(where, key)} must be an integer, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be an integer, got {_kind(value)}")
     return value
 
 
 def _number(value: Any, where: str, key: str) -> float:
     # JSON true and "6" are not numbers, though float() reads them as 1.0 and 6.0.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(f"{_location(where, key)} must be a number, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be a number, got {_kind(value)}")
     try:
         return float(value)
     except OverflowError as exc:  # an integer such as 10**400, whose digits are not echoed
@@ -61,13 +66,13 @@ def _number(value: Any, where: str, key: str) -> float:
 
 def _flag(value: Any, where: str, key: str) -> bool:
     if not isinstance(value, bool):  # the string "false" is not a false flag
-        raise FileFormatError(f"{_location(where, key)} must be true or false, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be true or false, got {_kind(value)}")
     return value
 
 
 def _text(value: Any, where: str, key: str) -> str:
     if not isinstance(value, str):
-        raise FileFormatError(f"{_location(where, key)} must be a string, got {value!r}")
+        raise FileFormatError(f"{_location(where, key)} must be a string, got {_kind(value)}")
     return value
 
 
@@ -79,7 +84,7 @@ def _pair(pair: Any, where: str, key: str) -> tuple[float, float]:
 
 def _object(doc: Any, where: str, keys: frozenset[str] | None = None) -> dict[str, Any]:
     if not isinstance(doc, dict):
-        raise FileFormatError(f"{where} must be an object, got {doc!r}")
+        raise FileFormatError(f"{where} must be an object, got {_kind(doc)}")
     # Given ``keys``, a misspelt key is an error, not dropped for its default.
     if keys is not None and doc.keys() - keys:
         raise FileFormatError(f"unknown key {_location(where, min(doc.keys() - keys))!r}")
@@ -89,7 +94,7 @@ def _object(doc: Any, where: str, keys: frozenset[str] | None = None) -> dict[st
 def _list_of(read: Callable[[Any, str, str], _T]) -> Callable[[Any, str, str], tuple[_T, ...]]:
     def read_list(value: Any, where: str, key: str) -> tuple[_T, ...]:
         if not isinstance(value, (list, tuple)):  # a string is not read letter by letter
-            raise FileFormatError(f"{_location(where, key)} must be a list, got {value!r}")
+            raise FileFormatError(f"{_location(where, key)} must be a list, got {_kind(value)}")
         return tuple(read(v, where, key) for v in value)
 
     return read_list
@@ -180,7 +185,10 @@ def _read(cls: type[_T], doc: Any, where: str, **given: Any) -> _T:
             raise FileFormatError(f"missing key {key!r} in {where}")
         else:
             args.append(default)
-    return cls(*args)
+    try:
+        return cls(*args)
+    except ValueError as exc:  # the constructor's own check, named by its section
+        raise FileFormatError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _take(doc: Any, where: str, key: str, read: Callable[[Any, str, str], _T] | None = None) -> Any:
@@ -203,9 +211,8 @@ def _write(obj: Any) -> dict[str, Any]:
 def _check_version(doc: dict[str, Any]) -> None:
     version = _object(doc.get("meta", {}), "meta").get("version")
     if version != SCHEMA_VERSION:
-        raise FileFormatError(
-            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
-        )
+        got = repr(version) if isinstance(version, str) and len(version) < 20 else _kind(version)
+        raise FileFormatError(f"unsupported schema version {got}, expected {SCHEMA_VERSION!r}")
 
 
 def _environment(doc: Any, where: str, key: str) -> Environment:

@@ -23,7 +23,7 @@ from .scenario import (
     generate_scenario,
     validate,
 )
-from .solver import SolveResult, solve
+from .solver import SharedCoverage, SolveResult, solve
 
 SINGLE_TENANCY = "single_tenancy"
 MULTI_TENANCY_NO_FAIRNESS = "multi_tenancy_no_fairness"
@@ -130,6 +130,8 @@ def run_policy(scenario: Scenario, policy: str) -> SolveResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Deterministic summary over n_runs seeded layouts per environment.
 
+    A layout's policies share a ``SharedCoverage``, so the multi-tenancy two,
+    which differ only in w2, run the coverage stage once.
     A failing run raises an ``ExperimentError`` that names it.  That error
     is also a ``ValueError`` when the generated scenario fails ``validate``
     (it lists the violations, and nothing is solved) or when the solve
@@ -154,9 +156,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     f"run {run} ({env_name}, seed {config.seed + run}): invalid scenario: "
                     + "; ".join(violations)
                 )
-            for policy in config.policies:
+            subs = [policy_scenario(scenario, policy) for policy in config.policies]
+            shared = SharedCoverage(subs)
+            for policy, sub in zip(config.policies, subs):
                 try:
-                    result = run_policy(scenario, policy)
+                    result = solve(sub, shared)
                 except Exception as exc:
                     error = _InvalidRunError if isinstance(exc, ValueError) else ExperimentError
                     raise error(f"run {run} ({env_name}, {policy}): {exc}") from exc

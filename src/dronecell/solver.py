@@ -11,21 +11,16 @@ set grows, so the altitude maximizing the coverage radius is optimal for any
 horizontal position, and the horizontal optimum over the remaining 2-D
 problem is attained at one of finitely many candidate centers (user
 positions, pairwise coverage-circle intersections, circle/box-edge
-crossings, and box corners).  The O(n^2) circle pairs and the eligibility
-tests run in numpy with the bits the scalar formulas give.  Users that add
-the same demand and the same objective terms form classes of
-interchangeable users, and a coverage set's signature is its count vector:
-how many members it holds of each class.  Sets with one signature score the
-same, so the coverage sets of those centers are scored by an exact
-subset-selection routine once per signature.  Each signature's score has an
-upper bound, read off its counts: a fractional knapsack (Dantzig) over what
-each of its users can add to the objective.  A signature's bound and
-member count are kept at the row of its first center; signatures are scored
-in descending bound order until a bound falls below the best score, and a
-scored set's members are recomputed at its center by the blocks' disk
-test.  The selection is one DP that takes the classes tenant by tenant,
-folding each tenant's gap term in when it ends, on demands and capacity
-scaled to exact integers.
+crossings, and box corners).  A solve has two stages.  The coverage stage
+tests which users each center covers, in numpy with the scalar formulas'
+bits.  Users that add the same demand and objective terms form classes of
+interchangeable users; a coverage set's signature is its count vector, and
+the stage keeps each signature's first center and counts.  Scenarios that differ only
+in weights, targets and capacity can share it (``SharedCoverage``).  The
+scoring stage sums the counts into the scenario's own classes and scores the
+sets in descending order of a fractional knapsack (Dantzig) bound, until a
+bound falls below the best score, with one exact selection DP that takes
+the classes tenant by tenant on demands and capacity scaled to integers.
 ``brute_force`` provides an independent grid-search oracle for testing.
 """
 
@@ -63,7 +58,7 @@ MAX_SEARCH_POINTS = 10_000_000
 MAX_DP_STATES = 1_000_000
 # Candidate centers tested for eligibility at a time, so the distance and
 # eligibility blocks hold this many rows rather than one per candidate; each
-# signature a block sees first leaves only a bound and a size at its center.
+# signature a block sees first leaves only its center's row and its counts.
 ELIGIBILITY_CHUNK = 512
 # Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
@@ -280,36 +275,54 @@ def _zero_result(scenario: Scenario, placement: tuple[float, float, float], radi
     return SolveResult(placement, empty, obj, breakdown, mvno_counts(scenario, empty), radius)
 
 
-def solve(scenario: Scenario) -> SolveResult:
+class _Coverage(NamedTuple):  # what the coverage stage hands the scoring stage
+    firsts: list[User]  # the first member of each class
+    h_star: float
+    radius: float  # the default threshold's radius at h_star
+    pts: np.ndarray  # candidate centers, sorted by x, then y
+    disks: np.ndarray  # rows of x, y and r^2, a column per user in class order
+    ids: list[int]  # the user id of each column
+    rows: np.ndarray  # each signature's first center row, ascending
+    counts: np.ndarray  # and its count vector, a column per class
+
+
+def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResult:
     """Exact optimum placement and assignment for the scenario.
 
-    The altitude search maximizes the coverage radius at the scenario's
-    default QoS threshold and sizes its disk; each other threshold gets one
-    radius there.  Candidate centers realize every maximal coverage set
-    inside the region box; ``ResourceGuardError`` is raised before they are
-    enumerated when there could be more than ``MAX_SEARCH_POINTS``.  Their
-    eligibility is tested in blocks of ``ELIGIBILITY_CHUNK`` centers, sorted
-    by x, so memory holds one block and a knapsack bound and member count per
-    center, not an eligibility row per candidate, and a block computes
-    distances only to the users whose x-distance to its slab of centers is
-    within their radius.  A coverage set's signature is its count vector,
-    how many members it holds of each class of interchangeable users
-    (``_classes``).  Sets with one signature score the same, so only each
-    signature's first set, at its first center, can win; its bound, which
-    reads only the counts, and its member count are computed in its block
-    when it is first seen and kept at that center.  ``select_users`` scores
-    the sets in descending bound order, then more members, then center
-    order, and stops at the first bound below the best score so far less a
-    rounding slack, since no later set can reach it.  A scored set's
-    members are recomputed at its center by the blocks' routine ``_inside``,
-    so they are the members the block counted.  The best score wins, ties
-    breaking toward more served users, then the lexicographically smallest
-    center; a set must beat the all-zero assignment at the region's
-    smallest corner, which is the result when nobody is coverable.
+    Runs the coverage and scoring stages the module describes, the coverage
+    from ``shared`` if given (made from scenarios that include this one).
+    ``ResourceGuardError`` is raised before the candidate centers are
+    enumerated when there could be more than ``MAX_SEARCH_POINTS``; they are
+    tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x, each
+    against the users whose x-distance to its slab is within their radius.
+    Ties break toward more served users, then the lexicographically smallest
+    center; a set must beat the all-zero assignment at the region's smallest
+    corner.
     """
+    return _score(scenario, shared(scenario) if shared else _coverage(scenario, scenario.weights))
+
+
+class SharedCoverage:
+    """Coverage stages, each computed once for the given scenarios that share its inputs."""
+
+    def __init__(self, scenarios: Iterable[Scenario]) -> None:
+        self._scenarios = list(scenarios)
+        self._stages: dict[int, _Coverage] = {}
+
+    def __call__(self, scenario: Scenario) -> _Coverage:
+        keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
+        k = keys.index((scenario.users, scenario.channel, scenario.environment, scenario.region))
+        if k not in self._stages:  # its classes separate each field any weights turn on
+            group = [s.weights for s, key in zip(self._scenarios, keys) if key == keys[k]]
+            w2, w3, w4 = (max(getattr(w, t) for w in group) for t in ("w2", "w3", "w4"))
+            self._stages[k] = _coverage(scenario, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
+        return self._stages[k]
+
+
+def _coverage(scenario: Scenario, weights: ObjectiveWeights) -> _Coverage:
+    """The coverage stage of ``solve()``, counting by ``_classes(scenario.users, weights)``."""
     _check_region(scenario)
     region = scenario.region
-    (x_lo, x_hi), (y_lo, y_hi) = region.x_bounds, region.y_bounds
     env, cfg = scenario.environment, scenario.channel
     h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
     users = scenario.users
@@ -318,35 +331,12 @@ def solve(scenario: Scenario) -> SolveResult:
     for q in {u.max_path_loss_db for u in users} - sized.keys():
         sized[q] = coverage_radius(h_star, q, env, cfg)
     radii = [sized[u.max_path_loss_db] for u in users]
-
-    zero = _zero_result(scenario, (x_lo, y_lo, h_star), r_default)
     pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
 
-    # A served user adds at most value = w1 + w2' + w3*e + w4*kappa to the
-    # objective, less w2' times the summed targets: with k users served the
-    # tenancy gap is at least the targets' sum less k under L1, and that over
-    # sqrt(M) under L2 (M tenants).  A set's bound is the fractional knapsack
-    # of its members' values under the capacity.  Every field the value reads
-    # also separates ``_classes``, so a class has one value and one demand;
-    # the columns run class by class in descending value per unit demand,
-    # and a set's greedy fill is a running sum along its count vector.
-    w = scenario.weights
-    w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
-
-    def value(u: User) -> float:
-        return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
-
-    def density(members: list[int]) -> float:
-        return value(users[members[0]]) / users[members[0]].resource_demand
-
-    groups = sorted(_classes(users, w), key=density, reverse=True)
-    order = [j for members in groups for j in members]
-    values = np.array([value(users[members[0]]) for members in groups])
-    demands = np.array([users[members[0]].resource_demand for members in groups])
-    base = w2 * sum(scenario.targets)
+    classes = _classes(users, weights)
+    order = [p for members in classes for p in members]
     count_type = np.min_scalar_type(len(order))
-    class_start = np.cumsum([0] + [len(members) for members in groups[:-1]])
-
+    class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
     # Rows of x, y and squared radius, one column per user in class order.
     # A zero radius means the user fails QoS even at the nadir; the negative
     # sentinel keeps it out of every disk, including candidates at distance 0.
@@ -359,12 +349,10 @@ def solve(scenario: Scenario) -> SolveResult:
     )[:, order]
     ux, r2 = disks[0], disks[2]
 
-    # Sets with one signature score the same, and a later equal score never
-    # wins, so only first sightings count: each keeps its bound and member
-    # count at its center's row in ``pts``; other rows keep a size of 0.
-    bound = np.empty(len(pts))
-    size = np.zeros(len(pts), dtype=np.intp)
-    seen: set[bytes] = set()
+    # Signature bytes -> first center row, in order of first sighting.  One
+    # eligibility buffer serves every block, so the heap does not shrink and regrow.
+    seen: dict[bytes, int] = {}
+    blank = np.zeros((min(len(pts), ELIGIBILITY_CHUNK), len(order)), dtype=bool)
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
         bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
         # The centers are sorted by x, so the block spans [bx[0], bx[-1]].  A
@@ -374,24 +362,65 @@ def solve(scenario: Scenario) -> SolveResult:
         gap = np.minimum(np.maximum(ux, bx[0]), bx[-1])
         gap -= ux
         near = (gap * gap <= r2).nonzero()[0]
-        eligible = np.zeros((len(bx), len(order)), dtype=bool)
+        eligible = blank[: len(bx)]
+        eligible[:] = False
         eligible[:, near] = _inside(bx, by, disks[:, near])
         held = np.add.reduceat(eligible, class_start, axis=1, dtype=count_type)
         signatures = held.view(np.dtype((np.void, held.strides[0]))).ravel().tolist()
-        new = []
-        for k, signature in enumerate(signatures):
+        for k, signature in enumerate(signatures, start):
             if signature not in seen:
-                seen.add(signature)
-                new.append(k)
-        # Each class's share of its members: all while the fill stays within
-        # the capacity, then the part that still fits, then none.  A fill or
-        # quotient that overflows to +-inf clips to the same share.
-        counts = held[new]
+                seen[signature] = k
+    firsts, ids = [users[members[0]] for members in classes], [users[p].id for p in order]
+    counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
+    rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return _Coverage(firsts, h_star, r_default, pts, disks, ids, rows, counts)
+
+
+def _score(scenario: Scenario, cov: _Coverage) -> SolveResult:
+    """The scoring stage of ``solve()``, given the coverage of the scenario's users."""
+    firsts, h_star, radius, pts, disks, ids, rows, counts = cov
+    region = scenario.region
+    zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
+
+    # A served user adds at most value = w1 + w2' + w3*e + w4*kappa, less w2'
+    # times the summed targets (the tenancy gap is at least their sum less k
+    # for k served, over sqrt(M) under L2).  A set's bound is the fractional
+    # knapsack of its members' values.  Every field the value reads separates
+    # ``_classes``, so a class has one value and one demand; columns run in
+    # descending value per unit demand, so a set's fill is a running sum.
+    w = scenario.weights
+    w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
+
+    def value(u: User) -> float:
+        return w.w1 + w2 + w.w3 * u.energy_cost + w.w4 * (1.0 if u.content_request else 0.0)
+
+    def density(group: list[int]) -> float:
+        return value(firsts[group[0]]) / firsts[group[0]].resource_demand
+
+    # The scenario's classes are unions of coverage classes, summed column by
+    # column; a summed signature's first sighting is a coverage signature's.
+    groups = sorted(_classes(firsts, w), key=density, reverse=True)
+    values = np.array([value(firsts[group[0]]) for group in groups])
+    demands = np.array([firsts[group[0]].resource_demand for group in groups])
+    base = w2 * sum(scenario.targets)
+    columns = [c for group in groups for c in group]
+    if len(groups) < len(firsts):
+        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
+        first = np.sort(np.unique(counts, axis=0, return_index=True)[1])
+        rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
+    # Each class's share of its members: all while the fill stays within the
+    # capacity, then the part that still fits, then none.  A fill or quotient
+    # that overflows to +-inf clips to the same share.  Blocks of a quarter
+    # chunk keep the few float temporaries below one eligibility block.
+    bound, chunk = np.empty(len(rows)), max(ELIGIBILITY_CHUNK // 4, 1)
+    for start in range(0, len(rows), chunk):
+        held = counts[start : start + chunk].take(columns, axis=1)
         with np.errstate(over="ignore"):
-            fill = np.cumsum(counts * demands, axis=1)
-            share = np.clip((scenario.capacity - fill) / demands + counts, 0, counts)
-        bound[start:][new] = share @ values - base
-        size[start:][new] = counts.sum(axis=1)
+            fill = np.cumsum(held * demands, axis=1)
+            share = np.clip((scenario.capacity - fill) / demands + held, 0, held)
+        bound[start : start + chunk] = share @ values - base
+    size = counts.sum(axis=1, dtype=np.intp)
 
     # The slack covers rounding, since the bound, ``select_users`` and
     # ``objective_value`` add the same terms in different orders; it is
@@ -403,13 +432,13 @@ def solve(scenario: Scenario) -> SolveResult:
     # then center order (lexsort is stable); once a bound is below the best
     # score, so are all that follow.
     win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
-    rows = size.nonzero()[0]
-    ranked = rows[np.lexsort((-size[rows], -bound[rows]))].tolist()
-    for i, b in zip(ranked, bound[ranked].tolist()):
+    nonempty = size.nonzero()[0]
+    ranked = nonempty[np.lexsort((-size[nonempty], -bound[nonempty]))]
+    for i, b in zip(rows[ranked].tolist(), bound[ranked].tolist()):
         if b < win[0] - slack:
             break
         members = _inside(*pts[i], disks).nonzero()[0]
-        assignment = select_users(scenario, {users[order[j]].id for j in members})
+        assignment = select_users(scenario, {ids[j] for j in members})
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
     obj, _, neg_index, assignment, breakdown = win
@@ -417,7 +446,7 @@ def solve(scenario: Scenario) -> SolveResult:
         return zero
     x, y = pts[-neg_index].tolist()
     return SolveResult(
-        (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), r_default
+        (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), radius
     )
 
 

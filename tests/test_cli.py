@@ -64,6 +64,19 @@ def test_solve_case24_writes_the_recorded_csv(tmp_path):
     assert hashlib.sha256(data).hexdigest() == refs["case24"]
 
 
+@pytest.mark.parametrize("block", range(4))
+def test_mc_default_block_writes_the_recorded_csv(tmp_path, block):
+    # The benchmark cuts the bundled config into one-run blocks on
+    # consecutive seeds and checks each block's CSV against its digest.
+    doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps(dict(doc, seed=doc["seed"] + block, n_runs=1)), encoding="utf-8")
+    out = tmp_path / "mc.csv"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 0
+    refs = json.loads(REFS.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == refs["mc_default"][block]
+
+
 def test_solve_writes_svg(tmp_path):
     out = tmp_path / "result.csv"
     svg = tmp_path / "placement.svg"
@@ -143,6 +156,45 @@ def write_edited(path, doc, where, value):
 CUSTOM_URBAN = {
     "name": "custom", "plos_a": 9.61, "plos_b": 0.16, "eta_los_db": 1.0, "eta_nlos_db": 20.0,
 }
+
+
+@pytest.mark.parametrize(
+    "command, where, section",
+    [
+        ("solve", ("weights", "w1"), "weights"),
+        ("solve", ("channel", "frequency_hz"), "channel"),
+        ("mc", ("profile", "weights", "w2"), "profile.weights"),
+        ("mc", ("profile", "channel", "default_max_path_loss_db"), "profile.channel"),
+    ],
+)
+def test_a_constructor_error_names_its_section(tmp_path, capsys, command, where, section):
+    # A constructor's own check used to reach the user without the section
+    # it came from: "error: objective weights must be finite, got ...".
+    path = case24_path() if command == "solve" else mc_default_path()
+    cfg = write_edited(tmp_path / "doc.json", json.loads(path.read_text(encoding="utf-8")), where, math.nan)
+    out = tmp_path / "never.csv"
+    assert main([command, str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (("tenancy",), "tenancy must be an object, got a list"),
+        (("users", 0), "users[0] must be an object, got a list"),
+        (("region", "x"), "region.x must be a [min, max] pair"),
+        (("meta", "version"), "unsupported schema version a list, expected '1'"),
+    ],
+)
+def test_a_wrong_typed_value_is_named_not_echoed(tmp_path, capsys, where, message):
+    # A 2,000-element list in place of an object or the version used to be
+    # printed whole, about 11,000 characters.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    cfg = write_edited(tmp_path / "doc.json", doc, where, list(range(2000)))
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

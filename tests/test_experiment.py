@@ -12,12 +12,20 @@ from dronecell.experiment import (
     SINGLE_TENANCY,
     ExperimentConfig,
     ExperimentError,
+    SummaryRow,
     policy_scenario,
     run_experiment,
     run_policy,
 )
 from dronecell.fixtures import load_case24
-from dronecell.scenario import MAX_COUNT, ScenarioProfile, generate_scenario, mvno_counts
+from dronecell.scenario import (
+    L2,
+    MAX_COUNT,
+    ObjectiveWeights,
+    ScenarioProfile,
+    generate_scenario,
+    mvno_counts,
+)
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -103,6 +111,43 @@ def test_run_experiment_matches_direct_runs():
         assert row.runs == config.n_runs
 
 
+@pytest.mark.parametrize(
+    "num_mvnos, weights, capacity",
+    [
+        (1, ObjectiveWeights(1.0, 2.0, 0.5, 0.5, L2), 4.0),
+        (3, ObjectiveWeights(1.0, 0.5, 0.5, 0.0), None),
+        (4, ObjectiveWeights(0.5, 1.5, 0.0, 1.0, L2), 5.0),
+    ],
+)
+def test_run_experiment_matches_a_summary_of_per_policy_solves(num_mvnos, weights, capacity):
+    # The policies of one layout share a coverage stage whose classes are
+    # finer than single tenancy's and no fairness's; each summed back to its
+    # own classes must give the counts a solve() of its own gives.
+    profile = ScenarioProfile(
+        energy_cost_range=(0.0, 1.0), content_probability=0.5, capacity=capacity, weights=weights
+    )
+    config = ExperimentConfig(
+        n_runs=3, n_users=18, num_mvnos=num_mvnos, seed=77,
+        environments=("suburban", "highrise_urban"), profile=profile,
+    )
+    rows = []
+    for env in config.environments:
+        counts = {p: [] for p in POLICIES}
+        for run in range(config.n_runs):
+            sc = generate_scenario(
+                config.seed + run, config.n_users, num_mvnos, ENVIRONMENTS[env],
+                field_size_m=config.field_size_m, profile=profile,
+            )
+            for p in POLICIES:
+                counts[p].append(solver.solve(policy_scenario(sc, p)).mvno_counts)
+        for p in POLICIES:
+            m = np.asarray(counts[p], dtype=float)
+            t = m.sum(axis=1)
+            per_mvno = tuple(float(v) for v in m.mean(axis=0))
+            rows.append(SummaryRow(env, p, float(t.mean()), float(t.std()), per_mvno, config.n_runs))
+    assert run_experiment(config).rows == tuple(rows)
+
+
 def test_run_experiment_is_deterministic():
     config = ExperimentConfig(n_runs=2, n_users=8, environments=("suburban", "urban"))
     assert run_experiment(config) == run_experiment(config)
@@ -158,7 +203,7 @@ def test_an_oversized_run_is_an_input_error_that_names_its_run(monkeypatch):
 def test_a_solver_failure_inside_a_run_carries_its_run_and_policy(monkeypatch):
     # A valid config whose every solve fails: the first run's first policy
     # raises, wrapped as an internal error (not a ValueError) with its context.
-    def failing(scenario):
+    def failing(scenario, shared=None):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(experiment, "solve", failing)

@@ -797,3 +797,52 @@ def test_solve_tie_between_a_non_maximal_set_and_its_superset_goes_to_the_earlie
     assert covered_set(sc, result.placement) == {0}
     assert result.placement[0] < 0.75 * radius
     assert calls[0] == frozenset({0, 1}) and frozenset({0}) in calls
+
+
+def shared_instances():
+    """``bound_instances()``, then generated layouts of 1-4 MVNOs with mixed demands.
+
+    The generated ones draw the L1 or L2 norm, energy costs from a few
+    values, content flags and a capacity that often binds.
+    """
+    yield from (sc for _, sc in bound_instances())
+    rng = random.Random(5151)
+    for seed in range(16):
+        profile = ScenarioProfile(
+            energy_cost_range=(0.0, 1.0),
+            content_probability=0.4,
+            capacity=rng.choice((None, 3.0, 6.5)),
+            weights=ObjectiveWeights(1.0, rng.choice((0.5, 2.0)), 0.5, 0.5, rng.choice((L1, L2))),
+        )
+        sc = generate_scenario(seed, rng.randint(8, 30), rng.randint(1, 4), URBAN, 600.0, profile)
+        users = tuple(
+            dataclasses.replace(
+                u, energy_cost=rng.choice((0.0, 0.5, 1.0)), resource_demand=rng.choice((0.5, 1.0, 1.5))
+            )
+            for u in sc.users
+        )
+        yield dataclasses.replace(sc, users=users)
+
+
+@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
+def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, chunk):
+    # Variants of one layout that turn different terms on share a stage whose
+    # classes are finer than theirs, so each sums its own columns and drops
+    # repeated signatures again; the subset of users gets a stage of its own.
+    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    stages = []
+    monkeypatch.setattr(solver, "_candidate_centers", lambda *a: stages.append(a) or _candidate_centers(*a))
+    for sc in shared_instances():
+        w = sc.weights
+        subs = [
+            sc,
+            dataclasses.replace(sc, weights=dataclasses.replace(w, w2=0.0)),
+            dataclasses.replace(sc, weights=dataclasses.replace(w, w3=0.0, w4=0.0)),
+            dataclasses.replace(sc, weights=ObjectiveWeights(0.5, 0.0, 0.0, 1.0, w.norm)),
+            dataclasses.replace(sc, users=sc.users[: len(sc.users) // 2]),
+        ]
+        want = [repr(solve(s)) for s in subs]
+        stages.clear()
+        shared = solver.SharedCoverage(subs)
+        assert [repr(solve(s, shared)) for s in reversed(subs)] == want[::-1]
+        assert len(stages) == 2
