@@ -25,6 +25,7 @@ from ..scenario import (
     Scenario,
     ScenarioProfile,
     User,
+    quoted,
 )
 
 SCHEMA_VERSION = "1"
@@ -87,7 +88,7 @@ def _object(doc: Any, where: str, keys: frozenset[str] | None = None) -> dict[st
         raise FileFormatError(f"{where} must be an object, got {_kind(doc)}")
     # Given ``keys``, a misspelt key is an error, not dropped for its default.
     if keys is not None and doc.keys() - keys:
-        raise FileFormatError(f"unknown key {_location(where, min(doc.keys() - keys))!r}")
+        raise FileFormatError(f"unknown key {quoted(_location(where, min(doc.keys() - keys)))}")
     return doc
 
 
@@ -211,7 +212,7 @@ def _write(obj: Any) -> dict[str, Any]:
 def _check_version(doc: dict[str, Any]) -> None:
     version = _object(doc.get("meta", {}), "meta").get("version")
     if version != SCHEMA_VERSION:
-        got = repr(version) if isinstance(version, str) and len(version) < 20 else _kind(version)
+        got = quoted(version) if isinstance(version, str) else _kind(version)
         raise FileFormatError(f"unsupported schema version {got}, expected {SCHEMA_VERSION!r}")
 
 
@@ -221,7 +222,7 @@ def _environment(doc: Any, where: str, key: str) -> Environment:
     explicit = [k for k in _LOSSES if k in doc]
     if not explicit:
         if name not in ENVIRONMENTS:
-            raise FileFormatError(f"unknown environment preset {name!r}")
+            raise FileFormatError(f"unknown environment preset {quoted(name)}")
         return ENVIRONMENTS[name]
     if len(explicit) != len(_LOSSES):
         raise FileFormatError(

@@ -16,7 +16,7 @@ from pathlib import Path
 from .. import solver
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
-from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, validate
+from ..scenario import DEFAULT_FIELD_SIZE_M, generate_scenario, quoted, validate
 from ..solver import InfeasibleRegionError, ResourceGuardError, solve
 from .files import load_experiment_config, load_scenario, save_scenario
 from .report import altitude_profile_csv, mc_csv, placement_svg, solve_csv
@@ -59,7 +59,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_altitude_profile(args: argparse.Namespace) -> int:
     if args.env not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment preset {args.env!r}")
+        raise ValueError(f"unknown environment preset {quoted(args.env)}")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     if args.steps + 1 > solver.MAX_SEARCH_POINTS:
@@ -85,7 +85,7 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.env not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment preset {args.env!r}")
+        raise ValueError(f"unknown environment preset {quoted(args.env)}")
     scenario = generate_scenario(
         args.seed, args.n_users, args.mvnos, ENVIRONMENTS[args.env], args.field_size
     )

@@ -21,6 +21,7 @@ from .scenario import (
     ScenarioProfile,
     assignment_from_ids,
     generate_scenario,
+    quoted,
     validate,
 )
 from .solver import SharedCoverage, SolveResult, solve
@@ -65,12 +66,12 @@ class ExperimentConfig:
             raise ValueError("policies must be non-empty")
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
-            raise ValueError(f"unknown policies: {unknown}")
+            raise ValueError(f"unknown policies: [{', '.join(map(quoted, unknown))}]")
         if not self.environments:
             raise ValueError("environments must be non-empty")
         missing = [e for e in self.environments if e not in ENVIRONMENTS]
         if missing:
-            raise ValueError(f"unknown environments: {missing}")
+            raise ValueError(f"unknown environments: [{', '.join(map(quoted, missing))}]")
 
 
 @dataclass(frozen=True)

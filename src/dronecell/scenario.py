@@ -305,3 +305,9 @@ def mvno_counts(scenario: Scenario, assignment: Assignment) -> tuple[int, ...]:
 def assignment_from_ids(scenario: Scenario, served_ids: Iterable[int]) -> Assignment:
     chosen = set(served_ids)
     return Assignment(tuple(1 if u.id in chosen else 0 for u in scenario.users))
+
+
+def quoted(name: object) -> str:
+    """A name as an error message shows it: its repr if short, else its length, not its text."""
+    text = repr(name)
+    return text if len(text) <= 80 else f"<{len(str(name)):,} characters>"

@@ -1,4 +1,4 @@
-"""Exact 3-D placement of a drone-mounted cell over congested users.
+"""Placement of a drone-mounted cell over congested users.
 
 The engine picks a platform position (x, y, h) inside an allowed box and a
 subset of users to serve, maximizing a weighted mix of total served users,
@@ -6,22 +6,24 @@ closeness to per-tenant service targets, energy-criticality rewards, and
 content rewards, subject to per-user QoS (path loss) limits and a shared
 capacity budget.
 
-The search decomposes: a feasible assignment only improves when the covered
-set grows, so the altitude maximizing the coverage radius is optimal for any
-horizontal position, and the horizontal optimum over the remaining 2-D
-problem is attained at one of finitely many candidate centers (user
-positions, pairwise coverage-circle intersections, circle/box-edge
-crossings, and box corners).  A solve has two stages.  The coverage stage
-tests which users each center covers, in numpy with the scalar formulas'
-bits.  Users that add the same demand and objective terms form classes of
-interchangeable users; a coverage set's signature is its count vector, and
-the stage keeps each signature's first center and counts.  Scenarios that differ only
-in weights, targets and capacity can share it (``SharedCoverage``).  The
-scoring stage sums the counts into the scenario's own classes and scores the
-sets in descending order of a fractional knapsack (Dantzig) bound, until a
-bound falls below the best score, with one exact selection DP that takes
-the classes tenant by tenant on demands and capacity scaled to integers.
-``brute_force`` provides an independent grid-search oracle for testing.
+``solve()`` fixes h at h*, where the default threshold's coverage radius
+peaks, and sizes each user's disk there with ``coverage_radius``.  At h* the
+optimum lies at one of finitely many candidate centers (user positions,
+pairwise circle crossings, circle/box-edge crossings, and box corners).  The
+coverage stage tests which of those disks each center is in, in numpy with
+the scalar formulas' bits.  Users that add the same demand and objective
+terms form classes of interchangeable users; a coverage set's signature is
+its count vector, and the stage keeps each signature's first center and
+counts.  Scenarios that differ only in weights, targets and capacity can
+share it (``SharedCoverage``).  The scoring stage sums the counts into the
+scenario's own classes and scores the sets in descending order of a
+fractional knapsack (Dantzig) bound, until a bound falls below the best
+score, with one exact selection DP that takes the classes tenant by tenant
+on demands and capacity scaled to integers.  It selects from the members
+whose scalar ``path_loss`` is within their threshold, so every served user
+is.  The result is optimal over placements at h* with those disks; another
+altitude, or a radius's bisection slack, can serve more.  ``brute_force``
+provides an independent grid-search oracle for testing.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .scenario import (
     L2,
     Assignment,
     ObjectiveWeights,
+    PlacementRegion,
     Scenario,
     User,
     assignment_from_ids,
@@ -121,11 +124,16 @@ def objective_value(scenario: Scenario, assignment: Assignment) -> tuple[float, 
 
 def covered_set(scenario: Scenario, placement: Sequence[float]) -> set[int]:
     """Ids of users whose QoS limit holds at the given (x, y, h) placement."""
+    return _covered(scenario, scenario.users, placement)
+
+
+def _covered(scenario: Scenario, users: Iterable[User], placement: Sequence[float]) -> set[int]:
+    """Ids of the ``users`` whose scalar path loss at (x, y, h) is within their threshold."""
     x, y, h = placement
     env, cfg = scenario.environment, scenario.channel
     return {
         u.id
-        for u in scenario.users
+        for u in users
         if path_loss(h, math.hypot(u.x - x, u.y - y), env, cfg) <= u.max_path_loss_db
     }
 
@@ -276,21 +284,18 @@ def _zero_result(scenario: Scenario, placement: tuple[float, float, float], radi
 
 
 class _Coverage(NamedTuple):  # what the coverage stage hands the scoring stage
-    firsts: list[User]  # the first member of each class
-    h_star: float
-    radius: float  # the default threshold's radius at h_star
+    classes: list[list[int]]  # the partition it counts by, as positions in the users
     pts: np.ndarray  # candidate centers, sorted by x, then y
     disks: np.ndarray  # rows of x, y and r^2, a column per user in class order
-    ids: list[int]  # the user id of each column
     rows: np.ndarray  # each signature's first center row, ascending
     counts: np.ndarray  # and its count vector, a column per class
 
 
 def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResult:
-    """Exact optimum placement and assignment for the scenario.
+    """Best placement and assignment at h*, with the guarantees the module states.
 
-    Runs the coverage and scoring stages the module describes, the coverage
-    from ``shared`` if given (made from scenarios that include this one).
+    Sizes the disks, then runs the coverage stage on them (from ``shared``
+    if given, made from scenarios that include this one) and the scoring.
     ``ResourceGuardError`` is raised before the candidate centers are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``; they are
     tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x, each
@@ -299,41 +304,41 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     center; a set must beat the all-zero assignment at the region's smallest
     corner.
     """
-    return _score(scenario, shared(scenario) if shared else _coverage(scenario, scenario.weights))
-
-
-class SharedCoverage:
-    """Coverage stages, each computed once for the given scenarios that share its inputs."""
-
-    def __init__(self, scenarios: Iterable[Scenario]) -> None:
-        self._scenarios = list(scenarios)
-        self._stages: dict[int, _Coverage] = {}
-
-    def __call__(self, scenario: Scenario) -> _Coverage:
-        keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
-        k = keys.index((scenario.users, scenario.channel, scenario.environment, scenario.region))
-        if k not in self._stages:  # its classes separate each field any weights turn on
-            group = [s.weights for s, key in zip(self._scenarios, keys) if key == keys[k]]
-            w2, w3, w4 = (max(getattr(w, t) for w in group) for t in ("w2", "w3", "w4"))
-            self._stages[k] = _coverage(scenario, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
-        return self._stages[k]
-
-
-def _coverage(scenario: Scenario, weights: ObjectiveWeights) -> _Coverage:
-    """The coverage stage of ``solve()``, counting by ``_classes(scenario.users, weights)``."""
     _check_region(scenario)
-    region = scenario.region
-    env, cfg = scenario.environment, scenario.channel
-    h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, region.h_bounds)
-    users = scenario.users
+    env, cfg, users = scenario.environment, scenario.channel, scenario.users
+    h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, scenario.region.h_bounds)
     # One radius per distinct threshold; the search sized the default one.
     sized = {cfg.max_path_loss_db: r_default}
     for q in {u.max_path_loss_db for u in users} - sized.keys():
         sized[q] = coverage_radius(h_star, q, env, cfg)
     radii = [sized[u.max_path_loss_db] for u in users]
-    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
+    shared = shared or SharedCoverage([scenario])
+    return _score(scenario, shared(scenario, radii), h_star, r_default)
 
-    classes = _classes(users, weights)
+
+class SharedCoverage:
+    """Coverage stages, each made once, on its first caller's radii, for scenarios sharing it."""
+
+    def __init__(self, scenarios: Iterable[Scenario]) -> None:
+        self._scenarios = list(scenarios)
+        self._stages: dict[int, _Coverage] = {}
+
+    def __call__(self, scenario: Scenario, radii: Sequence[float]) -> _Coverage:
+        keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
+        k = keys.index((scenario.users, scenario.channel, scenario.environment, scenario.region))
+        if k not in self._stages:  # its classes separate each field any weights turn on
+            group = [s.weights for s, key in zip(self._scenarios, keys) if key == keys[k]]
+            w2, w3, w4 = (max(getattr(w, t) for w in group) for t in ("w2", "w3", "w4"))
+            classes = _classes(scenario.users, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
+            self._stages[k] = _coverage(scenario.users, radii, scenario.region, classes)
+        return self._stages[k]
+
+
+def _coverage(
+    users: Sequence[User], radii: Sequence[float], region: PlacementRegion, classes: list[list[int]]
+) -> _Coverage:
+    """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``."""
+    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
     order = [p for members in classes for p in members]
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
@@ -370,16 +375,16 @@ def _coverage(scenario: Scenario, weights: ObjectiveWeights) -> _Coverage:
         for k, signature in enumerate(signatures, start):
             if signature not in seen:
                 seen[signature] = k
-    firsts, ids = [users[members[0]] for members in classes], [users[p].id for p in order]
     counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
     rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    return _Coverage(firsts, h_star, r_default, pts, disks, ids, rows, counts)
+    return _Coverage(classes, pts, disks, rows, counts)
 
 
-def _score(scenario: Scenario, cov: _Coverage) -> SolveResult:
-    """The scoring stage of ``solve()``, given the coverage of the scenario's users."""
-    firsts, h_star, radius, pts, disks, ids, rows, counts = cov
+def _score(scenario: Scenario, cov: _Coverage, h_star: float, radius: float) -> SolveResult:
+    """The scoring stage of ``solve()`` at h*, given the coverage of the scenario's users."""
+    classes, pts, disks, rows, counts = cov
     region = scenario.region
+    firsts = [scenario.users[members[0]] for members in classes]
     zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
 
     # A served user adds at most value = w1 + w2' + w3*e + w4*kappa, less w2'
@@ -432,13 +437,17 @@ def _score(scenario: Scenario, cov: _Coverage) -> SolveResult:
     # then center order (lexsort is stable); once a bound is below the best
     # score, so are all that follow.
     win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
+    column_users = [scenario.users[p] for members in classes for p in members]
     nonempty = size.nonzero()[0]
     ranked = nonempty[np.lexsort((-size[nonempty], -bound[nonempty]))]
     for i, b in zip(rows[ranked].tolist(), bound[ranked].tolist()):
         if b < win[0] - slack:
             break
-        members = _inside(*pts[i], disks).nonzero()[0]
-        assignment = select_users(scenario, {ids[j] for j in members})
+        # At a radius exactly on its threshold's boundary, DISK_EPS can take in
+        # a user just past it, so the loss itself decides who is eligible.
+        x, y = pts[i].tolist()
+        members = [column_users[j] for j in _inside(x, y, disks).nonzero()[0]]
+        assignment = select_users(scenario, _covered(scenario, members, (x, y, h_star)))
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
     obj, _, neg_index, assignment, breakdown = win

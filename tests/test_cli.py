@@ -197,6 +197,28 @@ def test_a_wrong_typed_value_is_named_not_echoed(tmp_path, capsys, where, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+LONG_NAME = "x" * 3000
+
+
+@pytest.mark.parametrize(
+    "command, where, value, message",
+    [
+        ("solve", ("environment",), {"name": LONG_NAME}, "unknown environment preset <3,000 characters>"),
+        ("solve", ("region", LONG_NAME), 1, "unknown key <3,007 characters>"),
+        ("mc", ("environments",), ["urban", LONG_NAME], "unknown environments: [<3,000 characters>]"),
+        ("mc", ("policies",), [LONG_NAME, "single"], "unknown policies: [<3,000 characters>, 'single']"),
+    ],
+    ids=["preset", "key", "environments", "policies"],
+)
+def test_a_long_name_is_measured_not_echoed(tmp_path, capsys, command, where, value, message):
+    # A 3,000-character preset, key, environment or policy name used to be
+    # printed whole, in an error of about 3,030 characters.
+    path = case24_path() if command == "solve" else mc_default_path()
+    cfg = write_edited(tmp_path / "doc.json", json.loads(path.read_text(encoding="utf-8")), where, value)
+    assert main([command, str(cfg), "--out", str(tmp_path / "never.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, where, value",
     [
@@ -638,6 +660,7 @@ def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
     "args, message",
     [
         (["--env", "rural"], "error: unknown environment preset 'rural'"),
+        (["--env", "x" * 3000], "error: unknown environment preset <3,000 characters>"),
         (["--env", "urban", "--steps", "0"], "error: steps must be at least 1"),
     ],
 )

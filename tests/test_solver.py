@@ -331,6 +331,27 @@ def test_solve_handles_heterogeneous_qos():
     assert result.objective >= oracle.objective - 1e-9
 
 
+def test_solve_serves_no_user_past_its_threshold_at_an_exact_disk_boundary():
+    # With h* = 80 m and q = path_loss(80, r) for a bisection midpoint r,
+    # coverage_radius returns r exactly, so the loss at the disk's edge is q
+    # and the DISK_EPS margin reaches past it.  Two users sit r*f apart.  One
+    # case, r = 162.5 and the second user at (211.25, 0.3), served both at
+    # (105.4496..., 123.6391..., 80), where the second's loss was q + 1.4e-14 dB.
+    region = PlacementRegion((-500.0, 800.0), (-500.0, 500.0), (20.0, 80.0))
+    radii = (112.5, 125.0, 137.5, 150.0, 162.5, 175.0, 187.5)
+    for r, f, y in itertools.product(radii, (1.05, 1.2, 1.3, 1.5, 1.7, 1.9), (0.0, 0.3, 7.0)):
+        q = path_loss(80.0, r, URBAN, CFG)
+        assert coverage_radius(80.0, q, URBAN, CFG) == r
+        users = [
+            User(id=0, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=q),
+            User(id=1, x=f * r, y=y, mvno_id=0, max_path_loss_db=q),
+        ]
+        sc = make_scenario(users, num_mvnos=1, targets=(2,), capacity=10.0, region=region)
+        result = solve(sc)
+        served = set(result.assignment.served_ids(sc))
+        assert served <= covered_set(sc, result.placement), (r, f, y)
+
+
 def test_solve_sizes_each_threshold_once(monkeypatch):
     # The altitude search sizes the default threshold's disk, and each other
     # threshold is sized once at h*, however many users share it.
