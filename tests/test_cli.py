@@ -660,8 +660,8 @@ def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
     "args, message",
     [
         (["--env", "rural"], "error: unknown environment preset 'rural'"),
-        (["--env", "x" * 3000], "error: unknown environment preset <3,000 characters>"),
         (["--env", "urban", "--steps", "0"], "error: steps must be at least 1"),
+        (["--env", "x" * 3000], "error: unknown environment preset <3,000 characters>"),
     ],
 )
 def test_altitude_profile_rejects_an_unknown_preset_or_no_steps(tmp_path, capsys, args, message):
