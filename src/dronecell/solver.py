@@ -9,9 +9,15 @@ capacity budget.
 ``solve()`` fixes h at h*, where the default threshold's coverage radius
 peaks, and sizes each user's disk there with ``coverage_radius``.  At h* the
 optimum lies at one of finitely many candidate centers (user positions,
-pairwise circle crossings, circle/box-edge crossings, and box corners).  The
-coverage stage tests which of those disks each center is in, in numpy with
-the scalar formulas' bits.  Users that add the same demand and objective
+pairwise circle crossings, circle/box-edge crossings, and box corners).  When
+the box could hold more centers than one eligibility block and than a
+quadtree of tiles about an eighth of the smallest radius has leaves, a
+search over that quadtree first drops the tiles whose knapsack bound
+(below) is under a floor set at one user position, and centers are made
+only in the leaves left ("Big Square Small Square", Hansen, Peeters,
+Richard & Thisse, Oper. Res. 33(6), 1985).  The coverage stage tests which
+of those disks each center is in, in numpy with the scalar formulas' bits.
+Users that add the same demand and objective
 terms form classes of interchangeable users; a coverage set's signature is
 its count vector, and the stage keeps each signature's first center and
 counts.  Scenarios that differ only in weights, targets and capacity can
@@ -28,6 +34,7 @@ provides an independent grid-search oracle for testing.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from operator import attrgetter, mul, sub
@@ -208,11 +215,7 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     w, targets = scenario.weights, scenario.targets
     # Demands and capacity scaled by the lcm of their denominators: exact
     # integers, so the DP adds and compares ints rather than Fractions.
-    ratios = [u.resource_demand.as_integer_ratio() for u in users]
-    cap_num, cap_den = scenario.capacity.as_integer_ratio()
-    scale = math.lcm(cap_den, *(den for _, den in ratios))
-    demands = [num * (scale // den) for num, den in ratios]
-    cap = cap_num * (scale // cap_den)
+    demands, cap = _scaled(scenario.capacity, users)
     unconstrained = sum(demands) <= cap
     fair, l2 = w.w2 > 0, w.norm == L2
     norm = math.sqrt if l2 else float  # t2 from the integer gap
@@ -267,6 +270,14 @@ def _choose(scenario: Scenario, users: list[User]) -> tuple[int, ...]:
     return tuple(u.id for p, u in enumerate(users) if mask >> (m - 1 - p) & 1)
 
 
+def _scaled(capacity: float, users: Sequence[User]) -> tuple[list[int], int]:
+    """The users' demands and the capacity, scaled by the lcm of their denominators."""
+    ratios = [u.resource_demand.as_integer_ratio() for u in users]
+    cap_num, cap_den = capacity.as_integer_ratio()
+    scale = math.lcm(cap_den, *(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios], cap_num * (scale // cap_den)
+
+
 def _check_region(scenario: Scenario) -> None:
     region = scenario.region
     (x_lo, x_hi), (y_lo, y_hi) = region.x_bounds, region.y_bounds
@@ -297,12 +308,23 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     Sizes the disks, then runs the coverage stage on them (from ``shared``
     if given, made from scenarios that include this one) and the scoring.
     ``ResourceGuardError`` is raised before the candidate centers are
-    enumerated when there could be more than ``MAX_SEARCH_POINTS``; they are
+    enumerated when there could be more than ``MAX_SEARCH_POINTS``.  When
+    the box's centers outnumber one eligibility block and the leaves of its
+    quadtree (``_grid``), a search first drops the tiles whose knapsack
+    bound is below a floor: the objective of a feasible set at one user
+    position, less the ``SCORE_RTOL`` slack.  Centers are made only in the
+    leaves left, and
     tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x, each
-    against the users whose x-distance to its slab is within their radius.
-    Ties break toward more served users, then the lexicographically smallest
-    center; a set must beat the all-zero assignment at the region's smallest
-    corner.
+    against the users whose x-distance to its slab is within their radius;
+    sets whose bound is below the floor are not scored.  A result below the
+    floor means no set reaching it was first seen at a center where its
+    members pass the loss check, and the solve reruns with the box as its
+    only leaf, so the result is the one the whole box gives.  Ties break
+    toward more served users, then the lexicographically smallest center; a
+    set must beat the all-zero assignment at the region's smallest corner.
+    One DEBUG line on the ``dronecell`` logger gives the tiles bounded, the
+    leaves kept, the centers made against the m^2 + 8m + 4 bound, and
+    whether the rerun ran.
     """
     _check_region(scenario)
     env, cfg, users = scenario.environment, scenario.channel, scenario.users
@@ -313,45 +335,86 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
         sized[q] = coverage_radius(h_star, q, env, cfg)
     radii = [sized[u.max_path_loss_db] for u in users]
     shared = shared or SharedCoverage([scenario])
-    return _score(scenario, shared(scenario, radii), h_star, r_default)
+    cov, search = shared(scenario, radii, h_star)
+    floor = search.floor(scenario)
+    result = _score(scenario, cov, h_star, r_default, floor)
+    fallback = result.objective < floor
+    if fallback:
+        whole = _coverage(users, radii, scenario.region, cov.classes)
+        result = _score(scenario, whole, h_star, r_default)
+    log = logging.getLogger("dronecell")
+    if log.isEnabledFor(logging.DEBUG):
+        m = sum(r > 0 for r in radii)
+        log.debug(
+            "solve: %d tiles bounded, %d leaves kept, %d candidate centers of at most %d, "
+            "fallback %s",
+            search.tiles,
+            search.leaves,
+            len(cov.pts),
+            m * m + 8 * m + 4,
+            "ran" if fallback else "not run",
+        )
+    return result
 
 
 class SharedCoverage:
-    """Coverage stages, each made once, on its first caller's radii, for scenarios sharing it."""
+    """Coverage stages, each made once, on its first caller's radii, for scenarios sharing it.
+
+    Scenarios with equal users, channel, environment and region share a
+    stage.  When the box is tiled, it holds the centers of every leaf that
+    any of them keeps, so each one sees all the centers of its own leaves.
+    """
 
     def __init__(self, scenarios: Iterable[Scenario]) -> None:
         self._scenarios = list(scenarios)
-        self._stages: dict[int, _Coverage] = {}
+        self._stages: dict[int, tuple[_Coverage, _TileSearch]] = {}
 
-    def __call__(self, scenario: Scenario, radii: Sequence[float]) -> _Coverage:
+    def __call__(
+        self, scenario: Scenario, radii: Sequence[float], h_star: float
+    ) -> tuple[_Coverage, _TileSearch]:
         keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
         k = keys.index((scenario.users, scenario.channel, scenario.environment, scenario.region))
         if k not in self._stages:  # its classes separate each field any weights turn on
-            group = [s.weights for s, key in zip(self._scenarios, keys) if key == keys[k]]
-            w2, w3, w4 = (max(getattr(w, t) for w in group) for t in ("w2", "w3", "w4"))
+            group = [s for s, key in zip(self._scenarios, keys) if key == keys[k]]
+            w2, w3, w4 = (max(getattr(s.weights, t) for s in group) for t in ("w2", "w3", "w4"))
             classes = _classes(scenario.users, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
-            self._stages[k] = _coverage(scenario.users, radii, scenario.region, classes)
+            search = _TileSearch(group, classes, radii, h_star)
+            cov = _coverage(scenario.users, radii, scenario.region, classes, search)
+            self._stages[k] = cov, search
         return self._stages[k]
 
 
-def _coverage(
-    users: Sequence[User], radii: Sequence[float], region: PlacementRegion, classes: list[list[int]]
-) -> _Coverage:
-    """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``."""
-    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds)
-    order = [p for members in classes for p in members]
-    count_type = np.min_scalar_type(len(order))
-    class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
-    # Rows of x, y and squared radius, one column per user in class order.
-    # A zero radius means the user fails QoS even at the nadir; the negative
-    # sentinel keeps it out of every disk, including candidates at distance 0.
-    disks = np.array(
+def _disks(users: Sequence[User], radii: Sequence[float], order: Sequence[int]) -> np.ndarray:
+    """Rows of x, y and squared radius, one column per user in ``order``.
+
+    A zero radius means the user fails QoS even at the nadir; the negative
+    sentinel keeps it out of every disk, including candidates at distance 0.
+    """
+    return np.array(
         [
             [u.x for u in users],
             [u.y for u in users],
             [r * r * (1.0 + DISK_EPS) if r > 0 else -1.0 for r in radii],
         ]
     )[:, order]
+
+
+def _coverage(
+    users: Sequence[User],
+    radii: Sequence[float],
+    region: PlacementRegion,
+    classes: list[list[int]],
+    search: _TileSearch | None = None,
+) -> _Coverage:
+    """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``.
+
+    With ``search``, the centers are those of the leaves it keeps.
+    """
+    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds, search)
+    order = [p for members in classes for p in members]
+    count_type = np.min_scalar_type(len(order))
+    class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
+    disks = _disks(users, radii, order)
     ux, r2 = disks[0], disks[2]
 
     # Signature bytes -> first center row, in order of first sighting.  One
@@ -380,19 +443,39 @@ def _coverage(
     return _Coverage(classes, pts, disks, rows, counts)
 
 
-def _score(scenario: Scenario, cov: _Coverage, h_star: float, radius: float) -> SolveResult:
-    """The scoring stage of ``solve()`` at h*, given the coverage of the scenario's users."""
-    classes, pts, disks, rows, counts = cov
-    region = scenario.region
-    firsts = [scenario.users[members[0]] for members in classes]
-    zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
+class _Knapsack(NamedTuple):
+    """A scenario's fractional knapsack (Dantzig) bound on sets, given their members per class.
 
-    # A served user adds at most value = w1 + w2' + w3*e + w4*kappa, less w2'
-    # times the summed targets (the tenancy gap is at least their sum less k
-    # for k served, over sqrt(M) under L2).  A set's bound is the fractional
-    # knapsack of its members' values.  Every field the value reads separates
-    # ``_classes``, so a class has one value and one demand; columns run in
-    # descending value per unit demand, so a set's fill is a running sum.
+    A served user adds at most value = w1 + w2' + w3*e + w4*kappa, less w2'
+    times the summed targets (the tenancy gap is at least their sum less k
+    for k served, over sqrt(M) under L2).  A set's bound is the fractional
+    knapsack of its members' values.  Every field the value reads separates
+    ``_classes``, so a class has one value and one demand; classes run in
+    descending value per unit demand, so a set's fill is a running sum.
+    """
+
+    groups: list[list[int]]  # the scenario's classes, as the coverage classes each joins
+    values: np.ndarray  # a member's value, per class
+    demands: np.ndarray  # and its demand
+    capacity: float
+    base: float  # w2' times the summed targets
+
+    def bound(self, held: np.ndarray) -> np.ndarray:
+        """The bound of each row of ``held``, its members per class.
+
+        Each class's share of its members: all while the fill stays within
+        the capacity, then the part that still fits, then none.  A fill or
+        quotient that overflows to +-inf clips to the same share.
+        """
+        with np.errstate(over="ignore"):
+            fill = np.cumsum(held * self.demands, axis=1)
+            share = np.clip((self.capacity - fill) / self.demands + held, 0, held)
+        return np.einsum("ij,j->i", share, self.values) - self.base
+
+
+def _knapsack(scenario: Scenario, classes: list[list[int]]) -> _Knapsack:
+    """The bound of ``scenario`` over sets counted by ``classes`` (positions in its users)."""
+    firsts = [scenario.users[members[0]] for members in classes]
     w = scenario.weights
     w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
 
@@ -402,29 +485,40 @@ def _score(scenario: Scenario, cov: _Coverage, h_star: float, radius: float) -> 
     def density(group: list[int]) -> float:
         return value(firsts[group[0]]) / firsts[group[0]].resource_demand
 
-    # The scenario's classes are unions of coverage classes, summed column by
-    # column; a summed signature's first sighting is a coverage signature's.
+    # The scenario's classes are unions of the given ones.
     groups = sorted(_classes(firsts, w), key=density, reverse=True)
     values = np.array([value(firsts[group[0]]) for group in groups])
     demands = np.array([firsts[group[0]].resource_demand for group in groups])
-    base = w2 * sum(scenario.targets)
+    return _Knapsack(groups, values, demands, scenario.capacity, w2 * sum(scenario.targets))
+
+
+def _score(
+    scenario: Scenario, cov: _Coverage, h_star: float, radius: float, floor: float = -math.inf
+) -> SolveResult:
+    """The scoring stage of ``solve()`` at h*, given the coverage of the scenario's users.
+
+    Sets whose bound is below ``floor`` less the slack are not scored.
+    """
+    classes, pts, disks, rows, counts = cov
+    region = scenario.region
+    zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
+
+    # The scenario's classes are unions of coverage classes, summed column by
+    # column; a summed signature's first sighting is a coverage signature's.
+    knapsack = _knapsack(scenario, classes)
+    groups = knapsack.groups
     columns = [c for group in groups for c in group]
-    if len(groups) < len(firsts):
+    if len(groups) < len(classes):
         starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
         counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
         first = np.sort(np.unique(counts, axis=0, return_index=True)[1])
         rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
-    # Each class's share of its members: all while the fill stays within the
-    # capacity, then the part that still fits, then none.  A fill or quotient
-    # that overflows to +-inf clips to the same share.  Blocks of a quarter
-    # chunk keep the few float temporaries below one eligibility block.
+    # Blocks of a quarter chunk keep the few float temporaries below one
+    # eligibility block.
     bound, chunk = np.empty(len(rows)), max(ELIGIBILITY_CHUNK // 4, 1)
     for start in range(0, len(rows), chunk):
         held = counts[start : start + chunk].take(columns, axis=1)
-        with np.errstate(over="ignore"):
-            fill = np.cumsum(held * demands, axis=1)
-            share = np.clip((scenario.capacity - fill) / demands + held, 0, held)
-        bound[start : start + chunk] = share @ values - base
+        bound[start : start + chunk] = knapsack.bound(held)
     size = counts.sum(axis=1, dtype=np.intp)
 
     # The slack covers rounding, since the bound, ``select_users`` and
@@ -441,7 +535,7 @@ def _score(scenario: Scenario, cov: _Coverage, h_star: float, radius: float) -> 
     nonempty = size.nonzero()[0]
     ranked = nonempty[np.lexsort((-size[nonempty], -bound[nonempty]))]
     for i, b in zip(rows[ranked].tolist(), bound[ranked].tolist()):
-        if b < win[0] - slack:
+        if b < max(win[0], floor) - slack:
             break
         # At a radius exactly on its threshold's boundary, DISK_EPS can take in
         # a user just past it, so the loss itself decides who is eligible.
@@ -457,6 +551,250 @@ def _score(scenario: Scenario, cov: _Coverage, h_star: float, radius: float) -> 
     return SolveResult(
         (x, y, h_star), assignment, obj, breakdown, mvno_counts(scenario, assignment), radius
     )
+
+
+class _Grid(NamedTuple):
+    """The finest level of a quadtree over the box, 2^depth cells a side.
+
+    A tile at level l spans 2^(depth - l) cells a side.  A point belongs to
+    the cell whose edges [e_k, e_k+1) hold it, and the cells at the box's
+    far edges are closed, so each point of the box is in exactly one.
+    """
+
+    xe: np.ndarray  # cell edges in x, from the box's near edge to its far one
+    ye: np.ndarray
+    depth: int
+
+    def gaps(self, level: int, disks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared gaps from each disk center to each column, then each row, of a level."""
+        span = 1 << (self.depth - level)
+        gaps = []
+        for edges, u in ((self.xe, disks[0]), (self.ye, disks[1])):
+            gap = np.minimum(np.maximum(u, edges[:-1:span, None]), edges[span::span, None])
+            gap -= u
+            gaps.append(np.multiply(gap, gap, out=gap))
+        return gaps[0], gaps[1]
+
+    def cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each point of the box.
+
+        The cell is estimated by scaling, then moved by one where the
+        scaled value rounded across an edge, so it agrees with the edges.
+        """
+        cells = []
+        for edges, v in ((self.xe, pts[:, 0]), (self.ye, pts[:, 1])):
+            last = len(edges) - 2
+            span = edges[-1] - edges[0]
+            if not span:  # a box of no width: every cell is [e, e], and the last holds e
+                cells.append(np.full(len(v), last))
+                continue
+            k = ((v - edges[0]) * ((last + 1) / span)).astype(np.intp)
+            np.clip(k, 0, last, out=k)
+            k -= v < edges.take(k)
+            k += (v >= edges.take(k + 1)) & (k < last)
+            cells.append(k)
+        return cells[0], cells[1]
+
+
+def _grid(
+    x_bounds: tuple[float, float], y_bounds: tuple[float, float], radii: np.ndarray, count: int
+) -> _Grid | None:
+    """The finest level of a quadtree over the box, or None to keep the box as the only leaf.
+
+    A tile splits while its side is at least r_min / 4, with r_min the
+    smallest of the positive ``radii``, so leaves end with a side near
+    r_min / 8; the
+    finest level has at most ``ELIGIBILITY_CHUNK`` cells a side, so a
+    level's table of gaps is no larger than an eligibility block.  The box
+    is tiled only when the ``count`` centers it could hold outnumber both
+    the leaves and one eligibility block: below one center a leaf, or with
+    every center in one block, bounding the tiles costs more than testing
+    the centers.
+    """
+    if count <= ELIGIBILITY_CHUNK:
+        return None
+    (x_lo, x_hi), (y_lo, y_hi) = x_bounds, y_bounds
+    # The least depth with 2^depth > 4 side / r_min, or the cap.
+    ratio = min(4.0 * max(x_hi - x_lo, y_hi - y_lo) / float(radii.min()), ELIGIBILITY_CHUNK)
+    depth = min(int(ratio).bit_length(), ELIGIBILITY_CHUNK.bit_length() - 1)
+    if not depth or count <= 4**depth:
+        return None
+    n = 1 << depth
+    return _Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
+
+
+def _reach(disks: np.ndarray) -> np.ndarray:
+    """``disks`` with each squared radius widened for the tile test.
+
+    A candidate center lies on the circles that make it only up to rounding
+    of the largest squared radius times a few ulps, so the margin is 1e-9 of
+    the squared radius plus 1e-9 of the largest one; it always includes
+    ``DISK_EPS``.  Disks of no radius stay empty.
+    """
+    r2 = disks[2]
+    reach = np.where(r2 > 0, r2 * (1.0 + 1e-9) + 1e-9 * r2.max(), -1.0)
+    return np.array([disks[0], disks[1], reach])
+
+
+class _TileSearch:
+    """The quadtree search over the box of ``scenarios``, which share one coverage stage.
+
+    Called with the grid of the finest level, it bounds each scenario's tiles
+    level by level and returns which cells any of them keeps.  A tile holds
+    the users whose disk meets it; every set realized in it is a subset of
+    them, and the knapsack bound is monotone, so their bound bounds every
+    center in it.  A tile whose bound is below the scenario's floor less
+    the slack is dropped, with its children.  The floor is the objective of
+    a greedy feasible set at one user position, less the slack; a result at
+    or above it is the one the whole box gives.
+    """
+
+    def __init__(
+        self,
+        scenarios: Sequence[Scenario],
+        classes: list[list[int]],
+        radii: Sequence[float],
+        h_star: float,
+    ) -> None:
+        self._scenarios, self._classes = scenarios, classes
+        self._radii, self._h_star = radii, h_star
+        self.floors: list[float] = []  # one per scenario, once the box is tiled
+        self.tiles, self.leaves = 0, 1  # tiles bounded and cells kept
+
+    def floor(self, scenario: Scenario) -> float:
+        return self.floors[self._scenarios.index(scenario)] if self.floors else -math.inf
+
+    def __call__(self, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's cells any scenario keeps, and whether each user's disk meets one of them."""
+        kept = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
+        meeting = np.zeros(len(self._radii), dtype=bool)
+        for scenario in self._scenarios:
+            kept |= self._kept(scenario, grid, meeting)
+        self.leaves = int(kept.sum())
+        return kept, meeting
+
+    def _kept(self, scenario: Scenario, grid: _Grid, meeting: np.ndarray) -> np.ndarray:
+        """The cells ``scenario`` keeps, as a grid of flags.
+
+        Records the scenario's floor, and flags in ``meeting`` the users
+        whose disk meets a kept cell.
+        """
+        knapsack = _knapsack(scenario, self._classes)
+        # Users in the knapsack's class order, so a class's members are a run.
+        runs = [[p for c in group for p in self._classes[c]] for group in knapsack.groups]
+        order = [p for run in runs for p in run]
+        # Each column's class, by its place in the knapsack's order.
+        group_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+        disks = _disks(scenario.users, self._radii, order)
+        reach = _reach(disks)
+        slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
+        # The tiles of a level as cell indices, and (tile, column) pairs sorted
+        # by tile: the disks that meet each tile.  The search starts three
+        # levels above the leaves, with tiles about r_min wide, since wider
+        # ones seldom fall below the floor, and with at most ELIGIBILITY_CHUNK
+        # tiles.  A kept tile splits in 4: child 2a + b of tile t is tile
+        # (2a + b) * len(ix) + t.  A level stops the search when its children
+        # could hold more pairs than an eligibility block holds cells.
+        level = max(min(grid.depth - 3, (ELIGIBILITY_CHUNK.bit_length() - 1) // 2), 1)
+        ix, iy = np.divmod(np.arange(4**level), 1 << level)
+        at = np.repeat(np.arange(4**level), len(order))
+        col = np.tile(np.arange(len(order)), 4**level)
+        floor = None
+        while True:
+            gx, gy = grid.gaps(level, reach)
+            d2 = gx.take(ix.take(at) * len(order) + col)
+            d2 += gy.take(iy.take(at) * len(order) + col)
+            hit = (d2 <= reach[2].take(col)).nonzero()[0]
+            at, col = at.take(hit), col.take(hit)
+            bound = np.empty(len(ix))
+            ends = np.searchsorted(at, range(0, len(ix) + ELIGIBILITY_CHUNK, ELIGIBILITY_CHUNK))
+            for k, start in enumerate(range(0, len(ix), ELIGIBILITY_CHUNK)):
+                part = slice(ends[k], ends[k + 1])
+                size = min(ELIGIBILITY_CHUNK, len(ix) - start)
+                pairs = (at[part] - start) * len(runs) + group_of.take(col[part])
+                held = np.bincount(pairs, minlength=size * len(runs))
+                bound[start : start + size] = knapsack.bound(held.reshape(size, len(runs)))
+            self.tiles += len(ix)
+            if floor is None:
+                best = self._incumbent(
+                    scenario, knapsack, order, group_of, disks, grid, level, at, col
+                )
+                floor = best - slack
+                self.floors.append(floor)
+            alive = bound >= floor - slack
+            kept = alive.take(at).nonzero()[0]
+            at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
+            ix, iy = ix[alive], iy[alive]
+            if level == grid.depth or 4 * len(at) > ELIGIBILITY_CHUNK * len(order):
+                break
+            at = (at + len(ix) * np.arange(4)[:, None]).ravel()
+            col = np.concatenate((col,) * 4)
+            ix, iy = 2 * ix, 2 * iy
+            ix = np.concatenate((ix, ix, ix + 1, ix + 1))
+            iy = np.concatenate((iy, iy + 1, iy, iy + 1))
+            level += 1
+        meeting[np.take(order, col)] = True
+        cells = np.zeros((1 << level, 1 << level), dtype=bool)
+        cells[ix, iy] = True
+        span = 1 << (grid.depth - level)
+        return cells.repeat(span, axis=0).repeat(span, axis=1)
+
+    def _incumbent(
+        self,
+        scenario: Scenario,
+        knapsack: _Knapsack,
+        order: list[int],
+        group_of: np.ndarray,
+        disks: np.ndarray,
+        grid: _Grid,
+        level: int,
+        at: np.ndarray,
+        col: np.ndarray,
+    ) -> float:
+        """The objective of a greedy feasible set at a user position, or -inf with none in the box.
+
+        ``order`` lists the users of the columns of ``disks``, in the
+        knapsack's class order, and ``group_of`` gives each column's class.
+        The position is the user in the box whose members have the highest
+        bound.  Each is tested only against the disks that meet its tile at
+        ``level``, the (tile, column) pairs ``at`` and ``col``.  Members are
+        taken as the scoring stage takes them: in the disks, and within their
+        threshold by the scalar loss; then each in class order if it still
+        fits the capacity.
+        """
+        (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
+        x, y, r2 = disks
+        spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
+        if not len(spots):
+            return -math.inf
+        cx, cy = grid.cells(disks[:2, spots].T)
+        tiles = (cx >> (grid.depth - level) << level) + (cy >> (grid.depth - level))
+        # (spot, column) pairs: each spot with the disks that meet its tile.
+        first = np.searchsorted(at, tiles)
+        count = np.searchsorted(at, tiles, side="right") - first
+        spot = np.repeat(np.arange(len(spots)), count)
+        offset = first - (np.cumsum(count) - count)  # from a pair's place to its column's in col
+        near = col.take(np.arange(len(spot)) + offset.take(spot))
+        # The membership test of ``_inside``, pair by pair.
+        d2 = x.take(spots.take(spot)) - x.take(near)
+        d2 *= d2
+        dy = y.take(spots.take(spot)) - y.take(near)
+        d2 += np.multiply(dy, dy, out=dy)
+        inside = (d2 <= r2.take(near)).nonzero()[0]
+        spot, near = spot.take(inside), near.take(inside)
+        groups = len(knapsack.values)
+        held = np.bincount(spot * groups + group_of.take(near), minlength=len(spots) * groups)
+        p = np.argmax(knapsack.bound(held.reshape(len(spots), groups)))
+        members = [scenario.users[order[j]] for j in near[spot == p].tolist()]
+        ids = _covered(scenario, members, (x[spots[p]], y[spots[p]], self._h_star))
+        members = [u for u in members if u.id in ids]
+        demands, cap = _scaled(scenario.capacity, members)
+        chosen, used = [], 0
+        for u, demand in zip(members, demands):
+            if used + demand <= cap:
+                chosen.append(u.id)
+                used += demand
+        return objective_value(scenario, assignment_from_ids(scenario, chosen))[0]
 
 
 def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
@@ -477,6 +815,7 @@ def _candidate_centers(
     radii: Sequence[float],
     x_bounds: tuple[float, float],
     y_bounds: tuple[float, float],
+    search: _TileSearch | None = None,
 ) -> np.ndarray:
     """Horizontal positions that realize every maximal coverage set.
 
@@ -487,6 +826,12 @@ def _candidate_centers(
     x, then y, with none at all when no user has a positive radius.  Raises
     ``ResourceGuardError`` when the m users with a positive radius could
     give more than ``MAX_SEARCH_POINTS`` points (m^2 + 8m + 4 bounds them).
+
+    With ``search``, when ``_grid`` tiles the box, only the points in the
+    cells the search keeps are returned.  Such a point lies, up to
+    rounding, in the disks that make it, and the search's tile test allows
+    for that rounding, so only the users whose disk meets a kept cell, and
+    the pairs of them, make points.
 
     The circle pairs run in numpy, ``ELIGIBILITY_CHUNK`` rows at a time,
     with the float operations of the scalar formulas in the same order, so
@@ -505,24 +850,10 @@ def _candidate_centers(
         )
     if not active:
         return np.empty((0, 2))
-    # Disk centers and circle/edge crossings stay scalar: Python's ``**``
-    # calls libm's pow, which numpy's square does not always match.
-    flat: list[float] = []  # x0, y0, x1, y1, ...
-    for cx, cy, r in active:
-        flat += (cx, cy)
-        for xe in (x_lo, x_hi):
-            rem = r * r - (xe - cx) ** 2
-            if rem >= 0:
-                s = math.sqrt(rem)
-                flat += (xe, cy - s, xe, cy + s)
-        for ye in (y_lo, y_hi):
-            rem = r * r - (ye - cy) ** 2
-            if rem >= 0:
-                s = math.sqrt(rem)
-                flat += (cx - s, ye, cx + s, ye)
-    blocks = [np.array(flat).reshape(-1, 2)]
     circles = np.array(active)  # rows of (x, y, r)
     x, y, r = circles.T
+    # Each user adds its position and up to 8 edge crossings, each pair 2.
+    pairs, count = [], 9 * m + 4
     for start in range(0, m, ELIGIBILITY_CHUNK):
         rows = slice(start, start + ELIGIBILITY_CHUNK)
         # The pairs i < j whose circles can cross, tested on squared
@@ -539,7 +870,34 @@ def _candidate_centers(
         bound *= bound * (1.0 - 1e-9)
         near &= dist2 >= bound
         i, j = np.nonzero(near)
-        c1, c2 = circles[i + start], circles[j]
+        pairs.append((i + start, j))
+        count += 2 * len(i)
+    grid = _grid(x_bounds, y_bounds, r, count) if search is not None else None
+    if grid is not None:
+        kept, meeting = search(grid)
+        meeting = meeting[[p for p, radius in enumerate(radii) if radius > 0]]
+        active = [a for a, meet in zip(active, meeting.tolist()) if meet]
+        for k, (i, j) in enumerate(pairs):
+            both = meeting[i] & meeting[j]
+            pairs[k] = i[both], j[both]
+    # Disk centers and circle/edge crossings stay scalar: Python's ``**``
+    # calls libm's pow, which numpy's square does not always match.
+    flat: list[float] = []  # x0, y0, x1, y1, ...
+    for cx, cy, r in active:
+        flat += (cx, cy)
+        for xe in (x_lo, x_hi):
+            rem = r * r - (xe - cx) ** 2
+            if rem >= 0:
+                s = math.sqrt(rem)
+                flat += (xe, cy - s, xe, cy + s)
+        for ye in (y_lo, y_hi):
+            rem = r * r - (ye - cy) ** 2
+            if rem >= 0:
+                s = math.sqrt(rem)
+                flat += (cx - s, ye, cx + s, ye)
+    blocks = [np.array(flat).reshape(-1, 2)]
+    for i, j in pairs:
+        c1, c2 = circles[i], circles[j]
         delta = c2 - c1  # rows of (x2 - x1, y2 - y1, r2 - r1)
         d = np.array(list(map(math.hypot, *delta[:, :2].T.tolist())))
         # Disjoint, nested or concentric circles have no boundary crossing.
@@ -560,6 +918,9 @@ def _candidate_centers(
     pts = np.concatenate(blocks)
     inside = (blocks[-1][0] <= pts) & (pts <= blocks[-1][-1])
     pts = pts[inside[:, 0] & inside[:, 1]]
+    if grid is not None:
+        ix, iy = grid.cells(pts)
+        pts = pts[kept.ravel().take(ix * kept.shape[1] + iy)]
     # As complex numbers the points sort by x, then y, in one stable sort.
     z = np.sort(pts.view(np.complex128).ravel(), kind="stable")
     return z[np.concatenate(([True], z[1:] != z[:-1]))].view(np.float64).reshape(-1, 2)

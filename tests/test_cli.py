@@ -3,8 +3,10 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -51,6 +53,24 @@ CASE24_CSV = (
     "count_0,count_1,served_ids\n"
     "277.129,1010.98,639,706.445,-4,10,14,0,0,5,5,1;3;6;7;11;12;13;14;15;17\n"
 )
+
+
+def test_solve_logs_its_tile_search_at_debug_without_changing_the_csv(tmp_path, caplog):
+    # One DEBUG line per solve on the "dronecell" logger; n = 240 tiles.
+    scenario = tmp_path / "n240.json"
+    assert main(["gen", "--seed", "5", "--n-users", "240", "--env", "urban", "--out", str(scenario)]) == 0
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    with caplog.at_level(logging.INFO, logger="dronecell"):
+        assert main(["solve", str(scenario), "--out", str(quiet)]) == 0
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="dronecell"):
+        assert main(["solve", str(scenario), "--out", str(loud)]) == 0
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "dronecell"
+    tiles, leaves, centers, bound = map(int, re.findall(r"\d+", record.getMessage()))
+    assert tiles > leaves > 1 and centers < bound == 240 * 240 + 8 * 240 + 4
+    assert record.getMessage().endswith("fallback not run")
+    assert loud.read_bytes() == quiet.read_bytes()
 
 
 def test_solve_case24_writes_the_recorded_csv(tmp_path):
@@ -636,6 +656,28 @@ def test_altitude_profile_rejects_steps_above_the_ceiling(tmp_path, monkeypatch,
     assert "error: --steps 100 gives 101 altitudes, above the 100 ceiling" in capsys.readouterr().err
     assert main(args + ["--steps", "99", "--out", str(out)]) == 0
     assert len(read_csv(out)) == 1 + 100 + 1
+
+
+def test_altitude_profile_rejects_more_steps_than_the_count_ceiling(tmp_path, monkeypatch, capsys):
+    # 9,999,999 steps passed the altitude ceiling and ran one radius search
+    # per step, about 78 s, with every row held in memory.
+    import dronecell.cli.main as cli_main
+
+    def unsampled(*args):
+        raise AssertionError("sampled before the --steps check")
+
+    monkeypatch.setattr(cli_main, "optimal_altitude", unsampled)
+    monkeypatch.setattr(cli_main, "coverage_radius", unsampled)
+    out = tmp_path / "profile.csv"
+    args = ["altitude-profile", "--env", "urban", "--h-min", "20", "--h-max", "500"]
+    for steps in (MAX_COUNT + 1, 9_999_999):
+        assert main(args + ["--steps", str(steps), "--out", str(out)]) == 1
+        assert f"error: --steps must be at most {MAX_COUNT}, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+    monkeypatch.setattr(cli_main, "optimal_altitude", lambda *a: (100.0, 50.0))
+    monkeypatch.setattr(cli_main, "coverage_radius", lambda *a: 50.0)
+    assert main(args + ["--steps", str(MAX_COUNT), "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 1 + (MAX_COUNT + 1) + 1
 
 
 def test_altitude_profile_rejects_bad_range(tmp_path, capsys):

@@ -3,8 +3,10 @@
 import collections
 import dataclasses
 import itertools
+import logging
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +32,7 @@ from dronecell.scenario import (
     User,
     generate_scenario,
     mvno_counts,
+    term_magnitude,
     validate,
 )
 from dronecell.solver import (
@@ -867,3 +870,246 @@ def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, chunk):
         shared = solver.SharedCoverage(subs)
         assert [repr(solve(s, shared)) for s in reversed(subs)] == want[::-1]
         assert len(stages) == 2
+
+
+def force_depth(monkeypatch, depth):
+    """Make every searched box a quadtree of ``depth`` levels, or keep it whole at 0."""
+
+    def grid(x_bounds, y_bounds, radii, count):
+        if not depth:
+            return None
+        n = 1 << depth
+        return solver._Grid(np.linspace(*x_bounds, n + 1), np.linspace(*y_bounds, n + 1), depth)
+
+    monkeypatch.setattr(solver, "_grid", grid)
+
+
+def solve_log(caplog, sc):
+    """solve() and the numbers of its DEBUG line: tiles, leaves, centers, bound, fallback."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="dronecell"):
+        result = solve(sc)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "dronecell"]
+    *numbers, fallback = re.fullmatch(
+        r"solve: (\d+) tiles bounded, (\d+) leaves kept, (\d+) candidate centers of at most (\d+), "
+        r"fallback (ran|not run)",
+        line,
+    ).groups()
+    return result, [int(n) for n in numbers], fallback == "ran"
+
+
+def per_user_thresholds(sc, seed):
+    rng = random.Random(seed)
+    users = tuple(
+        dataclasses.replace(u, max_path_loss_db=u.max_path_loss_db + rng.uniform(-5.0, 5.0))
+        for u in sc.users
+    )
+    return dataclasses.replace(sc, users=users)
+
+
+def test_tiled_solve_equals_the_whole_box_solve(monkeypatch, caplog):
+    # Generated layouts tile by their own rule; the whole box is forced by
+    # keeping it the only leaf.
+    layouts = [generate_scenario(s, 240, 2, URBAN) for s in (1, 2)]
+    layouts.append(generate_scenario(3, 480, 2, URBAN))
+    layouts += [per_user_thresholds(sc, s) for s, sc in enumerate(layouts[:2])]
+    tiled = []
+    for sc in layouts:
+        result, (tiles, leaves, centers, bound), fallback = solve_log(caplog, sc)
+        assert tiles > 0 and 1 < leaves and centers < bound and not fallback
+        tiled.append(repr(result))
+    force_depth(monkeypatch, 0)
+    assert [repr(solve(sc)) for sc in layouts] == tiled
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_bound_instances_forced_to_tile_solve_as_the_whole_box(monkeypatch, caplog, depth):
+    # In the 1000 m boxes, leaves of 250, 62.5 and 15.6 m.
+    scenarios = [sc for _, sc in bound_instances()]
+    want = [repr(solve(sc)) for sc in scenarios]
+    force_depth(monkeypatch, depth)
+    got, fallbacks = [], 0
+    for sc in scenarios:
+        result, (tiles, leaves, _, _), fallback = solve_log(caplog, sc)
+        assert tiles > 0 and leaves <= 4**depth
+        got.append(repr(result))
+        fallbacks += fallback
+    assert got == want
+    assert fallbacks == 0
+
+
+def test_grid_cells_put_each_point_in_exactly_one_leaf():
+    # Cells are half-open, [e_k, e_k+1), except the last, closed at the box's
+    # far edge; the points include every edge and the floats on either side,
+    # the far edges and -0.0.
+    for x_bounds, y_bounds, depth in [
+        ((-1000.0, 1000.0), (-1000.0, 1000.0), 6),
+        ((-0.0, 400.0), (-300.0, -0.0), 3),
+        ((-500.0, 500.0), (0.1, 0.7), 5),
+        ((3.0, 3.0), (-1.0, 1.0), 2),
+    ]:
+        n = 1 << depth
+        grid = solver._Grid(np.linspace(*x_bounds, n + 1), np.linspace(*y_bounds, n + 1), depth)
+        rng = random.Random(depth)
+
+        def axis(edges, bounds):  # each edge, the floats beside it, -0.0 and random values
+            beside = [math.nextafter(e, toward) for e in edges for toward in (-math.inf, math.inf)]
+            return [*edges, *beside, -0.0, 0.0] + [rng.uniform(*bounds) for _ in range(100)]
+
+        xs, ys = axis(grid.xe, x_bounds), axis(grid.ye, y_bounds)
+        pts = np.array(
+            [(x, y) for x, y in itertools.product(xs, ys)
+             if x_bounds[0] <= x <= x_bounds[1] and y_bounds[0] <= y <= y_bounds[1]]
+        )
+        for edges, v, cell in zip((grid.xe, grid.ye), pts.T, grid.cells(pts)):
+            holds = (edges[:-1] <= v[:, None]) & (v[:, None] < edges[1:])
+            holds[:, -1] |= v == edges[-1]
+            # Equal edges (a box of no width) make empty cells but the last.
+            holds &= edges[:-1] < edges[1:] if edges[0] < edges[-1] else np.arange(n) == n - 1
+            assert (holds.sum(axis=1) == 1).all()
+            assert (holds.argmax(axis=1) == cell).all()
+
+
+def tiled_instances():
+    """``bound_instances()`` and a generated n = 240 layout with per-user thresholds."""
+    yield from (sc for _, sc in bound_instances())
+    yield per_user_thresholds(generate_scenario(4, 240, 2, URBAN), 4)
+
+
+def disks_of(sc):
+    env, cfg = sc.environment, sc.channel
+    h_star, _ = optimal_altitude(cfg.max_path_loss_db, env, cfg, sc.region.h_bounds)
+    radii = [coverage_radius(h_star, u.max_path_loss_db, env, cfg) for u in sc.users]
+    return h_star, radii
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(monkeypatch, depth):
+    # Each center's set is a subset of the users whose disk meets its leaf,
+    # so its knapsack bound is at most the leaf's, up to the rounding the
+    # scoring slack covers; and the tiled stage makes exactly the whole
+    # box's centers that lie in the kept leaves, bit for bit.
+    n, restricted = 1 << depth, 0
+    force_depth(monkeypatch, depth)
+    for sc in tiled_instances():
+        h_star, radii = disks_of(sc)
+        (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
+        grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
+        classes = solver._classes(sc.users, sc.weights)
+        knapsack = solver._knapsack(sc, classes)
+        runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
+        order = [p for run in runs for p in run]
+        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+        disks = solver._disks(sc.users, radii, order)
+        pts = _candidate_centers(sc.users, radii, (x_lo, x_hi), (y_lo, y_hi))
+        ix, iy = grid.cells(pts)
+        held = np.add.reduceat(solver._inside(pts[:, 0], pts[:, 1], disks), starts, axis=1)
+        reach = solver._reach(disks)
+        gx, gy = grid.gaps(depth, reach)
+        leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], starts, axis=1)
+        assert (held <= leaf).all()
+        # The bound is monotone in the counts; its float sums only up to rounding.
+        slack = solver.SCORE_RTOL * (1.0 + term_magnitude(sc))
+        assert (knapsack.bound(held) <= knapsack.bound(leaf) + slack).all()
+
+        kept, meeting = solver._TileSearch([sc], classes, radii, h_star)(grid)
+        assert kept.any()
+        restricted += not meeting.all()
+        tiled = _candidate_centers(sc.users, radii, (x_lo, x_hi), (y_lo, y_hi), search_of(kept, meeting))
+        want = pts[kept[ix, iy]]
+        assert np.array_equal(tiled.view(np.uint64), want.view(np.uint64))
+    assert restricted  # some instances make points from fewer users
+
+
+def search_of(kept, meeting):
+    """A tile search that keeps the given cells and users, for any grid of their size."""
+
+    class Fixed(solver._TileSearch):
+        def __init__(self):
+            pass
+
+        def __call__(self, grid):
+            return kept, meeting
+
+    return Fixed()
+
+
+def test_solve_falls_back_to_the_whole_box_when_its_floor_is_not_reached(monkeypatch, caplog):
+    # Item 11's exact boundary: q = path_loss(80, r) for bisection midpoints
+    # r_a < r_b, so coverage_radius returns r exactly.  User 1 (radius r_a)
+    # sits d from user 0 (radius r_b), with r_a <= d <= r_b: only user 1's
+    # position holds both, and the floor is their pair.  The circles cross
+    # at a smaller x, so a crossing is the pair's first center; where
+    # rounding puts it just past a circle, the loss drops that user, no
+    # first sighting reaches the floor, and the solve reruns on the whole box.
+    region = PlacementRegion((-500.0, 800.0), (-500.0, 500.0), (20.0, 80.0))
+    radii = (112.5, 125.0, 137.5, 150.0, 162.5, 175.0, 187.5)
+    cases = []
+    for (r_a, r_b), f, y in itertools.product(
+        itertools.combinations(radii, 2), (0.25, 0.5, 0.75, 1.0), (0.0, 0.3, 7.0)
+    ):
+        q_a, q_b = (path_loss(80.0, r, URBAN, CFG) for r in (r_a, r_b))
+        assert coverage_radius(80.0, q_a, URBAN, CFG) == r_a
+        users = [
+            User(id=0, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=q_b),
+            User(id=1, x=r_a + f * (r_b - r_a), y=y, mvno_id=0, max_path_loss_db=q_a),
+        ]
+        cases.append(make_scenario(users, num_mvnos=1, targets=(2,), capacity=10.0, region=region))
+    force_depth(monkeypatch, 4)
+    tiled = [solve_log(caplog, sc) for sc in cases]
+    force_depth(monkeypatch, 0)
+    assert [repr(result) for result, _, _ in tiled] == [repr(solve(sc)) for sc in cases]
+    fallbacks = [result for result, _, fallback in tiled if fallback]
+    assert len(fallbacks) == 18
+    assert all(result.total_served == 1 for result in fallbacks)
+
+
+def test_a_shared_tiled_stage_holds_the_leaves_of_every_scenario(monkeypatch):
+    # Variants of one layout keep different leaves; their shared stage holds
+    # the union, so each one solves as it does alone.
+    force_depth(monkeypatch, 4)
+    stages = []
+    monkeypatch.setattr(solver, "_candidate_centers", lambda *a: stages.append(a) or _candidate_centers(*a))
+    for sc in itertools.islice(shared_instances(), 0, None, 4):
+        w = sc.weights
+        subs = [
+            sc,
+            dataclasses.replace(sc, weights=dataclasses.replace(w, w2=0.0)),
+            dataclasses.replace(sc, weights=ObjectiveWeights(0.5, 0.0, 0.0, 1.0, w.norm), capacity=2.0),
+        ]
+        want = [repr(solve(s)) for s in subs]
+        stages.clear()
+        shared = solver.SharedCoverage(subs)
+        assert [repr(solve(s, shared)) for s in subs] == want
+        assert len(stages) == 1
+
+
+@pytest.mark.parametrize("ceiling", [300, 600, 700])
+def test_tiled_and_whole_box_solves_refuse_the_same_selection_programs(monkeypatch, ceiling):
+    # The floor runs no selection program, and a tiled solve scores the
+    # whole box's sets in the same order, so a program above the states
+    # ceiling stops both at the same set, or neither.  At n = 240 with 3
+    # tenants under L2, mixed demands and capacity 6.5, a ceiling of 300
+    # refuses all four layouts, 600 three of them and 700 none.
+    monkeypatch.setattr(solver, "MAX_DP_STATES", ceiling)
+    profile = ScenarioProfile(capacity=6.5, weights=ObjectiveWeights(1.0, 1.0, 0.0, 0.0, L2))
+    layouts = []
+    for seed in (5, 6):
+        sc = generate_scenario(seed, 240, 3, URBAN, profile=profile)
+        rng = random.Random(seed)
+        users = tuple(
+            dataclasses.replace(u, resource_demand=rng.choice((0.5, 1.0, 1.5))) for u in sc.users
+        )
+        layouts.append(dataclasses.replace(sc, users=users))
+    layouts += [per_user_thresholds(sc, s) for s, sc in enumerate(layouts)]
+
+    def outcome(sc):
+        try:
+            return repr(solve(sc))
+        except ResourceGuardError as exc:
+            return str(exc)
+
+    tiled = [outcome(sc) for sc in layouts]
+    assert sum("ceiling" in o for o in tiled) == {300: 4, 600: 3, 700: 0}[ceiling]
+    force_depth(monkeypatch, 0)
+    assert tiled == [outcome(sc) for sc in layouts]
