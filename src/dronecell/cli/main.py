@@ -13,11 +13,10 @@ import math
 import sys
 from pathlib import Path
 
-from .. import solver
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, MAX_COUNT, generate_scenario, quoted, validate
-from ..solver import InfeasibleRegionError, ResourceGuardError, solve
+from ..solver import InfeasibleRegionError, solve
 from .files import load_experiment_config, load_scenario, save_scenario
 from .report import altitude_profile_csv, mc_csv, placement_svg, solve_csv
 
@@ -62,11 +61,6 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown environment preset {quoted(args.env)}")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
-    if args.steps + 1 > solver.MAX_SEARCH_POINTS:
-        raise ResourceGuardError(
-            f"--steps {args.steps} gives {args.steps + 1} altitudes, "
-            f"above the {solver.MAX_SEARCH_POINTS} ceiling"
-        )
     if args.steps > MAX_COUNT:  # every sample is a radius search and a row held in memory
         raise ValueError(f"--steps must be at most {MAX_COUNT}, got {args.steps}")
     for flag in ("threshold_db", "frequency_hz", "h_min", "h_max"):

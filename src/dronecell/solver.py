@@ -9,19 +9,19 @@ capacity budget.
 ``solve()`` fixes h at h*, where the default threshold's coverage radius
 peaks, and sizes each user's disk there with ``coverage_radius``.  At h* the
 optimum lies at one of finitely many candidate centers (user positions,
-pairwise circle crossings, circle/box-edge crossings, and box corners).  When
-the box could hold more centers than one eligibility block and than a
-quadtree of tiles about an eighth of the smallest radius has leaves, a
-search over that quadtree first drops the tiles whose knapsack bound
-(below) is under a floor set at one user position, and centers are made
-only in the leaves left ("Big Square Small Square", Hansen, Peeters,
-Richard & Thisse, Oper. Res. 33(6), 1985).  The coverage stage tests which
-of those disks each center is in, in numpy with the scalar formulas' bits.
-Users that add the same demand and objective
-terms form classes of interchangeable users; a coverage set's signature is
-its count vector, and the stage keeps each signature's first center and
-counts.  Scenarios that differ only in weights, targets and capacity can
-share it (``SharedCoverage``).  The scoring stage sums the counts into the
+pairwise circle crossings, circle/box-edge crossings, and box corners),
+which the coverage stage makes.  When the box could hold more centers than
+one eligibility block and than a quadtree of tiles about an eighth of the
+smallest radius has leaves, it first searches that quadtree, dropping the
+tiles whose knapsack bound (below) is under a floor set at one user
+position, and makes centers only in the leaves left ("Big Square Small
+Square", Hansen, Peeters, Richard & Thisse, Oper. Res. 33(6), 1985).  It
+tests which disks each center is in, in numpy with the scalar formulas'
+bits.  Users that add the same demand and objective terms form classes of
+interchangeable users; a coverage set's signature is its count vector, and
+the stage keeps each signature's first center and counts.  Scenarios that
+differ only in weights, targets and capacity can share it
+(``SharedCoverage``).  The scoring stage sums the counts into the
 scenario's own classes and scores the sets in descending order of a
 fractional knapsack (Dantzig) bound, until a bound falls below the best
 score, with one exact selection DP that takes the classes tenant by tenant
@@ -300,6 +300,7 @@ class _Coverage(NamedTuple):  # what the coverage stage hands the scoring stage
     disks: np.ndarray  # rows of x, y and r^2, a column per user in class order
     rows: np.ndarray  # each signature's first center row, ascending
     counts: np.ndarray  # and its count vector, a column per class
+    search: _Search | None  # the tile search its centers come from; None for a box kept whole
 
 
 def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResult:
@@ -308,23 +309,23 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     Sizes the disks, then runs the coverage stage on them (from ``shared``
     if given, made from scenarios that include this one) and the scoring.
     ``ResourceGuardError`` is raised before the candidate centers are
-    enumerated when there could be more than ``MAX_SEARCH_POINTS``.  When
-    the box's centers outnumber one eligibility block and the leaves of its
-    quadtree (``_grid``), a search first drops the tiles whose knapsack
-    bound is below a floor: the objective of a feasible set at one user
-    position, less the ``SCORE_RTOL`` slack.  Centers are made only in the
-    leaves left, and
-    tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x, each
-    against the users whose x-distance to its slab is within their radius;
-    sets whose bound is below the floor are not scored.  A result below the
-    floor means no set reaching it was first seen at a center where its
-    members pass the loss check, and the solve reruns with the box as its
-    only leaf, so the result is the one the whole box gives.  Ties break
-    toward more served users, then the lexicographically smallest center; a
-    set must beat the all-zero assignment at the region's smallest corner.
-    One DEBUG line on the ``dronecell`` logger gives the tiles bounded, the
-    leaves kept, the centers made against the m^2 + 8m + 4 bound, and
-    whether the rerun ran.
+    enumerated when there could be more than ``MAX_SEARCH_POINTS``.  The
+    coverage stage alone decides whether the box is tiled: when its centers
+    outnumber one eligibility block and the leaves of its quadtree
+    (``_grid``), ``_search`` first drops the tiles whose knapsack bound is
+    below a floor: the objective of a feasible set at one user position,
+    less the ``SCORE_RTOL`` slack.  Centers are made only in the leaves
+    left, and tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x,
+    each against the users whose x-distance to its slab is within their
+    radius; sets whose bound is below the floor are not scored.  A result
+    below the floor means no set reaching it was first seen at a center
+    where its members pass the loss check, and the solve reruns with the
+    box as its only leaf, so the result is the one the whole box gives.
+    Ties break toward more served users, then the lexicographically
+    smallest center; a set must beat the all-zero assignment at the
+    region's smallest corner.  One DEBUG line on the ``dronecell`` logger
+    gives the tiles bounded, the leaves kept, the centers made against the
+    m^2 + 8m + 4 bound, and whether the rerun ran.
     """
     _check_region(scenario)
     env, cfg, users = scenario.environment, scenario.channel, scenario.users
@@ -335,8 +336,7 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
         sized[q] = coverage_radius(h_star, q, env, cfg)
     radii = [sized[u.max_path_loss_db] for u in users]
     shared = shared or SharedCoverage([scenario])
-    cov, search = shared(scenario, radii, h_star)
-    floor = search.floor(scenario)
+    cov, floor = shared(scenario, radii, h_star)
     result = _score(scenario, cov, h_star, r_default, floor)
     fallback = result.objective < floor
     if fallback:
@@ -345,11 +345,12 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     log = logging.getLogger("dronecell")
     if log.isEnabledFor(logging.DEBUG):
         m = sum(r > 0 for r in radii)
+        search = cov.search
         log.debug(
             "solve: %d tiles bounded, %d leaves kept, %d candidate centers of at most %d, "
             "fallback %s",
-            search.tiles,
-            search.leaves,
+            0 if search is None else search.tiles,
+            1 if search is None else int(search.kept.sum()),
             len(cov.pts),
             m * m + 8 * m + 4,
             "ran" if fallback else "not run",
@@ -363,25 +364,31 @@ class SharedCoverage:
     Scenarios with equal users, channel, environment and region share a
     stage.  When the box is tiled, it holds the centers of every leaf that
     any of them keeps, so each one sees all the centers of its own leaves.
+    A call gives a scenario's stage and its search floor (-inf for a box
+    kept whole); a scenario not among them is refused with ``ValueError``.
     """
 
     def __init__(self, scenarios: Iterable[Scenario]) -> None:
         self._scenarios = list(scenarios)
-        self._stages: dict[int, tuple[_Coverage, _TileSearch]] = {}
+        keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
+        self._groups = [keys.index(key) for key in keys]  # each scenario's first layout-mate
+        self._stages: dict[int, _Coverage] = {}
 
     def __call__(
         self, scenario: Scenario, radii: Sequence[float], h_star: float
-    ) -> tuple[_Coverage, _TileSearch]:
-        keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
-        k = keys.index((scenario.users, scenario.channel, scenario.environment, scenario.region))
+    ) -> tuple[_Coverage, float]:
+        try:
+            i = self._scenarios.index(scenario)
+        except ValueError:
+            raise ValueError("scenario not among those the coverage is shared by") from None
+        k = self._groups[i]
         if k not in self._stages:  # its classes separate each field any weights turn on
-            group = [s for s, key in zip(self._scenarios, keys) if key == keys[k]]
+            group = [s for s, g in zip(self._scenarios, self._groups) if g == k]
             w2, w3, w4 = (max(getattr(s.weights, t) for s in group) for t in ("w2", "w3", "w4"))
             classes = _classes(scenario.users, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
-            search = _TileSearch(group, classes, radii, h_star)
-            cov = _coverage(scenario.users, radii, scenario.region, classes, search)
-            self._stages[k] = cov, search
-        return self._stages[k]
+            self._stages[k] = _coverage(scenario.users, radii, scenario.region, classes, group, h_star)
+        search = self._stages[k].search
+        return self._stages[k], search.floors[self._groups[:i].count(k)] if search else -math.inf
 
 
 def _disks(users: Sequence[User], radii: Sequence[float], order: Sequence[int]) -> np.ndarray:
@@ -404,13 +411,21 @@ def _coverage(
     radii: Sequence[float],
     region: PlacementRegion,
     classes: list[list[int]],
-    search: _TileSearch | None = None,
+    scenarios: Sequence[Scenario] = (),
+    h_star: float = math.nan,
 ) -> _Coverage:
     """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``.
 
-    With ``search``, the centers are those of the leaves it keeps.
+    It alone decides tiling: with ``scenarios``, which share these users
+    and region, when ``_grid`` gives a grid, ``_search`` bounds its tiles
+    for them at ``h_star`` and ``_candidate_centers`` makes centers only in
+    the cells kept, from the users whose disk meets one.
     """
-    pts = _candidate_centers(users, radii, region.x_bounds, region.y_bounds, search)
+    circles, pairs, count = _circle_pairs(users, radii)
+    grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if scenarios else None
+    search = None if grid is None else _search(scenarios, classes, radii, h_star, grid)
+    leaves = None if search is None else (grid, search.kept, search.meeting[np.asarray(radii) > 0])
+    pts = _candidate_centers(circles, pairs, region.x_bounds, region.y_bounds, leaves)
     order = [p for members in classes for p in members]
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
@@ -440,7 +455,7 @@ def _coverage(
                 seen[signature] = k
     counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
     rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    return _Coverage(classes, pts, disks, rows, counts)
+    return _Coverage(classes, pts, disks, rows, counts, search)
 
 
 class _Knapsack(NamedTuple):
@@ -499,7 +514,7 @@ def _score(
 
     Sets whose bound is below ``floor`` less the slack are not scored.
     """
-    classes, pts, disks, rows, counts = cov
+    classes, pts, disks, rows, counts, _ = cov
     region = scenario.region
     zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
 
@@ -636,56 +651,42 @@ def _reach(disks: np.ndarray) -> np.ndarray:
     return np.array([disks[0], disks[1], reach])
 
 
-class _TileSearch:
+class _Search(NamedTuple):  # what the tile search of a box keeps
+    kept: np.ndarray  # the grid's cells any of its scenarios keeps, as a grid of flags
+    meeting: np.ndarray  # whether each user's disk meets a kept cell
+    floors: tuple[float, ...]  # each scenario's floor, in their order
+    tiles: int  # tiles bounded
+
+
+def _search(
+    scenarios: Sequence[Scenario],
+    classes: list[list[int]],
+    radii: Sequence[float],
+    h_star: float,
+    grid: _Grid,
+) -> _Search:
     """The quadtree search over the box of ``scenarios``, which share one coverage stage.
 
-    Called with the grid of the finest level, it bounds each scenario's tiles
-    level by level and returns which cells any of them keeps.  A tile holds
-    the users whose disk meets it; every set realized in it is a subset of
-    them, and the knapsack bound is monotone, so their bound bounds every
-    center in it.  A tile whose bound is below the scenario's floor less
-    the slack is dropped, with its children.  The floor is the objective of
-    a greedy feasible set at one user position, less the slack; a result at
-    or above it is the one the whole box gives.
+    It bounds each scenario's tiles level by level, down to the leaves of
+    ``grid``.  A tile holds the users whose disk meets it; every set
+    realized in it is a subset of them, and the knapsack bound is monotone,
+    so their bound bounds every center in it.  A tile whose bound is below
+    the scenario's floor less the slack is dropped, with its children.  The
+    floor is the objective of a greedy feasible set at one user position
+    (``_floor``), less the slack; a result at or above it is the one the
+    whole box gives.
     """
-
-    def __init__(
-        self,
-        scenarios: Sequence[Scenario],
-        classes: list[list[int]],
-        radii: Sequence[float],
-        h_star: float,
-    ) -> None:
-        self._scenarios, self._classes = scenarios, classes
-        self._radii, self._h_star = radii, h_star
-        self.floors: list[float] = []  # one per scenario, once the box is tiled
-        self.tiles, self.leaves = 0, 1  # tiles bounded and cells kept
-
-    def floor(self, scenario: Scenario) -> float:
-        return self.floors[self._scenarios.index(scenario)] if self.floors else -math.inf
-
-    def __call__(self, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
-        """The grid's cells any scenario keeps, and whether each user's disk meets one of them."""
-        kept = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
-        meeting = np.zeros(len(self._radii), dtype=bool)
-        for scenario in self._scenarios:
-            kept |= self._kept(scenario, grid, meeting)
-        self.leaves = int(kept.sum())
-        return kept, meeting
-
-    def _kept(self, scenario: Scenario, grid: _Grid, meeting: np.ndarray) -> np.ndarray:
-        """The cells ``scenario`` keeps, as a grid of flags.
-
-        Records the scenario's floor, and flags in ``meeting`` the users
-        whose disk meets a kept cell.
-        """
-        knapsack = _knapsack(scenario, self._classes)
+    leaves = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
+    meeting = np.zeros(len(radii), dtype=bool)
+    floors, tiles = [], 0
+    for scenario in scenarios:
+        knapsack = _knapsack(scenario, classes)
         # Users in the knapsack's class order, so a class's members are a run.
-        runs = [[p for c in group for p in self._classes[c]] for group in knapsack.groups]
+        runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
         order = [p for run in runs for p in run]
         # Each column's class, by its place in the knapsack's order.
         group_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
-        disks = _disks(scenario.users, self._radii, order)
+        disks = _disks(scenario.users, radii, order)
         reach = _reach(disks)
         slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
         # The tiles of a level as cell indices, and (tile, column) pairs sorted
@@ -714,13 +715,11 @@ class _TileSearch:
                 pairs = (at[part] - start) * len(runs) + group_of.take(col[part])
                 held = np.bincount(pairs, minlength=size * len(runs))
                 bound[start : start + size] = knapsack.bound(held.reshape(size, len(runs)))
-            self.tiles += len(ix)
+            tiles += len(ix)
             if floor is None:
-                best = self._incumbent(
-                    scenario, knapsack, order, group_of, disks, grid, level, at, col
-                )
+                best = _floor(scenario, knapsack, order, group_of, disks, grid, level, at, col, h_star)
                 floor = best - slack
-                self.floors.append(floor)
+                floors.append(floor)
             alive = bound >= floor - slack
             kept = alive.take(at).nonzero()[0]
             at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
@@ -737,64 +736,66 @@ class _TileSearch:
         cells = np.zeros((1 << level, 1 << level), dtype=bool)
         cells[ix, iy] = True
         span = 1 << (grid.depth - level)
-        return cells.repeat(span, axis=0).repeat(span, axis=1)
+        leaves |= cells.repeat(span, axis=0).repeat(span, axis=1)
+    return _Search(leaves, meeting, tuple(floors), tiles)
 
-    def _incumbent(
-        self,
-        scenario: Scenario,
-        knapsack: _Knapsack,
-        order: list[int],
-        group_of: np.ndarray,
-        disks: np.ndarray,
-        grid: _Grid,
-        level: int,
-        at: np.ndarray,
-        col: np.ndarray,
-    ) -> float:
-        """The objective of a greedy feasible set at a user position, or -inf with none in the box.
 
-        ``order`` lists the users of the columns of ``disks``, in the
-        knapsack's class order, and ``group_of`` gives each column's class.
-        The position is the user in the box whose members have the highest
-        bound.  Each is tested only against the disks that meet its tile at
-        ``level``, the (tile, column) pairs ``at`` and ``col``.  Members are
-        taken as the scoring stage takes them: in the disks, and within their
-        threshold by the scalar loss; then each in class order if it still
-        fits the capacity.
-        """
-        (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
-        x, y, r2 = disks
-        spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
-        if not len(spots):
-            return -math.inf
-        cx, cy = grid.cells(disks[:2, spots].T)
-        tiles = (cx >> (grid.depth - level) << level) + (cy >> (grid.depth - level))
-        # (spot, column) pairs: each spot with the disks that meet its tile.
-        first = np.searchsorted(at, tiles)
-        count = np.searchsorted(at, tiles, side="right") - first
-        spot = np.repeat(np.arange(len(spots)), count)
-        offset = first - (np.cumsum(count) - count)  # from a pair's place to its column's in col
-        near = col.take(np.arange(len(spot)) + offset.take(spot))
-        # The membership test of ``_inside``, pair by pair.
-        d2 = x.take(spots.take(spot)) - x.take(near)
-        d2 *= d2
-        dy = y.take(spots.take(spot)) - y.take(near)
-        d2 += np.multiply(dy, dy, out=dy)
-        inside = (d2 <= r2.take(near)).nonzero()[0]
-        spot, near = spot.take(inside), near.take(inside)
-        groups = len(knapsack.values)
-        held = np.bincount(spot * groups + group_of.take(near), minlength=len(spots) * groups)
-        p = np.argmax(knapsack.bound(held.reshape(len(spots), groups)))
-        members = [scenario.users[order[j]] for j in near[spot == p].tolist()]
-        ids = _covered(scenario, members, (x[spots[p]], y[spots[p]], self._h_star))
-        members = [u for u in members if u.id in ids]
-        demands, cap = _scaled(scenario.capacity, members)
-        chosen, used = [], 0
-        for u, demand in zip(members, demands):
-            if used + demand <= cap:
-                chosen.append(u.id)
-                used += demand
-        return objective_value(scenario, assignment_from_ids(scenario, chosen))[0]
+def _floor(
+    scenario: Scenario,
+    knapsack: _Knapsack,
+    order: list[int],
+    group_of: np.ndarray,
+    disks: np.ndarray,
+    grid: _Grid,
+    level: int,
+    at: np.ndarray,
+    col: np.ndarray,
+    h_star: float,
+) -> float:
+    """The objective a search's floor is set from: a greedy feasible set at a user position.
+
+    It is -inf with no user position in the box.  ``order`` lists the
+    users of the columns of ``disks``, in the knapsack's class order, and
+    ``group_of`` gives each column's class.  The position is the user in
+    the box whose members have the highest bound.  Each is tested only
+    against the disks that meet its tile at ``level``, the (tile, column)
+    pairs ``at`` and ``col``.  Members are taken as the scoring stage takes
+    them at ``h_star``: in the disks, and within their threshold by the
+    scalar loss; then each in class order if it still fits the capacity.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
+    x, y, r2 = disks
+    spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
+    if not len(spots):
+        return -math.inf
+    cx, cy = grid.cells(disks[:2, spots].T)
+    tiles = (cx >> (grid.depth - level) << level) + (cy >> (grid.depth - level))
+    # (spot, column) pairs: each spot with the disks that meet its tile.
+    first = np.searchsorted(at, tiles)
+    count = np.searchsorted(at, tiles, side="right") - first
+    spot = np.repeat(np.arange(len(spots)), count)
+    offset = first - (np.cumsum(count) - count)  # from a pair's place to its column's in col
+    near = col.take(np.arange(len(spot)) + offset.take(spot))
+    # The membership test of ``_inside``, pair by pair.
+    d2 = x.take(spots.take(spot)) - x.take(near)
+    d2 *= d2
+    dy = y.take(spots.take(spot)) - y.take(near)
+    d2 += np.multiply(dy, dy, out=dy)
+    inside = (d2 <= r2.take(near)).nonzero()[0]
+    spot, near = spot.take(inside), near.take(inside)
+    groups = len(knapsack.values)
+    held = np.bincount(spot * groups + group_of.take(near), minlength=len(spots) * groups)
+    p = np.argmax(knapsack.bound(held.reshape(len(spots), groups)))
+    members = [scenario.users[order[j]] for j in near[spot == p].tolist()]
+    ids = _covered(scenario, members, (x[spots[p]], y[spots[p]], h_star))
+    members = [u for u in members if u.id in ids]
+    demands, cap = _scaled(scenario.capacity, members)
+    chosen, used = [], 0
+    for u, demand in zip(members, demands):
+        if used + demand <= cap:
+            chosen.append(u.id)
+            used += demand
+    return objective_value(scenario, assignment_from_ids(scenario, chosen))[0]
 
 
 def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
@@ -810,47 +811,24 @@ def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
     return d2 <= disks[2]
 
 
-def _candidate_centers(
-    users: Sequence[User],
-    radii: Sequence[float],
-    x_bounds: tuple[float, float],
-    y_bounds: tuple[float, float],
-    search: _TileSearch | None = None,
-) -> np.ndarray:
-    """Horizontal positions that realize every maximal coverage set.
+def _circle_pairs(
+    users: Sequence[User], radii: Sequence[float]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
+    """The coverage circles, the pairs of them that can cross, and a bound on their centers.
 
-    Any nonempty intersection of coverage disks with the region box is
-    convex; it contains a disk center, a box corner, or a boundary vertex
-    (circle/circle or circle/edge crossing), all of which are enumerated.
-    Returns the distinct points inside the box as a (k, 2) array sorted by
-    x, then y, with none at all when no user has a positive radius.  Raises
-    ``ResourceGuardError`` when the m users with a positive radius could
-    give more than ``MAX_SEARCH_POINTS`` points (m^2 + 8m + 4 bounds them).
-
-    With ``search``, when ``_grid`` tiles the box, only the points in the
-    cells the search keeps are returned.  Such a point lies, up to
-    rounding, in the disks that make it, and the search's tile test allows
-    for that rounding, so only the users whose disk meets a kept cell, and
-    the pairs of them, make points.
-
-    The circle pairs run in numpy, ``ELIGIBILITY_CHUNK`` rows at a time,
-    with the float operations of the scalar formulas in the same order, so
-    every point has the bits the scalar arithmetic gives.  Points are listed
-    in a fixed order and stably sorted, so of equal points (0.0 and -0.0
-    alike) the first listed is kept.
+    Circles are rows of (x, y, r) for the users with a positive radius, and
+    pairs are arrays of rows i < j, ``ELIGIBILITY_CHUNK`` values of i at a
+    time.  The bound, 9m + 4 plus 2 per pair, counts the points
+    ``_candidate_centers`` lists.  Raises ``ResourceGuardError`` when the m
+    circles could give more than ``MAX_SEARCH_POINTS`` (m^2 + 8m + 4).
     """
-    x_lo, x_hi = x_bounds
-    y_lo, y_hi = y_bounds
-    active = [(u.x, u.y, r) for u, r in zip(users, radii) if r > 0]
-    m = len(active)
+    circles = np.array([(u.x, u.y, r) for u, r in zip(users, radii) if r > 0]).reshape(-1, 3)
+    m = len(circles)
     if m * m + 8 * m + 4 > MAX_SEARCH_POINTS:
         raise ResourceGuardError(
             f"{m} coverable users give up to {m * m + 8 * m + 4} candidate centers, "
             f"above the {MAX_SEARCH_POINTS} ceiling"
         )
-    if not active:
-        return np.empty((0, 2))
-    circles = np.array(active)  # rows of (x, y, r)
     x, y, r = circles.T
     # Each user adds its position and up to 8 edge crossings, each pair 2.
     pairs, count = [], 9 * m + 4
@@ -858,7 +836,7 @@ def _candidate_centers(
         rows = slice(start, start + ELIGIBILITY_CHUNK)
         # The pairs i < j whose circles can cross, tested on squared
         # distances with a relative margin far above their rounding error;
-        # the exact test below uses math.hypot, as the scalar code does.
+        # the exact crossing test uses math.hypot, as the scalar code does.
         dist2 = x - x[rows, None]
         dist2 *= dist2
         dy2 = y - y[rows, None]
@@ -872,18 +850,46 @@ def _candidate_centers(
         i, j = np.nonzero(near)
         pairs.append((i + start, j))
         count += 2 * len(i)
-    grid = _grid(x_bounds, y_bounds, r, count) if search is not None else None
-    if grid is not None:
-        kept, meeting = search(grid)
-        meeting = meeting[[p for p, radius in enumerate(radii) if radius > 0]]
-        active = [a for a, meet in zip(active, meeting.tolist()) if meet]
-        for k, (i, j) in enumerate(pairs):
-            both = meeting[i] & meeting[j]
-            pairs[k] = i[both], j[both]
+    return circles, pairs, count
+
+
+def _candidate_centers(
+    circles: np.ndarray,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    x_bounds: tuple[float, float],
+    y_bounds: tuple[float, float],
+    leaves: tuple[_Grid, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Horizontal positions that realize every maximal coverage set of ``circles``.
+
+    Any nonempty intersection of coverage disks with the region box is
+    convex; it contains a disk center, a box corner, or a boundary vertex
+    (circle/circle or circle/edge crossing), all of which are enumerated,
+    the circle/circle ones from the ``pairs`` that ``_circle_pairs`` gives.
+    Returns the distinct points inside the box as a (k, 2) array sorted by
+    x, then y, with none at all when there is no circle.  With ``leaves``,
+    a grid, its kept cells and a flag per circle, only the flagged circles
+    and the pairs of them make points, and only those in kept cells stay.
+
+    The circle pairs run in numpy, with the float operations of the scalar
+    formulas in the same order, so every point has the bits the scalar
+    arithmetic gives.  Points are listed in a fixed order and stably
+    sorted, so of equal points (0.0 and -0.0 alike) the first listed is
+    kept.
+    """
+    if not len(circles):
+        return np.empty((0, 2))
+    x_lo, x_hi = x_bounds
+    y_lo, y_hi = y_bounds
+    active = circles
+    if leaves is not None:
+        grid, kept, makers = leaves
+        active = circles[makers]
+        pairs = [(i[b], j[b]) for i, j in pairs for b in [makers[i] & makers[j]]]
     # Disk centers and circle/edge crossings stay scalar: Python's ``**``
     # calls libm's pow, which numpy's square does not always match.
     flat: list[float] = []  # x0, y0, x1, y1, ...
-    for cx, cy, r in active:
+    for cx, cy, r in active.tolist():
         flat += (cx, cy)
         for xe in (x_lo, x_hi):
             rem = r * r - (xe - cx) ** 2
@@ -918,9 +924,9 @@ def _candidate_centers(
     pts = np.concatenate(blocks)
     inside = (blocks[-1][0] <= pts) & (pts <= blocks[-1][-1])
     pts = pts[inside[:, 0] & inside[:, 1]]
-    if grid is not None:
+    if leaves is not None:
         ix, iy = grid.cells(pts)
-        pts = pts[kept.ravel().take(ix * kept.shape[1] + iy)]
+        pts = pts[kept[ix, iy]]
     # As complex numbers the points sort by x, then y, in one stable sort.
     z = np.sort(pts.view(np.complex128).ravel(), kind="stable")
     return z[np.concatenate(([True], z[1:] != z[:-1]))].view(np.float64).reshape(-1, 2)

@@ -646,21 +646,10 @@ def test_altitude_profile(tmp_path):
         assert out.read_text(encoding="utf-8") == altitude_profile_csv(samples, *optimum)
 
 
-def test_altitude_profile_rejects_steps_above_the_ceiling(tmp_path, monkeypatch, capsys):
-    # A huge --steps used to build its altitude list and arrays first.
-    monkeypatch.setattr(solver, "MAX_SEARCH_POINTS", 100)
-    out = tmp_path / "profile.csv"
-    args = ["altitude-profile", "--env", "urban", "--h-min", "20", "--h-max", "500"]
-    assert main(args + ["--steps", "100", "--out", str(out)]) == 1
-    assert not out.exists()
-    assert "error: --steps 100 gives 101 altitudes, above the 100 ceiling" in capsys.readouterr().err
-    assert main(args + ["--steps", "99", "--out", str(out)]) == 0
-    assert len(read_csv(out)) == 1 + 100 + 1
-
-
 def test_altitude_profile_rejects_more_steps_than_the_count_ceiling(tmp_path, monkeypatch, capsys):
-    # 9,999,999 steps passed the altitude ceiling and ran one radius search
-    # per step, about 78 s, with every row held in memory.
+    # Without the count ceiling, 9,999,999 steps ran one radius search per
+    # step, about 78 s, with every row held in memory.  It alone refuses
+    # 10**7 as well.
     import dronecell.cli.main as cli_main
 
     def unsampled(*args):
@@ -670,7 +659,7 @@ def test_altitude_profile_rejects_more_steps_than_the_count_ceiling(tmp_path, mo
     monkeypatch.setattr(cli_main, "coverage_radius", unsampled)
     out = tmp_path / "profile.csv"
     args = ["altitude-profile", "--env", "urban", "--h-min", "20", "--h-max", "500"]
-    for steps in (MAX_COUNT + 1, 9_999_999):
+    for steps in (MAX_COUNT + 1, 9_999_999, 10**7):
         assert main(args + ["--steps", str(steps), "--out", str(out)]) == 1
         assert f"error: --steps must be at most {MAX_COUNT}, got {steps}" in capsys.readouterr().err
         assert not out.exists()

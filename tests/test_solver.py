@@ -521,7 +521,8 @@ def test_candidate_centers_equal_the_scalar_enumeration_bitwise(monkeypatch, chu
     # A chunk of 3 splits the circle pairs into many row blocks.
     monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
     for users, radii, x_bounds, y_bounds in center_instances():
-        got = _candidate_centers(users, radii, x_bounds, y_bounds)
+        circles, pairs, _ = solver._circle_pairs(users, radii)
+        got = _candidate_centers(circles, pairs, x_bounds, y_bounds)
         want = np.array(sorted(reference_centers(users, radii, x_bounds, y_bounds)))
         want = want.reshape(-1, 2)
         assert got.shape == want.shape
@@ -1001,7 +1002,8 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         order = [p for run in runs for p in run]
         starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
         disks = solver._disks(sc.users, radii, order)
-        pts = _candidate_centers(sc.users, radii, (x_lo, x_hi), (y_lo, y_hi))
+        circles, pairs, _ = solver._circle_pairs(sc.users, radii)
+        pts = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi))
         ix, iy = grid.cells(pts)
         held = np.add.reduceat(solver._inside(pts[:, 0], pts[:, 1], disks), starts, axis=1)
         reach = solver._reach(disks)
@@ -1012,26 +1014,18 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         slack = solver.SCORE_RTOL * (1.0 + term_magnitude(sc))
         assert (knapsack.bound(held) <= knapsack.bound(leaf) + slack).all()
 
-        kept, meeting = solver._TileSearch([sc], classes, radii, h_star)(grid)
-        assert kept.any()
-        restricted += not meeting.all()
-        tiled = _candidate_centers(sc.users, radii, (x_lo, x_hi), (y_lo, y_hi), search_of(kept, meeting))
-        want = pts[kept[ix, iy]]
+        search = solver._search([sc], classes, radii, h_star, grid)
+        assert search.kept.any()
+        restricted += not search.meeting.all()
+        leaves = grid, search.kept, search.meeting[np.asarray(radii) > 0]
+        tiled = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi), leaves)
+        want = pts[search.kept[ix, iy]]
         assert np.array_equal(tiled.view(np.uint64), want.view(np.uint64))
+        # The coverage stage tiles the box the same way and keeps those centers.
+        stage = solver._coverage(sc.users, radii, sc.region, classes, [sc], h_star)
+        assert np.array_equal(stage.search.kept, search.kept) and stage.search.floors == search.floors
+        assert np.array_equal(stage.pts.view(np.uint64), tiled.view(np.uint64))
     assert restricted  # some instances make points from fewer users
-
-
-def search_of(kept, meeting):
-    """A tile search that keeps the given cells and users, for any grid of their size."""
-
-    class Fixed(solver._TileSearch):
-        def __init__(self):
-            pass
-
-        def __call__(self, grid):
-            return kept, meeting
-
-    return Fixed()
 
 
 def test_solve_falls_back_to_the_whole_box_when_its_floor_is_not_reached(monkeypatch, caplog):
@@ -1082,6 +1076,25 @@ def test_a_shared_tiled_stage_holds_the_leaves_of_every_scenario(monkeypatch):
         shared = solver.SharedCoverage(subs)
         assert [repr(solve(s, shared)) for s in subs] == want
         assert len(stages) == 1
+
+
+def test_shared_coverage_refuses_a_scenario_it_was_not_built_from():
+    # The stage of a layout's w3 = 0 variant does not separate energy costs,
+    # so a scenario that turns w3 on would score coarser sets; a scenario of
+    # another layout matches no stage at all.  Both get one short error.
+    profile = ScenarioProfile(
+        energy_cost_range=(0.0, 1.0), capacity=3.0, weights=ObjectiveWeights(1.0, 0.0, 5.0, 0.0)
+    )
+    for seed in range(4):
+        sc = generate_scenario(seed, 30, 2, URBAN, profile=profile)
+        variant = dataclasses.replace(sc, weights=dataclasses.replace(sc.weights, w3=0.0))
+        shared = solver.SharedCoverage([variant])
+        with pytest.raises(ValueError, match="^scenario not among those the coverage is shared by$"):
+            solve(sc, shared)
+        assert repr(solve(variant, shared)) == repr(solve(variant))
+    layouts = [generate_scenario(s, 240, 2, URBAN) for s in (1, 2)]
+    with pytest.raises(ValueError, match="^scenario not among those the coverage is shared by$"):
+        solve(layouts[1], solver.SharedCoverage(layouts[:1]))
 
 
 @pytest.mark.parametrize("ceiling", [300, 600, 700])
