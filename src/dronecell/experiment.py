@@ -9,6 +9,7 @@ geometry.  Summaries aggregate the total and per-MVNO served counts per
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +73,11 @@ class ExperimentConfig:
         missing = [e for e in self.environments if e not in ENVIRONMENTS]
         if missing:
             raise ValueError(f"unknown environments: [{', '.join(map(quoted, missing))}]")
+        # A repeat would be solved again and written as a second, identical row.
+        for kind, names in (("environments", self.environments), ("policies", self.policies)):
+            repeated = [name for name, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ValueError(f"repeated {kind}: [{', '.join(map(quoted, repeated))}]")
 
 
 @dataclass(frozen=True)

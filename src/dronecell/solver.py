@@ -432,8 +432,7 @@ def _coverage(
     disks = _disks(users, radii, order)
     ux, r2 = disks[0], disks[2]
 
-    # Signature bytes -> first center row, in order of first sighting.  One
-    # eligibility buffer serves every block, so the heap does not shrink and regrow.
+    # One eligibility buffer serves every block, so the heap does not shrink and regrow.
     seen: dict[bytes, int] = {}
     blank = np.zeros((min(len(pts), ELIGIBILITY_CHUNK), len(order)), dtype=bool)
     for start in range(0, len(pts), ELIGIBILITY_CHUNK):
@@ -447,15 +446,21 @@ def _coverage(
         near = (gap * gap <= r2).nonzero()[0]
         eligible = blank[: len(bx)]
         eligible[:] = False
-        eligible[:, near] = _inside(bx, by, disks[:, near])
+        eligible[:, near] = _inside(bx[:, None], by[:, None], disks[:, near])
         held = np.add.reduceat(eligible, class_start, axis=1, dtype=count_type)
-        signatures = held.view(np.dtype((np.void, held.strides[0]))).ravel().tolist()
-        for k, signature in enumerate(signatures, start):
-            if signature not in seen:
-                seen[signature] = k
+        _first_sightings(held, seen, start)
     counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
     rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
     return _Coverage(classes, pts, disks, rows, counts, search)
+
+
+def _first_sightings(held: np.ndarray, seen: dict[bytes, int], start: int = 0) -> dict[bytes, int]:
+    """``seen`` with each new row of ``held`` added, by its bytes, at its index plus ``start``."""
+    signatures = held.view(np.dtype((np.void, held.strides[0]))).ravel().tolist()
+    for k, signature in enumerate(signatures, start):
+        if signature not in seen:
+            seen[signature] = k
+    return seen
 
 
 class _Knapsack(NamedTuple):
@@ -474,6 +479,7 @@ class _Knapsack(NamedTuple):
     demands: np.ndarray  # and its demand
     capacity: float
     base: float  # w2' times the summed targets
+    slack: float  # the bound prunes a set only when below a score less this
 
     def bound(self, held: np.ndarray) -> np.ndarray:
         """The bound of each row of ``held``, its members per class.
@@ -504,7 +510,10 @@ def _knapsack(scenario: Scenario, classes: list[list[int]]) -> _Knapsack:
     groups = sorted(_classes(firsts, w), key=density, reverse=True)
     values = np.array([value(firsts[group[0]]) for group in groups])
     demands = np.array([firsts[group[0]].resource_demand for group in groups])
-    return _Knapsack(groups, values, demands, scenario.capacity, w2 * sum(scenario.targets))
+    # The bound, ``select_users`` and ``objective_value`` add the same terms in
+    # different orders; the slack covers the rounding, relative to their largest sum.
+    slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
+    return _Knapsack(groups, values, demands, scenario.capacity, w2 * sum(scenario.targets), slack)
 
 
 def _score(
@@ -512,7 +521,7 @@ def _score(
 ) -> SolveResult:
     """The scoring stage of ``solve()`` at h*, given the coverage of the scenario's users.
 
-    Sets whose bound is below ``floor`` less the slack are not scored.
+    Sets whose bound is below ``floor`` less the knapsack's slack are not scored.
     """
     classes, pts, disks, rows, counts, _ = cov
     region = scenario.region
@@ -526,7 +535,7 @@ def _score(
     if len(groups) < len(classes):
         starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
         counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
-        first = np.sort(np.unique(counts, axis=0, return_index=True)[1])
+        first = list(_first_sightings(counts, {}).values())
         rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
     # Blocks of a quarter chunk keep the few float temporaries below one
     # eligibility block.
@@ -536,10 +545,6 @@ def _score(
         bound[start : start + chunk] = knapsack.bound(held)
     size = counts.sum(axis=1, dtype=np.intp)
 
-    # The slack covers rounding, since the bound, ``select_users`` and
-    # ``objective_value`` add the same terms in different orders; it is
-    # relative to the largest possible sum of the objective's terms.
-    slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
     # The winner is the greatest (objective, served, -row); the zero
     # assignment covers the empty set and ranks as row -1, so a set must beat
     # it outright.  Nonempty sets go highest bound first, then more members,
@@ -550,7 +555,7 @@ def _score(
     nonempty = size.nonzero()[0]
     ranked = nonempty[np.lexsort((-size[nonempty], -bound[nonempty]))]
     for i, b in zip(rows[ranked].tolist(), bound[ranked].tolist()):
-        if b < max(win[0], floor) - slack:
+        if b < max(win[0], floor) - knapsack.slack:
             break
         # At a radius exactly on its threshold's boundary, DISK_EPS can take in
         # a user just past it, so the loss itself decides who is eligible.
@@ -688,7 +693,6 @@ def _search(
         group_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         disks = _disks(scenario.users, radii, order)
         reach = _reach(disks)
-        slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
         # The tiles of a level as cell indices, and (tile, column) pairs sorted
         # by tile: the disks that meet each tile.  The search starts three
         # levels above the leaves, with tiles about r_min wide, since wider
@@ -718,9 +722,9 @@ def _search(
             tiles += len(ix)
             if floor is None:
                 best = _floor(scenario, knapsack, order, group_of, disks, grid, level, at, col, h_star)
-                floor = best - slack
+                floor = best - knapsack.slack
                 floors.append(floor)
-            alive = bound >= floor - slack
+            alive = bound >= floor - knapsack.slack
             kept = alive.take(at).nonzero()[0]
             at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
             ix, iy = ix[alive], iy[alive]
@@ -776,12 +780,7 @@ def _floor(
     spot = np.repeat(np.arange(len(spots)), count)
     offset = first - (np.cumsum(count) - count)  # from a pair's place to its column's in col
     near = col.take(np.arange(len(spot)) + offset.take(spot))
-    # The membership test of ``_inside``, pair by pair.
-    d2 = x.take(spots.take(spot)) - x.take(near)
-    d2 *= d2
-    dy = y.take(spots.take(spot)) - y.take(near)
-    d2 += np.multiply(dy, dy, out=dy)
-    inside = (d2 <= r2.take(near)).nonzero()[0]
+    inside = _inside(*disks[:2, spots.take(spot)], disks[:, near]).nonzero()[0]
     spot, near = spot.take(inside), near.take(inside)
     groups = len(knapsack.values)
     held = np.bincount(spot * groups + group_of.take(near), minlength=len(spots) * groups)
@@ -799,14 +798,14 @@ def _floor(
 
 
 def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
-    """Whether each point (px, py) lies in each disk column (x, y, r^2) of ``disks``.
+    """Whether points (px, py) lie in disk columns (x, y, r^2) of ``disks``, broadcast.
 
-    The one membership test of ``solve()``: its eligibility blocks and its
-    score-time member lists both call it, so both see the same bits.
+    The one membership test of ``solve()``: its eligibility blocks, score-time
+    member lists and search floor all call it, so all see the same bits.
     """
-    d2 = np.subtract.outer(px, disks[0])
+    d2 = px - disks[0]
     d2 *= d2
-    dy2 = np.subtract.outer(py, disks[1])
+    dy2 = py - disks[1]
     d2 += np.multiply(dy2, dy2, out=dy2)
     return d2 <= disks[2]
 
@@ -932,13 +931,16 @@ def _candidate_centers(
     return z[np.concatenate(([True], z[1:] != z[:-1]))].view(np.float64).reshape(-1, 2)
 
 
+def _axis_steps(lo: float, hi: float, step: float) -> tuple[int, bool]:
+    """``_grid_axis``'s steps n from lo, and whether it appends hi after lo + n * step."""
+    n = int(math.floor((hi - lo) / step + 1e-9))
+    return n, lo + n * step < hi - 1e-9 * max(1.0, abs(hi))
+
+
 def _grid_axis(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid from lo to hi; both endpoints always present."""
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    vals = [lo + k * step for k in range(n + 1)]
-    if vals[-1] < hi - 1e-9 * max(1.0, abs(hi)):
-        vals.append(hi)
-    return vals
+    n, tail = _axis_steps(lo, hi, step)
+    return [lo + k * step for k in range(n + 1)] + [hi] * tail
 
 
 def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> SolveResult:
@@ -948,20 +950,24 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     ``path_loss_array`` at every grid point (no radius bisection or altitude
     search involved), and each distinct coverage set is scored once by
     ``select_users``.  Ties break toward more served users, then lower
-    altitude, then the lexicographically smallest center.
+    altitude, then the lexicographically smallest center.  A grid of more
+    than ``MAX_SEARCH_POINTS`` points is refused before its axes are built.
     """
     if grid_step_xy <= 0 or grid_step_h <= 0:
         raise ValueError("grid steps must be positive")
     _check_region(scenario)
     region = scenario.region
-    xs = _grid_axis(*region.x_bounds, grid_step_xy)
-    ys = _grid_axis(*region.y_bounds, grid_step_xy)
-    hs = _grid_axis(*region.h_bounds, grid_step_h)
-    n_points = len(xs) * len(ys) * len(hs)
+    axes = [
+        (*region.x_bounds, grid_step_xy),
+        (*region.y_bounds, grid_step_xy),
+        (*region.h_bounds, grid_step_h),
+    ]
+    n_points = math.prod(n + 1 + tail for n, tail in (_axis_steps(*axis) for axis in axes))
     if n_points > MAX_SEARCH_POINTS:
         raise ResourceGuardError(
             f"oracle grid has {n_points} points, above the {MAX_SEARCH_POINTS} ceiling"
         )
+    xs, ys, hs = (_grid_axis(*axis) for axis in axes)
     env, cfg = scenario.environment, scenario.channel
     users = scenario.users
     gx = np.repeat(np.asarray(xs), len(ys))

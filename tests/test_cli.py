@@ -519,6 +519,8 @@ def test_mc_runs_fair_selection_over_4_tenants(tmp_path):
         (("profile", "weights", "w1"), float("nan")),
         (("environments",), []),
         (("profile", "energy_cost_range"), [0.0, float("inf")]),
+        (("environments",), ["urban", "urban"]),
+        (("policies",), ["multi_tenancy_dmf", "multi_tenancy_dmf"]),
     ],
 )
 def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):

@@ -182,6 +182,26 @@ def test_config_validation():
     assert ExperimentConfig(num_mvnos=4).num_mvnos == 4
 
 
+def test_config_rejects_a_repeated_environment_or_policy():
+    # A repeat would be solved again and summarized in a second, identical row.
+    with pytest.raises(ValueError, match=r"^repeated environments: \['urban'\]$"):
+        ExperimentConfig(environments=("urban", "suburban", "urban", "urban"))
+    with pytest.raises(ValueError, match=r"^repeated policies: \['multi_tenancy_dmf'\]$"):
+        ExperimentConfig(environments=("urban",), policies=(MULTI_TENANCY_DMF, MULTI_TENANCY_DMF))
+
+
+@pytest.mark.parametrize("num_mvnos, stages", [(1, 3), (2, 6), (3, 6)])
+def test_policies_with_the_same_users_share_one_coverage_stage(monkeypatch, num_mvnos, stages):
+    # Both multi-tenancy policies keep every user; with one tenant so does
+    # single tenancy.  Each run makes one stage per distinct user set.
+    coverage = solver._coverage
+    calls = []
+    monkeypatch.setattr(solver, "_coverage", lambda *a: calls.append(a) or coverage(*a))
+    config = ExperimentConfig(n_runs=3, n_users=12, num_mvnos=num_mvnos, environments=("urban",))
+    run_experiment(config)
+    assert len(calls) == stages
+
+
 def test_solver_failures_carry_run_context():
     profile = ScenarioProfile(h_bounds=(0.0, 0.0))
     config = ExperimentConfig(

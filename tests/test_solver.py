@@ -298,6 +298,26 @@ def test_brute_force_resource_guard():
         brute_force(sc, 0.1, 0.1)
 
 
+def test_brute_force_refuses_a_grid_before_building_its_axes(monkeypatch):
+    # The axes are Python lists: a 1e-9 m step would ask for about 2e12
+    # floats per axis of this box, so an axis built before the size check
+    # fails the wrapper instead of filling the memory.
+    grid_axis = solver._grid_axis
+
+    def bounded(lo, hi, step):
+        assert (hi - lo) / step < solver.MAX_SEARCH_POINTS, "an axis was built before the check"
+        return grid_axis(lo, hi, step)
+
+    monkeypatch.setattr(solver, "_grid_axis", bounded)
+    with pytest.raises(ResourceGuardError, match="ceiling"):
+        brute_force(generate_scenario(1, 3, 2, URBAN), 1e-9, 10.0)
+    # Small axes, too many points: 4,000 x 4,000 x 1.
+    region = PlacementRegion((0.0, 3999.0), (0.0, 3999.0), (60.0, 60.0))
+    sc = make_scenario([User(id=0, x=5.0, y=5.0, mvno_id=0)], num_mvnos=1, region=region)
+    with pytest.raises(ResourceGuardError, match="oracle grid has 16000000 points"):
+        brute_force(sc, 1.0, 1.0)
+
+
 def test_a_size_refusal_is_an_input_error():
     # Callers catch one ValueError for every input error, size refusals included.
     assert issubclass(ResourceGuardError, ValueError)
@@ -984,6 +1004,29 @@ def disks_of(sc):
     return h_star, radii
 
 
+@pytest.mark.parametrize(
+    "shape, low, high, dtype",
+    [
+        ((300, 4), 0, 3, np.uint8),
+        ((0, 5), 0, 3, np.uint8),
+        ((1, 3), 0, 9, np.uint8),
+        ((200, 1), 0, 6, np.uint8),
+        ((300, 3), 255, 258, np.uint16),
+    ],
+    ids=["repeated", "empty", "one-row", "one-column", "uint16"],
+)
+def test_first_sightings_are_the_first_index_of_each_distinct_row(shape, low, high, dtype):
+    # The helper keeps each distinct row's first index, as np.unique's first
+    # indices do once sorted; blocks with ``start`` offsets, as the coverage
+    # stage feeds them, give what one call on their concatenation gives.
+    m = np.random.default_rng(len(shape) + shape[0]).integers(low, high, shape, dtype=dtype)
+    seen = solver._first_sightings(m, {})
+    assert list(seen.values()) == np.sort(np.unique(m, axis=0, return_index=True)[1]).tolist()
+    assert list(seen) == [m[k].tobytes() for k in seen.values()]
+    cut = len(m) // 3
+    assert solver._first_sightings(m[cut:], solver._first_sightings(m[:cut], {}), cut) == seen
+
+
 @pytest.mark.parametrize("depth", [3, 5])
 def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(monkeypatch, depth):
     # Each center's set is a subset of the users whose disk meets its leaf,
@@ -1005,7 +1048,7 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         circles, pairs, _ = solver._circle_pairs(sc.users, radii)
         pts = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi))
         ix, iy = grid.cells(pts)
-        held = np.add.reduceat(solver._inside(pts[:, 0], pts[:, 1], disks), starts, axis=1)
+        held = np.add.reduceat(solver._inside(pts[:, :1], pts[:, 1:], disks), starts, axis=1)
         reach = solver._reach(disks)
         gx, gy = grid.gaps(depth, reach)
         leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], starts, axis=1)
