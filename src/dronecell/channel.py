@@ -237,11 +237,12 @@ def optimal_altitude(
     ties going to the lower one, and the radius returned is
     ``coverage_radius`` at that altitude.
     Returns ``(h_min, 0.0)`` when no altitude in range yields coverage.
+    Raises ``ValueError`` unless 0 < h_min <= h_max < inf.
     A degenerate range with ``h_min == h_max`` evaluates that single altitude.
     """
     h_min, h_max = float(h_range[0]), float(h_range[1])
-    if not 0.0 < h_min <= h_max:
-        raise ValueError(f"altitude range must satisfy 0 < h_min <= h_max, got {h_range}")
+    if not 0.0 < h_min <= h_max < math.inf:
+        raise ValueError(f"altitude range must satisfy 0 < h_min <= h_max < inf, got {h_range}")
     return _optimal_altitude_cached(threshold_db, env, cfg, h_min, h_max)
 
 
@@ -272,7 +273,8 @@ def _optimal_altitude_cached(
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
         while hi - lo > ALTITUDE_TOLERANCE_M:
-            if radius(c) > radius(d):
+            # No coverage at d puts d above the peak: even its nadir fails.
+            if radius(c) > radius(d) or radius(d) == 0.0:
                 hi, d = d, c
                 c = hi - _GOLDEN * (hi - lo)
             else:

@@ -1,8 +1,7 @@
 """Command-line entry point with the solve/mc/altitude-profile/gen commands.
 
 Exit codes: 0 success, 1 input error (bad arguments, unparseable or invalid
-files, or a size above a ceiling), 2 infeasible placement region, 3 internal
-error.
+files, or a size above a ceiling), 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,19 +15,18 @@ from pathlib import Path
 from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, MAX_COUNT, generate_scenario, quoted, validate
-from ..solver import InfeasibleRegionError, solve
+from ..solver import solve
 from .files import load_experiment_config, load_scenario, save_scenario
 from .report import altitude_profile_csv, mc_csv, placement_svg, solve_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; bad arguments are an
-    # input error here, and 2 is reserved for infeasible regions.
+    # input error here.
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -138,9 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleRegionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -143,6 +143,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     is also a ``ValueError`` when the generated scenario fails ``validate``
     (it lists the violations, and nothing is solved) or when the solve
     raised ``ValueError``, such as a ``ResourceGuardError`` above a ceiling.
+    A profile whose ``h_bounds`` ``PlacementRegion`` refuses raises that
+    ``ValueError`` from the first ``generate_scenario`` call.
     """
     rows: list[SummaryRow] = []
     for env_name in config.environments:

@@ -75,11 +75,26 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class PlacementRegion:
-    """Axis-aligned box of allowable platform positions."""
+    """Axis-aligned box of allowable platform positions.
+
+    Its constructor checks the bounds: finite, min <= max (no width pins a
+    coordinate), |x| and |y| within ``MAX_REGION_M`` and h_min > 0.
+    """
 
     x_bounds: tuple[float, float]
     y_bounds: tuple[float, float]
     h_bounds: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        for axis, (lo, hi) in zip("xyh", (self.x_bounds, self.y_bounds, self.h_bounds)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{axis}_bounds must be finite, got ({lo}, {hi})")
+            if not lo <= hi:
+                raise ValueError(f"{axis}_bounds must satisfy min <= max, got ({lo}, {hi})")
+            if axis != "h" and max(abs(lo), abs(hi)) > MAX_REGION_M:
+                raise ValueError(f"{axis}_bounds must lie within +-{MAX_REGION_M:g} m, got ({lo}, {hi})")
+        if self.h_bounds[0] <= 0:
+            raise ValueError(f"h_bounds must start above ground, got {self.h_bounds[0]}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,9 @@ class ScenarioProfile:
     The default profile gives every user the same QoS threshold, unit
     resource demand, zero energy cost and no content request; capacity
     defaults to the user count (non-binding) and targets to an even split.
+    The constructor checks the two knobs that shape the draw: the content
+    probability lies in [0, 1], and the energy-cost range is an ordered
+    pair in [0, 1].
     """
 
     max_path_loss_db: float = 100.0
@@ -132,6 +150,13 @@ class ScenarioProfile:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     h_bounds: tuple[float, float] = DEFAULT_H_BOUNDS
     channel: ChannelConfig = field(default_factory=ChannelConfig)
+
+    def __post_init__(self) -> None:  # a NaN fails both comparisons
+        if not 0.0 <= self.content_probability <= 1.0:
+            raise ValueError(f"content_probability must be in [0, 1], got {self.content_probability}")
+        lo, hi = self.energy_cost_range
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"energy_cost_range must satisfy 0 <= min <= max <= 1, got ({lo}, {hi})")
 
 
 DEFAULT_PROFILE = ScenarioProfile()
@@ -157,8 +182,8 @@ def generate_scenario(
     scenario (positions from PCG64 via ``numpy.random.default_rng``).
     Raises ``ValueError``, before anything is allocated, on a negative user
     count, no tenant, a user or tenant count above ``MAX_COUNT``, a field
-    size that is not finite and positive, or an energy-cost range whose
-    width is not finite.
+    size that is not finite and positive, or a region that
+    ``PlacementRegion`` refuses.
     """
     if n_users < 0:
         raise ValueError("n_users must be non-negative")
@@ -169,11 +194,10 @@ def generate_scenario(
             raise ValueError(f"{name} must be at most {MAX_COUNT}")
     if not 0 < field_size_m < math.inf:
         raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
-    lam_lo, lam_hi = profile.energy_cost_range
-    if not math.isfinite(lam_hi - lam_lo):
-        raise ValueError(f"energy_cost_range must span a finite width, got {profile.energy_cost_range}")
-    rng = np.random.default_rng(seed)
     half = field_size_m / 2.0
+    region = PlacementRegion(x_bounds=(-half, half), y_bounds=(-half, half), h_bounds=profile.h_bounds)
+    lam_lo, lam_hi = profile.energy_cost_range
+    rng = np.random.default_rng(seed)
     xs = rng.uniform(-half, half, n_users)
     ys = rng.uniform(-half, half, n_users)
     mvnos = rng.integers(0, num_mvnos, n_users)
@@ -198,11 +222,6 @@ def generate_scenario(
     )
     targets = profile.targets if profile.targets is not None else even_targets(n_users, num_mvnos)
     capacity = profile.capacity if profile.capacity is not None else float(max(n_users, 1))
-    region = PlacementRegion(
-        x_bounds=(-half, half),
-        y_bounds=(-half, half),
-        h_bounds=profile.h_bounds,
-    )
     return Scenario(
         users=users,
         num_mvnos=num_mvnos,
@@ -219,12 +238,13 @@ def validate(scenario: Scenario) -> list[str]:
     """Every invariant violation in the scenario, or an empty list if sound.
 
     Violations are data, not faults: callers decide whether to proceed.
-    Only the scenario's own data is checked here: the weights, channel and
-    environment objects check their numbers when they are built.
+    Only the scenario's own data is checked here: the weights, channel,
+    environment and region objects check their numbers when they are built.
+    The one region rule here is that each axis has width.
     """
     # A NaN passes or fails the comparisons below by accident, and the exact
-    # selection cannot scale an infinity, so the capacity, the region bounds
-    # and every float field of a user must be finite.
+    # selection cannot scale an infinity, so the capacity and every float
+    # field of a user must be finite.
     v: list[str] = []
     if not -math.inf < scenario.capacity < math.inf:
         v.append(f"capacity must be finite, got {scenario.capacity}")
@@ -242,19 +262,9 @@ def validate(scenario: Scenario) -> list[str]:
         elif t > len(scenario.users):
             v.append(f"target for MVNO {j} exceeds the user count: {t} > {len(scenario.users)}")
     region = scenario.region
-    for axis, (lo, hi) in (
-        ("x", region.x_bounds),
-        ("y", region.y_bounds),
-        ("h", region.h_bounds),
-    ):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            v.append(f"region {axis}_bounds must be finite, got ({lo}, {hi})")
-        elif not lo < hi:
+    for axis, (lo, hi) in zip("xyh", (region.x_bounds, region.y_bounds, region.h_bounds)):
+        if not lo < hi:  # legal for the box itself, which may pin a coordinate
             v.append(f"region {axis}_bounds must satisfy min < max, got ({lo}, {hi})")
-        elif axis != "h" and max(abs(lo), abs(hi)) > MAX_REGION_M:
-            v.append(f"region {axis}_bounds must lie within +-{MAX_REGION_M:g} m, got ({lo}, {hi})")
-    if region.h_bounds[0] <= 0:
-        v.append(f"region h_bounds must start above ground, got {region.h_bounds[0]}")
 
     seen_ids: set[int] = set()
     (x_lo, x_hi), (y_lo, y_hi) = region.x_bounds, region.y_bounds

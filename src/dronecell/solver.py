@@ -80,10 +80,6 @@ class SolverError(Exception):
     """Base class for placement-engine failures."""
 
 
-class InfeasibleRegionError(SolverError):
-    """The placement region is empty or entirely below ground."""
-
-
 class ResourceGuardError(SolverError, ValueError):
     """A requested computation exceeds the configured size ceiling: an input error."""
 
@@ -278,16 +274,6 @@ def _scaled(capacity: float, users: Sequence[User]) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], cap_num * (scale // cap_den)
 
 
-def _check_region(scenario: Scenario) -> None:
-    region = scenario.region
-    (x_lo, x_hi), (y_lo, y_hi) = region.x_bounds, region.y_bounds
-    h_lo, h_hi = region.h_bounds
-    if x_lo > x_hi or y_lo > y_hi or h_lo > h_hi:
-        raise InfeasibleRegionError(f"empty placement region: {region}")
-    if h_lo <= 0:
-        raise InfeasibleRegionError(f"placement altitudes must be positive: {region}")
-
-
 def _zero_result(scenario: Scenario, placement: tuple[float, float, float], radius: float) -> SolveResult:
     empty = Assignment((0,) * len(scenario.users))
     obj, breakdown = objective_value(scenario, empty)
@@ -327,7 +313,6 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     gives the tiles bounded, the leaves kept, the centers made against the
     m^2 + 8m + 4 bound, and whether the rerun ran.
     """
-    _check_region(scenario)
     env, cfg, users = scenario.environment, scenario.channel, scenario.users
     h_star, r_default = optimal_altitude(cfg.max_path_loss_db, env, cfg, scenario.region.h_bounds)
     # One radius per distinct threshold; the search sized the default one.
@@ -931,16 +916,19 @@ def _candidate_centers(
     return z[np.concatenate(([True], z[1:] != z[:-1]))].view(np.float64).reshape(-1, 2)
 
 
-def _axis_steps(lo: float, hi: float, step: float) -> tuple[int, bool]:
-    """``_grid_axis``'s steps n from lo, and whether it appends hi after lo + n * step."""
-    n = int(math.floor((hi - lo) / step + 1e-9))
+def _axis_steps(lo: float, hi: float, step: float) -> tuple[float, bool]:
+    """``_grid_axis``'s steps n from lo, and whether it appends hi after lo + n * step.
+
+    n is a whole float, inf when a subnormal step overflows the quotient.
+    """
+    n = float(np.floor((hi - lo) / step + 1e-9))
     return n, lo + n * step < hi - 1e-9 * max(1.0, abs(hi))
 
 
 def _grid_axis(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid from lo to hi; both endpoints always present."""
     n, tail = _axis_steps(lo, hi, step)
-    return [lo + k * step for k in range(n + 1)] + [hi] * tail
+    return [lo + k * step for k in range(int(n) + 1)] + [hi] * tail
 
 
 def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> SolveResult:
@@ -950,12 +938,13 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     ``path_loss_array`` at every grid point (no radius bisection or altitude
     search involved), and each distinct coverage set is scored once by
     ``select_users``.  Ties break toward more served users, then lower
-    altitude, then the lexicographically smallest center.  A grid of more
-    than ``MAX_SEARCH_POINTS`` points is refused before its axes are built.
+    altitude, then the lexicographically smallest center.  Grid steps must
+    be finite and positive.  A grid of more than ``MAX_SEARCH_POINTS``
+    points, a subnormal step's included, is refused before its axes are
+    built.
     """
-    if grid_step_xy <= 0 or grid_step_h <= 0:
-        raise ValueError("grid steps must be positive")
-    _check_region(scenario)
+    if not (0 < grid_step_xy < math.inf and 0 < grid_step_h < math.inf):
+        raise ValueError("grid steps must be positive and finite")
     region = scenario.region
     axes = [
         (*region.x_bounds, grid_step_xy),
@@ -965,7 +954,7 @@ def brute_force(scenario: Scenario, grid_step_xy: float, grid_step_h: float) -> 
     n_points = math.prod(n + 1 + tail for n, tail in (_axis_steps(*axis) for axis in axes))
     if n_points > MAX_SEARCH_POINTS:
         raise ResourceGuardError(
-            f"oracle grid has {n_points} points, above the {MAX_SEARCH_POINTS} ceiling"
+            f"oracle grid has {n_points:.0f} points, above the {MAX_SEARCH_POINTS} ceiling"
         )
     xs, ys, hs = (_grid_axis(*axis) for axis in axes)
     env, cfg = scenario.environment, scenario.channel

@@ -255,6 +255,54 @@ def test_optimal_altitude_validation():
         optimal_altitude(100.0, URBAN, CFG, (0.0, 100.0))
     with pytest.raises(ValueError):
         optimal_altitude(100.0, URBAN, CFG, (100.0, 50.0))
+    # An infinite window used to reach path_loss with a NaN grid altitude.
+    for h_range in ((1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match=r"0 < h_min <= h_max < inf, got \("):
+            optimal_altitude(100.0, URBAN, CFG, h_range)
+
+
+@pytest.mark.parametrize(
+    "name, threshold, h_min, h_max",
+    [("urban", 100.0, 20.0, 1e6), ("dense_urban", 60.0, 1.0, 5000.0), ("urban", 74.0, 20.0, 20000.0)],
+)
+def test_optimal_altitude_finds_the_peak_when_both_probes_have_no_coverage(name, threshold, h_min, h_max):
+    # Each window reaches far above the altitude where even the nadir loss
+    # exceeds the threshold, so the golden section's first probes both see a
+    # radius of 0; the search used to climb away from the peak and return the
+    # bottom of the window, (20.0, 139.45) for the first case.
+    env = ENVIRONMENTS[name]
+    h, r = optimal_altitude(threshold, env, CFG, (h_min, h_max))
+    scan = np.geomspace(h_min, h_max, 2001).tolist()
+    best = max(coverage_radius(a, threshold, env, CFG) for a in scan)
+    assert h_min <= h <= h_max
+    assert r == coverage_radius(h, threshold, env, CFG)
+    assert r >= best - RADIUS_TOLERANCE_M
+
+
+def test_highrise_radius_has_two_peaks_in_altitude():
+    # ln cos(theta) - (ln 10 / 20) * eta(theta) sets the radius at each
+    # elevation; it has two interior maxima on highrise_urban and one on the
+    # other presets, so a closed-form altitude must choose between the two.
+    theta = np.arange(1, 9000) / 100.0
+    peaks = {}
+    for name, env in ENVIRONMENTS.items():
+        p_los = 1.0 / (1.0 + env.plos_a * np.exp(-env.plos_b * (theta - env.plos_a)))
+        eta = p_los * env.eta_los_db + (1.0 - p_los) * env.eta_nlos_db
+        g = np.log(np.cos(np.radians(theta))) - math.log(10.0) / 20.0 * eta
+        peaks[name] = theta[1:-1][(g[1:-1] > g[:-2]) & (g[1:-1] >= g[2:])].tolist()
+    assert peaks == {
+        "suburban": [20.34],
+        "urban": [42.44],
+        "dense_urban": [54.62],
+        "highrise_urban": [6.67, 75.52],
+    }
+    # Each peak wins on its own window; the low one is not the clipped high one.
+    highrise = ENVIRONMENTS["highrise_urban"]
+    h, r = optimal_altitude(100.0, highrise, CFG, (1.0, 12.0))
+    assert (round(h, 2), r) == (1.81, 24.2431640625)
+    assert coverage_radius(12.0, 100.0, highrise, CFG) < r - 0.1
+    h, r = optimal_altitude(100.0, highrise, CFG, (1.0, 5000.0))
+    assert (round(h, 2), r) == (231.86, 60.64453125)
 
 
 def test_a_nan_threshold_is_rejected():
@@ -332,7 +380,7 @@ def scalar_optimal_altitude(threshold, env, cfg, h_min, h_max):
     consider(c, fc)
     consider(d, fd)
     while hi - lo > ALTITUDE_TOLERANCE_M:
-        if fc > fd:
+        if fc > fd or fd == 0.0:
             hi, d, fd = d, c, fc
             c = hi - golden * (hi - lo)
             fc = radius(c)

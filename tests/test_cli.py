@@ -22,7 +22,6 @@ from dronecell.cli.main import build_parser, main
 from dronecell.cli.report import altitude_profile_csv
 from dronecell.fixtures import case24_path, mc_default_path
 from dronecell.scenario import MAX_COUNT
-from dronecell.solver import InfeasibleRegionError
 
 SRC = str(Path(dronecell.__file__).resolve().parents[1])
 REFS = Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json"
@@ -408,18 +407,6 @@ def test_solve_missing_file_exits_1(tmp_path):
     assert main(["solve", str(tmp_path / "no.json"), "--out", str(tmp_path / "o.csv")]) == 1
 
 
-def test_infeasible_region_exits_2(tmp_path, monkeypatch, capsys):
-    import dronecell.cli.main as cli_main
-
-    def boom(scenario):
-        raise InfeasibleRegionError("empty placement box")
-
-    monkeypatch.setattr(cli_main, "solve", boom)
-    out = tmp_path / "never.csv"
-    assert main(["solve", str(case24_path()), "--out", str(out)]) == 2
-    assert "infeasible" in capsys.readouterr().err
-
-
 def test_gen_is_deterministic(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     args = ["gen", "--seed", "9", "--n-users", "12", "--env", "urban"]
@@ -521,6 +508,10 @@ def test_mc_runs_fair_selection_over_4_tenants(tmp_path):
         (("profile", "energy_cost_range"), [0.0, float("inf")]),
         (("environments",), ["urban", "urban"]),
         (("policies",), ["multi_tenancy_dmf", "multi_tenancy_dmf"]),
+        (("profile", "content_probability"), 2.0),
+        (("profile", "content_probability"), -0.5),
+        (("profile", "content_probability"), float("nan")),
+        (("profile", "energy_cost_range"), [0.8, 0.2]),
     ],
 )
 def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):

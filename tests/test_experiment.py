@@ -203,7 +203,7 @@ def test_policies_with_the_same_users_share_one_coverage_stage(monkeypatch, num_
 
 
 def test_solver_failures_carry_run_context():
-    profile = ScenarioProfile(h_bounds=(0.0, 0.0))
+    profile = ScenarioProfile(targets=(4,))  # one target for two tenants
     config = ExperimentConfig(
         n_runs=1, n_users=4, environments=("urban",), profile=profile
     )

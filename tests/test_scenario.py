@@ -183,13 +183,19 @@ def test_validate_flags_duplicates_bounds_and_fields():
 
 
 def test_validate_flags_bad_region():
+    # The box refuses its own bad numbers when it is built.
+    for bounds, message in (
+        (((10.0, -10.0), (-10.0, 10.0), (20.0, 50.0)), r"x_bounds must satisfy min <= max"),
+        (((-10.0, 10.0), (-10.0, 10.0), (0.0, 50.0)), "h_bounds must start above ground"),
+        (((-10.0, 10.0), (-2e7, 10.0), (20.0, 50.0)), r"y_bounds must lie within \+-1e\+07 m"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PlacementRegion(*bounds)
+    # A box of no width, which pins a coordinate, is legal; a scenario to
+    # solve needs width on each axis.
     sc = make_scenario([User(id=1, x=0.0, y=0.0, mvno_id=0)])
-    bad = dataclasses.replace(
-        sc, region=PlacementRegion((10.0, -10.0), (-10.0, 10.0), (0.0, 50.0))
-    )
-    violations = validate(bad)
-    assert any("x_bounds" in v for v in violations)
-    assert any("above ground" in v for v in violations)
+    flat = dataclasses.replace(sc, region=PlacementRegion((0.0, 0.0), (-10.0, 10.0), (20.0, 50.0)))
+    assert validate(flat) == ["region x_bounds must satisfy min < max, got (0.0, 0.0)"]
 
 
 def test_validate_flags_non_finite_numbers():
@@ -198,18 +204,20 @@ def test_validate_flags_non_finite_numbers():
         [User(id=1, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=nan, energy_cost=nan, resource_demand=inf)],
         capacity=inf,
     )
-    bad = dataclasses.replace(sc, region=PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, nan)))
-    finite = [v for v in validate(bad) if "must be finite" in v]
+    finite = [v for v in validate(sc) if "must be finite" in v]
     for name in (
         "capacity",
-        "region x_bounds",
-        "region h_bounds",
         "user 1: max_path_loss_db",
         "user 1: energy_cost",
         "user 1: resource_demand",
     ):
         assert sum(v.startswith(name) for v in finite) == 1, name
-    assert len(finite) == 6
+    assert len(finite) == 4
+    # The region's bounds are its constructor's to check.
+    with pytest.raises(ValueError, match=r"x_bounds must be finite, got \(-inf, 10.0\)"):
+        PlacementRegion((-inf, 10.0), (-10.0, 10.0), (20.0, 80.0))
+    with pytest.raises(ValueError, match=r"h_bounds must be finite, got \(20.0, nan\)"):
+        PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (20.0, nan))
 
 
 def test_validate_names_each_non_finite_field_exactly():

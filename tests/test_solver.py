@@ -37,7 +37,6 @@ from dronecell.scenario import (
 )
 from dronecell.solver import (
     DISK_EPS,
-    InfeasibleRegionError,
     ResourceGuardError,
     SolveResult,
     _candidate_centers,
@@ -162,13 +161,11 @@ def test_solve_keeps_the_zero_assignment_at_the_corner_when_no_user_fits():
 
 
 def test_solve_rejects_empty_or_underground_regions():
-    users = [User(id=0, x=0.0, y=0.0, mvno_id=0)]
-    sc = make_scenario(users, num_mvnos=1, region=PlacementRegion((10.0, -10.0), (-10.0, 10.0), (20.0, 80.0)))
-    with pytest.raises(InfeasibleRegionError):
-        solve(sc)
-    sc = make_scenario(users, num_mvnos=1, region=PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (0.0, 80.0)))
-    with pytest.raises(InfeasibleRegionError):
-        solve(sc)
+    # The box refuses itself, so no scenario can hand solve() one.
+    with pytest.raises(ValueError, match=r"x_bounds must satisfy min <= max, got \(10.0, -10.0\)"):
+        PlacementRegion((10.0, -10.0), (-10.0, 10.0), (20.0, 80.0))
+    with pytest.raises(ValueError, match="h_bounds must start above ground, got 0.0"):
+        PlacementRegion((-10.0, 10.0), (-10.0, 10.0), (0.0, 80.0))
 
 
 def test_solve_tie_breaks_toward_lexicographic_center():
@@ -324,9 +321,17 @@ def test_a_size_refusal_is_an_input_error():
 
 
 def test_brute_force_rejects_bad_steps():
+    # A NaN step used to fail in int(), and an infinite one to return the
+    # placement (nan, nan, 20.0) or reach path_loss with a NaN altitude.
     sc = generate_scenario(1, 3, 2, URBAN)
-    with pytest.raises(ValueError):
-        brute_force(sc, 0.0, 10.0)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        for steps in ((step, 10.0), (10.0, step)):
+            with pytest.raises(ValueError, match="grid steps must be positive and finite"):
+                brute_force(sc, *steps)
+    # 2000 / 1e-320 overflows to inf, which int() used to refuse with OverflowError.
+    for steps in ((1e-320, 10.0), (10.0, 1e-320)):
+        with pytest.raises(ResourceGuardError, match="oracle grid has inf points"):
+            brute_force(sc, *steps)
 
 
 def test_brute_force_is_deterministic():
