@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from ..channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
+from ..channel import ENVIRONMENTS, ChannelConfig, Environment, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
 from ..scenario import DEFAULT_FIELD_SIZE_M, MAX_COUNT, generate_scenario, quoted, validate
 from ..solver import solve
@@ -54,9 +54,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _preset(name: str) -> Environment:
+    if name not in ENVIRONMENTS:
+        raise ValueError(f"unknown environment preset {quoted(name)}")
+    return ENVIRONMENTS[name]
+
+
 def _cmd_altitude_profile(args: argparse.Namespace) -> int:
-    if args.env not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment preset {quoted(args.env)}")
+    env = _preset(args.env)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     if args.steps > MAX_COUNT:  # every sample is a radius search and a row held in memory
@@ -65,7 +70,6 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if not math.isfinite(value):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
-    env = ENVIRONMENTS[args.env]
     cfg = ChannelConfig(frequency_hz=args.frequency_hz, max_path_loss_db=args.threshold_db)
     # The search checks the altitude window before anything is sampled.
     h_star, r_max = optimal_altitude(args.threshold_db, env, cfg, (args.h_min, args.h_max))
@@ -78,11 +82,7 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.env not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment preset {quoted(args.env)}")
-    scenario = generate_scenario(
-        args.seed, args.n_users, args.mvnos, ENVIRONMENTS[args.env], args.field_size
-    )
+    scenario = generate_scenario(args.seed, args.n_users, args.mvnos, _preset(args.env), args.field_size)
     save_scenario(scenario, args.out)
     return EXIT_OK
 

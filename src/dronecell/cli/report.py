@@ -32,33 +32,16 @@ def _csv(rows: Iterable[Sequence[object]]) -> str:
 
 def solve_csv(scenario: Scenario, result: SolveResult) -> str:
     """One-row table for a single placement run."""
-    header = [
-        "x_m",
-        "y_m",
-        "h_m",
-        "radius_m",
-        "objective",
-        "served",
-        "tenancy_gap",
-        "energy_reward",
-        "content_reward",
-    ]
-    header += [f"count_{j}" for j in range(scenario.num_mvnos)]
-    header += ["served_ids"]
     x, y, h = result.placement
-    row: list[object] = [
-        x,
-        y,
-        h,
-        result.coverage_radius_used,
-        result.objective,
-        result.term_breakdown.served,
-        result.term_breakdown.tenancy_gap,
-        result.term_breakdown.energy_reward,
-        result.term_breakdown.content_reward,
+    terms = result.term_breakdown
+    cells: list[tuple[str, object]] = [
+        ("x_m", x), ("y_m", y), ("h_m", h), ("radius_m", result.coverage_radius_used),
+        ("objective", result.objective), ("served", terms.served), ("tenancy_gap", terms.tenancy_gap),
+        ("energy_reward", terms.energy_reward), ("content_reward", terms.content_reward),
+        *((f"count_{j}", count) for j, count in enumerate(result.mvno_counts)),
+        ("served_ids", ";".join(str(i) for i in result.assignment.served_ids(scenario))),
     ]
-    row += list(result.mvno_counts)
-    row += [";".join(str(i) for i in result.assignment.served_ids(scenario))]
+    header, row = zip(*cells)
     return _csv([header, row])
 
 

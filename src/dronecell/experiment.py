@@ -8,7 +8,6 @@ geometry.  Summaries aggregate the total and per-MVNO served counts per
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +21,7 @@ from .scenario import (
     ScenarioProfile,
     assignment_from_ids,
     generate_scenario,
+    layout_region,
     quoted,
     validate,
 )
@@ -61,20 +61,18 @@ class ExperimentConfig:
             raise ValueError("n_runs must be at least 1")
         if self.n_runs > MAX_COUNT:
             raise ValueError(f"n_runs must be at most {MAX_COUNT}")
-        if not 0 < self.field_size_m < math.inf:
-            raise ValueError(f"field_size_m must be finite and positive, got {self.field_size_m}")
-        if not self.policies:
-            raise ValueError("policies must be non-empty")
-        unknown = [p for p in self.policies if p not in POLICIES]
-        if unknown:
-            raise ValueError(f"unknown policies: [{', '.join(map(quoted, unknown))}]")
-        if not self.environments:
-            raise ValueError("environments must be non-empty")
-        missing = [e for e in self.environments if e not in ENVIRONMENTS]
-        if missing:
-            raise ValueError(f"unknown environments: [{', '.join(map(quoted, missing))}]")
-        # A repeat would be solved again and written as a second, identical row.
-        for kind, names in (("environments", self.environments), ("policies", self.policies)):
+        # A config that cannot make a layout is refused here, not at its first run.
+        layout_region(self.seed, self.n_users, self.num_mvnos, self.field_size_m, self.profile)
+        for kind, names, known in (
+            ("environments", self.environments, ENVIRONMENTS),
+            ("policies", self.policies, POLICIES),
+        ):
+            if not names:
+                raise ValueError(f"{kind} must be non-empty")
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ValueError(f"unknown {kind}: [{', '.join(map(quoted, unknown))}]")
+            # A repeat would be solved again and written as a second, identical row.
             repeated = [name for name, count in Counter(names).items() if count > 1]
             if repeated:
                 raise ValueError(f"repeated {kind}: [{', '.join(map(quoted, repeated))}]")
@@ -143,8 +141,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     is also a ``ValueError`` when the generated scenario fails ``validate``
     (it lists the violations, and nothing is solved) or when the solve
     raised ``ValueError``, such as a ``ResourceGuardError`` above a ceiling.
-    A profile whose ``h_bounds`` ``PlacementRegion`` refuses raises that
-    ``ValueError`` from the first ``generate_scenario`` call.
+    A config that cannot make a layout (a negative seed, a bad count or
+    field size, an ``h_bounds`` that ``PlacementRegion`` refuses) never
+    gets here: it raises ``ValueError`` when it is built.
     """
     rows: list[SummaryRow] = []
     for env_name in config.environments:

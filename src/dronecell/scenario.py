@@ -136,9 +136,9 @@ class ScenarioProfile:
     The default profile gives every user the same QoS threshold, unit
     resource demand, zero energy cost and no content request; capacity
     defaults to the user count (non-binding) and targets to an even split.
-    The constructor checks the two knobs that shape the draw: the content
-    probability lies in [0, 1], and the energy-cost range is an ordered
-    pair in [0, 1].
+    The constructor checks the knobs that shape the draw: the content
+    probability lies in [0, 1], the energy-cost range is an ordered pair in
+    [0, 1], and ``PlacementRegion`` accepts the altitude window.
     """
 
     max_path_loss_db: float = 100.0
@@ -157,6 +157,7 @@ class ScenarioProfile:
         lo, hi = self.energy_cost_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"energy_cost_range must satisfy 0 <= min <= max <= 1, got ({lo}, {hi})")
+        PlacementRegion((0.0, 0.0), (0.0, 0.0), self.h_bounds)  # the box's own rule for h
 
 
 DEFAULT_PROFILE = ScenarioProfile()
@@ -166,6 +167,34 @@ def even_targets(n_users: int, num_mvnos: int) -> tuple[int, ...]:
     """Even split of ``n_users`` across tenants; earlier tenants absorb the rest."""
     base, rest = divmod(n_users, num_mvnos)
     return tuple(base + (1 if j < rest else 0) for j in range(num_mvnos))
+
+
+def layout_region(
+    seed: int, n_users: int, num_mvnos: int, field_size_m: float, profile: ScenarioProfile
+) -> PlacementRegion:
+    """The placement box of a generated layout, once its arguments pass their checks.
+
+    Raises ``ValueError`` on a negative seed or user count, no tenant, a
+    count above ``MAX_COUNT``, or a field size that is not finite and
+    positive or whose box ``PlacementRegion`` refuses (the profile has
+    checked its ``h_bounds``, so only the field's bounds can be refused).
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if n_users < 0:
+        raise ValueError("n_users must be non-negative")
+    if num_mvnos < 1:
+        raise ValueError("num_mvnos must be at least 1")
+    for name, count in (("n_users", n_users), ("num_mvnos", num_mvnos)):
+        if count > MAX_COUNT:
+            raise ValueError(f"{name} must be at most {MAX_COUNT}")
+    if not 0 < field_size_m < math.inf:
+        raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
+    half = field_size_m / 2.0
+    try:
+        return PlacementRegion((-half, half), (-half, half), profile.h_bounds)
+    except ValueError as exc:
+        raise ValueError(f"field_size_m: {exc}") from exc
 
 
 def generate_scenario(
@@ -180,26 +209,14 @@ def generate_scenario(
 
     Pure function of the arguments; the same seed yields the bit-identical
     scenario (positions from PCG64 via ``numpy.random.default_rng``).
-    Raises ``ValueError``, before anything is allocated, on a negative user
-    count, no tenant, a user or tenant count above ``MAX_COUNT``, a field
-    size that is not finite and positive, or a region that
-    ``PlacementRegion`` refuses.
+    ``layout_region`` checks the arguments before anything is allocated.
     """
-    if n_users < 0:
-        raise ValueError("n_users must be non-negative")
-    if num_mvnos < 1:
-        raise ValueError("num_mvnos must be at least 1")
-    for name, count in (("n_users", n_users), ("num_mvnos", num_mvnos)):
-        if count > MAX_COUNT:
-            raise ValueError(f"{name} must be at most {MAX_COUNT}")
-    if not 0 < field_size_m < math.inf:
-        raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
-    half = field_size_m / 2.0
-    region = PlacementRegion(x_bounds=(-half, half), y_bounds=(-half, half), h_bounds=profile.h_bounds)
+    region = layout_region(seed, n_users, num_mvnos, field_size_m, profile)
+    lo, hi = region.x_bounds
     lam_lo, lam_hi = profile.energy_cost_range
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(-half, half, n_users)
-    ys = rng.uniform(-half, half, n_users)
+    xs = rng.uniform(lo, hi, n_users)
+    ys = rng.uniform(lo, hi, n_users)
     mvnos = rng.integers(0, num_mvnos, n_users)
     lams = rng.uniform(lam_lo, lam_hi, n_users) if lam_hi > lam_lo else np.full(n_users, lam_lo)
     kappas = (

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import dronecell
-from dronecell import solver
+from dronecell import experiment, solver
 from dronecell.channel import ENVIRONMENTS, ChannelConfig, coverage_radius, optimal_altitude
 from dronecell.cli.main import build_parser, main
 from dronecell.cli.report import altitude_profile_csv
@@ -443,6 +443,14 @@ def test_gen_refuses_a_count_above_the_ceiling(tmp_path, capsys, flag):
     assert f"must be at most {MAX_COUNT}" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's own refusal, "expected non-negative integer", named no flag.
+    out = tmp_path / "never.json"
+    assert main(["gen", "--seed", "-3", "--n-users", "4", "--env", "urban", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+
+
 @pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])
 def test_gen_rejects_a_bad_field_size(tmp_path, capsys, size):
     out = tmp_path / "never.json"
@@ -491,6 +499,21 @@ def test_mc_runs_fair_selection_over_4_tenants(tmp_path):
     assert {r[1] for r in rows[1:]} == {"single_tenancy", "multi_tenancy_no_fairness", "multi_tenancy_dmf"}
 
 
+# (path, value, message) of each config refused when it is read, before a layout is drawn.
+REFUSED_ON_READ = [
+    (("seed",), -1, "seed must be non-negative, got -1"),
+    (("n_users",), -1, "n_users must be non-negative"),
+    (("num_mvnos",), 0, "num_mvnos must be at least 1"),
+    (("field_size_m",), 1e9, "field_size_m: x_bounds must lie within +-1e+07 m"),
+    (("profile", "h_bounds"), [0.0, 80.0], "profile: h_bounds must start above ground, got 0.0"),
+    (("profile", "h_bounds"), [80.0, 20.0], "profile: h_bounds must satisfy min <= max"),
+]
+
+
+def undrawn(*args, **kwargs):
+    raise AssertionError("drew a layout for a config it should refuse when read")
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -512,11 +535,19 @@ def test_mc_runs_fair_selection_over_4_tenants(tmp_path):
         (("profile", "content_probability"), -0.5),
         (("profile", "content_probability"), float("nan")),
         (("profile", "energy_cost_range"), [0.8, 0.2]),
+        (("seed",), -1),
+        (("n_users",), -1),
+        (("num_mvnos",), 0),
+        (("field_size_m",), 1e9),
     ],
 )
-def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):
+def test_mc_rejects_an_invalid_config(tmp_path, capsys, monkeypatch, path, value):
     # The bundled config (2 tenants) with one field made invalid is an input
-    # error: not exit 3, and not a CSV of meaningless numbers.
+    # error: not exit 3, and not a CSV of meaningless numbers.  A config that
+    # cannot make a layout is refused when it is read, by its field's name.
+    message = next((m for where, bad, m in REFUSED_ON_READ if (where, bad) == (path, value)), None)
+    if message:
+        monkeypatch.setattr(experiment, "generate_scenario", undrawn)
     doc = json.loads(mc_default_path().read_text(encoding="utf-8"))
     doc["n_runs"] = 1
     field = doc
@@ -528,7 +559,10 @@ def test_mc_rejects_an_invalid_config(tmp_path, capsys, path, value):
     out = tmp_path / "never.csv"
     assert main(["mc", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if message:
+        assert err.startswith(f"error: {message}")
 
 
 def test_solve_above_the_size_ceiling_exits_1(tmp_path, monkeypatch, capsys):

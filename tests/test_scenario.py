@@ -95,6 +95,8 @@ def test_generate_profile_overrides():
 
 
 def test_generate_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        generate_scenario(-1, 10, 2, URBAN)
     with pytest.raises(ValueError):
         generate_scenario(1, -1, 2, URBAN)
     with pytest.raises(ValueError):
