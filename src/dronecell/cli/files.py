@@ -216,14 +216,22 @@ def _check_version(doc: dict[str, Any]) -> None:
         raise FileFormatError(f"unsupported schema version {got}, expected {SCHEMA_VERSION!r}")
 
 
+def preset(name: str) -> Environment:
+    """The environment preset called ``name``, for a file or a command-line flag.
+
+    An unknown name raises ``FileFormatError``, which is a ``ValueError``.
+    """
+    if name not in ENVIRONMENTS:
+        raise FileFormatError(f"unknown environment preset {quoted(name)}")
+    return ENVIRONMENTS[name]
+
+
 def _environment(doc: Any, where: str, key: str) -> Environment:
     where = _location(where, key)
     name = _text(_object(doc, where, _KEYS[Environment]).get(_NAME, "custom"), where, _NAME)
     explicit = [k for k in _LOSSES if k in doc]
     if not explicit:
-        if name not in ENVIRONMENTS:
-            raise FileFormatError(f"unknown environment preset {quoted(name)}")
-        return ENVIRONMENTS[name]
+        return preset(name)
     if len(explicit) != len(_LOSSES):
         raise FileFormatError(
             f"environment must give either a preset name or all four of {', '.join(_LOSSES)}"

@@ -12,11 +12,11 @@ import math
 import sys
 from pathlib import Path
 
-from ..channel import ENVIRONMENTS, ChannelConfig, Environment, coverage_radius, optimal_altitude
+from ..channel import ChannelConfig, coverage_radius, optimal_altitude
 from ..experiment import run_experiment
-from ..scenario import DEFAULT_FIELD_SIZE_M, MAX_COUNT, generate_scenario, quoted, validate
+from ..scenario import DEFAULT_FIELD_SIZE_M, MAX_COUNT, generate_scenario, validate
 from ..solver import solve
-from .files import load_experiment_config, load_scenario, save_scenario
+from .files import load_experiment_config, load_scenario, preset, save_scenario
 from .report import altitude_profile_csv, mc_csv, placement_svg, solve_csv
 
 EXIT_OK = 0
@@ -54,14 +54,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _preset(name: str) -> Environment:
-    if name not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment preset {quoted(name)}")
-    return ENVIRONMENTS[name]
-
-
 def _cmd_altitude_profile(args: argparse.Namespace) -> int:
-    env = _preset(args.env)
+    env = preset(args.env)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     if args.steps > MAX_COUNT:  # every sample is a radius search and a row held in memory
@@ -82,7 +76,7 @@ def _cmd_altitude_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    scenario = generate_scenario(args.seed, args.n_users, args.mvnos, _preset(args.env), args.field_size)
+    scenario = generate_scenario(args.seed, args.n_users, args.mvnos, preset(args.env), args.field_size)
     save_scenario(scenario, args.out)
     return EXIT_OK
 

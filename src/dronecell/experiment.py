@@ -110,7 +110,7 @@ def policy_scenario(scenario: Scenario, policy: str) -> Scenario:
     if policy == MULTI_TENANCY_DMF:
         return scenario
     if policy not in POLICIES:
-        raise ValueError(f"unknown policy: {policy}")
+        raise ValueError(f"unknown policy: {quoted(policy)}")
     users = scenario.users
     if policy == SINGLE_TENANCY:
         users = tuple(u for u in users if u.mvno_id == 0)

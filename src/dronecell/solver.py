@@ -11,15 +11,18 @@ peaks, and sizes each user's disk there with ``coverage_radius``.  At h* the
 optimum lies at one of finitely many candidate centers (user positions,
 pairwise circle crossings, circle/box-edge crossings, and box corners),
 which the coverage stage makes.  When the box could hold more centers than
-one eligibility block and than a quadtree of tiles about an eighth of the
+``ELIGIBILITY_CHUNK`` and than a quadtree of tiles about an eighth of the
 smallest radius has leaves, it first searches that quadtree, dropping the
 tiles whose knapsack bound (below) is under a floor set at one user
 position, and makes centers only in the leaves left ("Big Square Small
 Square", Hansen, Peeters, Richard & Thisse, Oper. Res. 33(6), 1985).  It
-tests which disks each center is in, in numpy with the scalar formulas'
-bits.  Users that add the same demand and objective terms form classes of
-interchangeable users; a coverage set's signature is its count vector, and
-the stage keeps each signature's first center and counts.  Scenarios that
+finds the circle pairs that can cross and tests which disks each center is
+in, in numpy with the scalar formulas' bits, a block of rows of at most
+``BLOCK_FLOATS`` values at a time: ``BLOCK_FLOATS`` sizes the blocks and
+``ELIGIBILITY_CHUNK`` steers the search.  Users that add the same demand
+and objective terms form classes of interchangeable users; a coverage set's
+signature is its count vector, and the stage keeps each signature's first
+center and counts.  Scenarios that
 differ only in weights, targets and capacity can share it
 (``SharedCoverage``).  The scoring stage sums the counts into the
 scenario's own classes and scores the sets in descending order of a
@@ -66,9 +69,16 @@ MAX_SEARCH_POINTS = 10_000_000
 # (its key and entry tuples, their numbers, and its slots in the two dicts a
 # class holds), so the DP stops near 0.5 GiB rather than after several.
 MAX_DP_STATES = 1_000_000
-# Candidate centers tested for eligibility at a time, so the distance and
-# eligibility blocks hold this many rows rather than one per candidate; each
-# signature a block sees first leaves only its center's row and its counts.
+# Floats in one numpy block, 128 KiB: a loop over the rows of a matrix takes
+# max(1, BLOCK_FLOATS // columns) rows at a time, so the circle pairs' and the
+# eligibility blocks' temporaries stay under glibc's default mmap threshold
+# and come from the heap rather than fresh pages on every solve.
+BLOCK_FLOATS = 16_384
+# The tile search's scale: the box is tiled only when it could hold more
+# centers than this, its finest level has at most this many cells a side, the
+# search starts with at most this many tiles and stops before a level's
+# (tile, disk) pairs exceed this many per disk; it also sizes the blocks of
+# knapsack bounds.  Changing it moves the search, not just the blocking.
 ELIGIBILITY_CHUNK = 512
 # Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
@@ -297,16 +307,17 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
     ``ResourceGuardError`` is raised before the candidate centers are
     enumerated when there could be more than ``MAX_SEARCH_POINTS``.  The
     coverage stage alone decides whether the box is tiled: when its centers
-    outnumber one eligibility block and the leaves of its quadtree
+    outnumber ``ELIGIBILITY_CHUNK`` and the leaves of its quadtree
     (``_grid``), ``_search`` first drops the tiles whose knapsack bound is
     below a floor: the objective of a feasible set at one user position,
     less the ``SCORE_RTOL`` slack.  Centers are made only in the leaves
-    left, and tested in blocks of ``ELIGIBILITY_CHUNK`` centers sorted by x,
-    each against the users whose x-distance to its slab is within their
-    radius; sets whose bound is below the floor are not scored.  A result
-    below the floor means no set reaching it was first seen at a center
-    where its members pass the loss check, and the solve reruns with the
-    box as its only leaf, so the result is the one the whole box gives.
+    left, and tested in blocks of centers sorted by x, at most
+    ``BLOCK_FLOATS`` values with a column per user, against the users whose
+    x-distance to the block's slab is within their radius; sets whose bound
+    is below the floor are not scored.  A result below the floor means no
+    set reaching it was first seen at a center where its members pass the
+    loss check, and the solve reruns with the box as its only leaf, so the
+    result is the one the whole box gives.
     Ties break toward more served users, then the lexicographically
     smallest center; a set must beat the all-zero assignment at the
     region's smallest corner.  One DEBUG line on the ``dronecell`` logger
@@ -404,7 +415,10 @@ def _coverage(
     It alone decides tiling: with ``scenarios``, which share these users
     and region, when ``_grid`` gives a grid, ``_search`` bounds its tiles
     for them at ``h_star`` and ``_candidate_centers`` makes centers only in
-    the cells kept, from the users whose disk meets one.
+    the cells kept, from the users whose disk meets one.  The centers are
+    tested in blocks of ``_block_rows`` rows, one column per user, so a
+    block's float temporaries hold at most ``BLOCK_FLOATS`` values; the
+    narrower the block, the narrower its x-slab and the fewer users near it.
     """
     circles, pairs, count = _circle_pairs(users, radii)
     grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if scenarios else None
@@ -419,9 +433,10 @@ def _coverage(
 
     # One eligibility buffer serves every block, so the heap does not shrink and regrow.
     seen: dict[bytes, int] = {}
-    blank = np.zeros((min(len(pts), ELIGIBILITY_CHUNK), len(order)), dtype=bool)
-    for start in range(0, len(pts), ELIGIBILITY_CHUNK):
-        bx, by = pts[start : start + ELIGIBILITY_CHUNK].T
+    chunk = _block_rows(len(order))
+    blank = np.zeros((min(len(pts), chunk), len(order)), dtype=bool)
+    for start in range(0, len(pts), chunk):
+        bx, by = pts[start : start + chunk].T
         # The centers are sorted by x, so the block spans [bx[0], bx[-1]].  A
         # user whose x-gap to that slab (ux clipped into it, less ux) has
         # gap^2 > r2 is in none of the block's disks: rounding is monotone,
@@ -437,6 +452,11 @@ def _coverage(
     counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
     rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
     return _Coverage(classes, pts, disks, rows, counts, search)
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of a matrix ``columns`` wide that one block of ``BLOCK_FLOATS`` holds; at least one."""
+    return max(1, BLOCK_FLOATS // max(columns, 1))
 
 
 def _first_sightings(held: np.ndarray, seen: dict[bytes, int], start: int = 0) -> dict[bytes, int]:
@@ -522,8 +542,7 @@ def _score(
         counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
         first = list(_first_sightings(counts, {}).values())
         rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
-    # Blocks of a quarter chunk keep the few float temporaries below one
-    # eligibility block.
+    # Blocks of a quarter chunk of sets keep the bound's float temporaries small.
     bound, chunk = np.empty(len(rows)), max(ELIGIBILITY_CHUNK // 4, 1)
     for start in range(0, len(rows), chunk):
         held = counts[start : start + chunk].take(columns, axis=1)
@@ -610,11 +629,10 @@ def _grid(
     smallest of the positive ``radii``, so leaves end with a side near
     r_min / 8; the
     finest level has at most ``ELIGIBILITY_CHUNK`` cells a side, so a
-    level's table of gaps is no larger than an eligibility block.  The box
-    is tiled only when the ``count`` centers it could hold outnumber both
-    the leaves and one eligibility block: below one center a leaf, or with
-    every center in one block, bounding the tiles costs more than testing
-    the centers.
+    level's table of gaps has at most that many rows.  The box is tiled
+    only when the ``count`` centers it could hold outnumber both the leaves
+    and ``ELIGIBILITY_CHUNK``: below one center a leaf, or with few centers
+    in all, bounding the tiles costs more than testing the centers.
     """
     if count <= ELIGIBILITY_CHUNK:
         return None
@@ -684,7 +702,7 @@ def _search(
         # ones seldom fall below the floor, and with at most ELIGIBILITY_CHUNK
         # tiles.  A kept tile splits in 4: child 2a + b of tile t is tile
         # (2a + b) * len(ix) + t.  A level stops the search when its children
-        # could hold more pairs than an eligibility block holds cells.
+        # could hold more than ELIGIBILITY_CHUNK pairs per disk.
         level = max(min(grid.depth - 3, (ELIGIBILITY_CHUNK.bit_length() - 1) // 2), 1)
         ix, iy = np.divmod(np.arange(4**level), 1 << level)
         at = np.repeat(np.arange(4**level), len(order))
@@ -797,12 +815,13 @@ def _inside(px: np.ndarray, py: np.ndarray, disks: np.ndarray) -> np.ndarray:
 
 def _circle_pairs(
     users: Sequence[User], radii: Sequence[float]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
     """The coverage circles, the pairs of them that can cross, and a bound on their centers.
 
     Circles are rows of (x, y, r) for the users with a positive radius, and
-    pairs are arrays of rows i < j, ``ELIGIBILITY_CHUNK`` values of i at a
-    time.  The bound, 9m + 4 plus 2 per pair, counts the points
+    the pairs are two arrays of rows i < j in row-major order, tested over
+    the upper triangle only, in blocks of rows that ``_block_rows`` sizes.
+    The bound, 9m + 4 plus 2 per pair, counts the points
     ``_candidate_centers`` lists.  Raises ``ResourceGuardError`` when the m
     circles could give more than ``MAX_SEARCH_POINTS`` (m^2 + 8m + 4).
     """
@@ -814,32 +833,39 @@ def _circle_pairs(
             f"above the {MAX_SEARCH_POINTS} ceiling"
         )
     x, y, r = circles.T
-    # Each user adds its position and up to 8 edge crossings, each pair 2.
-    pairs, count = [], 9 * m + 4
-    for start in range(0, m, ELIGIBILITY_CHUNK):
-        rows = slice(start, start + ELIGIBILITY_CHUNK)
-        # The pairs i < j whose circles can cross, tested on squared
-        # distances with a relative margin far above their rounding error;
-        # the exact crossing test uses math.hypot, as the scalar code does.
-        dist2 = x - x[rows, None]
+    blocks, start = [], 0
+    while start < m - 1 or not blocks:  # the last row has no j > i; below m = 2, one empty block
+        # Rows i of the block against columns j > start.  The pairs that can
+        # cross are tested on squared distances with a relative margin far
+        # above their rounding error; the exact crossing test uses
+        # math.hypot, as the scalar code does.
+        rows, cols = slice(start, start + _block_rows(m - 1 - start)), slice(start + 1, None)
+        dist2 = x[cols] - x[rows, None]
         dist2 *= dist2
-        dy2 = y - y[rows, None]
+        dy2 = y[cols] - y[rows, None]
         dist2 += np.multiply(dy2, dy2, out=dy2)
-        bound = r + r[rows, None]
+        bound = r[cols] + r[rows, None]
         bound *= bound * (1.0 + 1e-9)
-        near = np.triu(dist2 <= bound, start + 1)
-        bound = r - r[rows, None]
+        near = dist2 <= bound
+        bound = r[cols] - r[rows, None]
         bound *= bound * (1.0 - 1e-9)
         near &= dist2 >= bound
+        # Entry (a, k) is the pair (start + a, start + 1 + k), so i < j where
+        # k >= a: the block's upper triangle, cut from the few pairs found
+        # rather than masked over the whole block as np.triu would.
         i, j = np.nonzero(near)
-        pairs.append((i + start, j))
-        count += 2 * len(i)
-    return circles, pairs, count
+        upper = j >= i
+        blocks.append((i[upper] + start, j[upper] + (start + 1)))
+        start = rows.stop
+    # The blocks run down the rows, so joined they keep row-major order.
+    i, j = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    # Each user adds its position and up to 8 edge crossings, each pair 2.
+    return circles, (i, j), 9 * m + 4 + 2 * len(i)
 
 
 def _candidate_centers(
     circles: np.ndarray,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    pairs: tuple[np.ndarray, np.ndarray],
     x_bounds: tuple[float, float],
     y_bounds: tuple[float, float],
     leaves: tuple[_Grid, np.ndarray, np.ndarray] | None = None,
@@ -865,11 +891,12 @@ def _candidate_centers(
         return np.empty((0, 2))
     x_lo, x_hi = x_bounds
     y_lo, y_hi = y_bounds
-    active = circles
+    active, (i, j) = circles, pairs
     if leaves is not None:
         grid, kept, makers = leaves
         active = circles[makers]
-        pairs = [(i[b], j[b]) for i, j in pairs for b in [makers[i] & makers[j]]]
+        both = makers[i] & makers[j]
+        i, j = i[both], j[both]
     # Disk centers and circle/edge crossings stay scalar: Python's ``**``
     # calls libm's pow, which numpy's square does not always match.
     flat: list[float] = []  # x0, y0, x1, y1, ...
@@ -885,28 +912,26 @@ def _candidate_centers(
             if rem >= 0:
                 s = math.sqrt(rem)
                 flat += (cx - s, ye, cx + s, ye)
-    blocks = [np.array(flat).reshape(-1, 2)]
-    for i, j in pairs:
-        c1, c2 = circles[i], circles[j]
-        delta = c2 - c1  # rows of (x2 - x1, y2 - y1, r2 - r1)
-        d = np.array(list(map(math.hypot, *delta[:, :2].T.tolist())))
-        # Disjoint, nested or concentric circles have no boundary crossing.
-        keep = (d != 0) & (d <= c1[:, 2] + c2[:, 2]) & (d >= abs(delta[:, 2]))
-        c1, c2, delta, d = c1[keep], c2[keep], delta[keep, :2], d[keep]
-        # The scalar formulas, elementwise on (x, y) columns: a - b is
-        # a + (-b), and negating a product or quotient negates the result.
-        r1_sq = c1[:, 2] * c1[:, 2]
-        a = (d * d + r1_sq - c2[:, 2] * c2[:, 2]) / (2.0 * d)
-        h2 = r1_sq - a * a
-        half = np.sqrt(np.where(h2 > 0, h2, 0.0))
-        d = d[:, None]
-        mid = c1[:, :2] + a[:, None] * delta / d
-        off = delta[:, ::-1] / d * (half[:, None] * (-1.0, 1.0))
-        # Each pair's two crossings, in the order the scalar loop adds them.
-        blocks.append(np.concatenate([mid + off, mid - off], axis=1).reshape(-1, 2))
-    blocks.append(np.array([(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)]))
-    pts = np.concatenate(blocks)
-    inside = (blocks[-1][0] <= pts) & (pts <= blocks[-1][-1])
+    c1, c2 = circles[i], circles[j]
+    delta = c2 - c1  # rows of (x2 - x1, y2 - y1, r2 - r1)
+    d = np.array(list(map(math.hypot, *delta[:, :2].T.tolist())))
+    # Disjoint, nested or concentric circles have no boundary crossing.
+    keep = (d != 0) & (d <= c1[:, 2] + c2[:, 2]) & (d >= abs(delta[:, 2]))
+    c1, c2, delta, d = c1[keep], c2[keep], delta[keep, :2], d[keep]
+    # The scalar formulas, elementwise on (x, y) columns: a - b is
+    # a + (-b), and negating a product or quotient negates the result.
+    r1_sq = c1[:, 2] * c1[:, 2]
+    a = (d * d + r1_sq - c2[:, 2] * c2[:, 2]) / (2.0 * d)
+    h2 = r1_sq - a * a
+    half = np.sqrt(np.where(h2 > 0, h2, 0.0))
+    d = d[:, None]
+    mid = c1[:, :2] + a[:, None] * delta / d
+    off = delta[:, ::-1] / d * (half[:, None] * (-1.0, 1.0))
+    corners = np.array([(x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi)])
+    # Each pair's two crossings, in the order the scalar loop adds them.
+    crossings = np.concatenate([mid + off, mid - off], axis=1).reshape(-1, 2)
+    pts = np.concatenate([np.array(flat).reshape(-1, 2), crossings, corners])
+    inside = (corners[0] <= pts) & (pts <= corners[-1])
     pts = pts[inside[:, 0] & inside[:, 1]]
     if leaves is not None:
         ix, iy = grid.cells(pts)

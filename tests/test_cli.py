@@ -729,6 +729,22 @@ def test_altitude_profile_rejects_an_unknown_preset_or_no_steps(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["rural", "x" * 3000])
+def test_a_file_and_a_flag_refuse_an_unknown_preset_with_the_same_text(tmp_path, capsys, name):
+    # One preset rule serves the scenario reader and the --env flags.
+    doc = json.loads(case24_path().read_text(encoding="utf-8"))
+    scenario = write_edited(tmp_path / "doc.json", doc, ("environment",), {"name": name})
+    assert main(["solve", str(scenario), "--out", str(tmp_path / "never.csv")]) == 1
+    from_file = capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert main(["altitude-profile", "--env", name, "--h-min", "20", "--h-max", "500", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == from_file
+    assert main(["gen", "--seed", "1", "--n-users", "3", "--env", name, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == from_file
+    assert from_file.startswith("error: unknown environment preset ") and len(from_file) < 100
+    assert not out.exists()
+
+
 def test_missing_required_argument_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", str(case24_path())])

@@ -40,8 +40,15 @@ def test_policy_scenario_definitions():
     assert nofair.users == sc.users
     assert nofair.weights.w2 == 0.0
     assert policy_scenario(sc, MULTI_TENANCY_DMF) is sc
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown policy: 'round_robin'$"):
         policy_scenario(sc, "round_robin")
+
+
+def test_an_unknown_policy_is_measured_not_echoed():
+    # A 3,000-character policy name was printed whole through the Python API.
+    with pytest.raises(ValueError) as info:
+        policy_scenario(generate_scenario(5, 4, 2, URBAN), "x" * 3000)
+    assert str(info.value) == "unknown policy: <3,000 characters>"
 
 
 def test_run_policy_maps_assignment_onto_full_user_list():

@@ -541,10 +541,21 @@ def center_instances():
         yield users, radii, x_bounds, y_bounds
 
 
-@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
-def test_candidate_centers_equal_the_scalar_enumeration_bitwise(monkeypatch, chunk):
-    # A chunk of 3 splits the circle pairs into many row blocks.
-    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+def block_sizes(*chunks):
+    """Parametrize ``size`` by ``ELIGIBILITY_CHUNK`` values, each with its value as id, then small blocks.
+
+    The chunk moves the tile search and the blocks of knapsack bounds.  A
+    ``BLOCK_FLOATS`` of 1 puts one row in every block of circle pairs and of
+    centers, and one of 40 a few rows, so those loops split at small n too.
+    """
+    cases = [pytest.param(("ELIGIBILITY_CHUNK", c), id=str(c)) for c in chunks]
+    cases += [pytest.param(("BLOCK_FLOATS", b), id=f"block{b}") for b in (1, 40)]
+    return pytest.mark.parametrize("size", cases)
+
+
+@block_sizes(3, solver.ELIGIBILITY_CHUNK)
+def test_candidate_centers_equal_the_scalar_enumeration_bitwise(monkeypatch, size):
+    monkeypatch.setattr(solver, *size)
     for users, radii, x_bounds, y_bounds in center_instances():
         circles, pairs, _ = solver._circle_pairs(users, radii)
         got = _candidate_centers(circles, pairs, x_bounds, y_bounds)
@@ -552,6 +563,65 @@ def test_candidate_centers_equal_the_scalar_enumeration_bitwise(monkeypatch, chu
         want = want.reshape(-1, 2)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference_pairs(circles):
+    """The rows i < j of ``circles`` whose disks can cross, one pair at a time, row by row.
+
+    The same float operations and margins as the blocked prefilter, in Python floats.
+    """
+    pairs = []
+    for i, (xi, yi, ri) in enumerate(circles.tolist()):
+        for j in range(i + 1, len(circles)):
+            xj, yj, rj = circles[j].tolist()
+            dx, dy = xj - xi, yj - yi
+            dist2 = dx * dx + dy * dy
+            outer, inner = rj + ri, rj - ri
+            if inner * (inner * (1.0 - 1e-9)) <= dist2 <= outer * (outer * (1.0 + 1e-9)):
+                pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, solver.BLOCK_FLOATS])
+@pytest.mark.parametrize("m", [0, 1, 2, 50])
+def test_circle_pairs_equal_the_pairs_found_one_at_a_time(monkeypatch, m, block):
+    # Blocks of 7 and 100 floats take several rows of the upper triangle at
+    # a time, cut mid-matrix, so the corner below each block's diagonal is
+    # dropped; the pairs of all blocks must come out in row-major order.
+    monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
+    rng = random.Random(6060 + m)
+    users, radii = [], []
+    for k in range(m):
+        x, y = rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)
+        if k % 5 == 4:  # concentric with, or tangent to, the previous circle
+            x, y = users[-1].x, users[-1].y + rng.choice((0.0, radii[-1] + 60.0))
+        users.append(User(id=k, x=x, y=y, mvno_id=0))
+        radii.append(60.0 if k % 5 == 4 else rng.choice((0.0, rng.uniform(10.0, 300.0))))
+    circles, (i, j), count = solver._circle_pairs(users, radii)
+    want = reference_pairs(circles)
+    assert i.dtype == j.dtype == np.intp
+    assert list(zip(i.tolist(), j.tolist())) == want
+    assert count == 9 * len(circles) + 4 + 2 * len(want)
+    if m == 50:
+        assert 0 < len(want) < len(circles) * (len(circles) - 1) // 2
+
+
+@pytest.mark.parametrize("n", [120, 240])
+def test_coverage_is_the_same_for_any_block_size(monkeypatch, n):
+    # First sightings are keyed by the center's row and the slab filter is
+    # sound for any block, so blocks of one row give the same stage bytes.
+    sc = generate_scenario(7, n, 2, URBAN)
+    h_star, radii = disks_of(sc)
+    classes = solver._classes(sc.users, sc.weights)
+    stages = []
+    for block in (solver.BLOCK_FLOATS, 1):
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
+        stages.append(solver._coverage(sc.users, radii, sc.region, classes, [sc], h_star))
+    default, single = stages
+    assert len(default.rows) > 1
+    for name in ("pts", "rows", "counts"):
+        a, b = getattr(default, name), getattr(single, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_solve_refuses_more_candidate_centers_than_the_ceiling(monkeypatch):
@@ -674,12 +744,12 @@ def count_selections(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("chunk", [1, 3, solver.ELIGIBILITY_CHUNK])
-def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, chunk):
-    # A small chunk puts the first sighting of a signature in a later block,
-    # and computes the knapsack bounds in many blocks; a chunk of 1 decides
-    # every first sighting across blocks.
-    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+@block_sizes(1, 3, solver.ELIGIBILITY_CHUNK)
+def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, size):
+    # A small chunk computes the knapsack bounds in many blocks.  Small
+    # blocks put the first sighting of a signature in a later block; a block
+    # of one row decides every first sighting across blocks.
+    monkeypatch.setattr(solver, *size)
     calls = count_selections(monkeypatch)
     skipped = collections.Counter()
     for kind, sc in signature_instances():
@@ -764,13 +834,13 @@ def test_solve_scores_sets_in_bound_order_and_no_set_beats_its_bound(monkeypatch
             assert obj <= bound + slack
 
 
-@pytest.mark.parametrize("chunk", [1, 3, solver.ELIGIBILITY_CHUNK])
-def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, chunk):
+@block_sizes(1, 3, solver.ELIGIBILITY_CHUNK)
+def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, size):
     # solve() keeps a signature's bound and size at its first center's row
-    # and recomputes its members there.  A chunk of 3 puts some first
-    # sightings in a later block, and a chunk of 1 all of them, so a set
-    # taken at a later center with the same class counts would differ.
-    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    # and recomputes its members there.  Blocks of a few rows put some first
+    # sightings in a later block, and blocks of one row all of them, so a
+    # set taken at a later center with the same class counts would differ.
+    monkeypatch.setattr(solver, *size)
     calls = count_selections(monkeypatch)
     for _, sc in bound_instances():
         classes = solver._classes(sc.users, sc.weights)
@@ -874,12 +944,12 @@ def shared_instances():
         yield dataclasses.replace(sc, users=users)
 
 
-@pytest.mark.parametrize("chunk", [3, solver.ELIGIBILITY_CHUNK])
-def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, chunk):
+@block_sizes(3, solver.ELIGIBILITY_CHUNK)
+def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, size):
     # Variants of one layout that turn different terms on share a stage whose
     # classes are finer than theirs, so each sums its own columns and drops
     # repeated signatures again; the subset of users gets a stage of its own.
-    monkeypatch.setattr(solver, "ELIGIBILITY_CHUNK", chunk)
+    monkeypatch.setattr(solver, *size)
     stages = []
     monkeypatch.setattr(solver, "_candidate_centers", lambda *a: stages.append(a) or _candidate_centers(*a))
     for sc in shared_instances():
