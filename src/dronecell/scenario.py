@@ -138,7 +138,8 @@ class ScenarioProfile:
     defaults to the user count (non-binding) and targets to an even split.
     The constructor checks the knobs that shape the draw: the content
     probability lies in [0, 1], the energy-cost range is an ordered pair in
-    [0, 1], and ``PlacementRegion`` accepts the altitude window.
+    [0, 1], the QoS threshold, the resource demand and any capacity are
+    finite and positive, and ``PlacementRegion`` accepts the altitude window.
     """
 
     max_path_loss_db: float = 100.0
@@ -157,6 +158,14 @@ class ScenarioProfile:
         lo, hi = self.energy_cost_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"energy_cost_range must satisfy 0 <= min <= max <= 1, got ({lo}, {hi})")
+        positive = [
+            ("max_path_loss_db", self.max_path_loss_db), ("resource_demand", self.resource_demand)
+        ]
+        if self.capacity is not None:
+            positive.append(("capacity", self.capacity))
+        for name, value in positive:
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         PlacementRegion((0.0, 0.0), (0.0, 0.0), self.h_bounds)  # the box's own rule for h
 
 

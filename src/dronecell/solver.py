@@ -16,10 +16,11 @@ smallest radius has leaves, it first searches that quadtree, dropping the
 tiles whose knapsack bound (below) is under a floor set at one user
 position, and makes centers only in the leaves left ("Big Square Small
 Square", Hansen, Peeters, Richard & Thisse, Oper. Res. 33(6), 1985).  It
-finds the circle pairs that can cross and tests which disks each center is
-in, in numpy with the scalar formulas' bits, a block of rows of at most
-``BLOCK_FLOATS`` values at a time: ``BLOCK_FLOATS`` sizes the blocks and
-``ELIGIBILITY_CHUNK`` steers the search.  Users that add the same demand
+finds the circle pairs that can cross and tests which disks each center,
+and each user position the floor weighs, is in, in numpy with the scalar
+formulas' bits, a block of rows of at most ``BLOCK_FLOATS`` values at a
+time: ``BLOCK_FLOATS`` sizes every block and ``ELIGIBILITY_CHUNK`` steers
+the search.  Users that add the same demand
 and objective terms form classes of interchangeable users; a coverage set's
 signature is its count vector, and the stage keeps each signature's first
 center and counts.  Scenarios that
@@ -41,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from operator import attrgetter, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,15 +71,16 @@ MAX_SEARCH_POINTS = 10_000_000
 # class holds), so the DP stops near 0.5 GiB rather than after several.
 MAX_DP_STATES = 1_000_000
 # Floats in one numpy block, 128 KiB: a loop over the rows of a matrix takes
-# max(1, BLOCK_FLOATS // columns) rows at a time, so the circle pairs' and the
-# eligibility blocks' temporaries stay under glibc's default mmap threshold
-# and come from the heap rather than fresh pages on every solve.
+# max(1, BLOCK_FLOATS // columns) rows at a time, so the temporaries of the
+# circle pairs, the membership blocks and the knapsack bounds stay under
+# glibc's default mmap threshold and come from the heap rather than fresh
+# pages on every solve.
 BLOCK_FLOATS = 16_384
 # The tile search's scale: the box is tiled only when it could hold more
 # centers than this, its finest level has at most this many cells a side, the
 # search starts with at most this many tiles and stops before a level's
-# (tile, disk) pairs exceed this many per disk; it also sizes the blocks of
-# knapsack bounds.  Changing it moves the search, not just the blocking.
+# (tile, disk) pairs exceed this many per disk.  It sizes no block: changing
+# it moves the search.
 ELIGIBILITY_CHUNK = 512
 # Slack of the knapsack bound in solve()'s pruning, relative to the largest
 # possible sum of the objective's terms; far above the rounding error of
@@ -415,10 +417,11 @@ def _coverage(
     It alone decides tiling: with ``scenarios``, which share these users
     and region, when ``_grid`` gives a grid, ``_search`` bounds its tiles
     for them at ``h_star`` and ``_candidate_centers`` makes centers only in
-    the cells kept, from the users whose disk meets one.  The centers are
-    tested in blocks of ``_block_rows`` rows, one column per user, so a
-    block's float temporaries hold at most ``BLOCK_FLOATS`` values; the
-    narrower the block, the narrower its x-slab and the fewer users near it.
+    the cells kept, from the users whose disk meets one.  ``_held_blocks``
+    tests the centers in blocks of ``_block_rows`` rows, one column per
+    user, so a block's float temporaries hold at most ``BLOCK_FLOATS``
+    values; the narrower the block, the narrower its x-slab and the fewer
+    users near it.
     """
     circles, pairs, count = _circle_pairs(users, radii)
     grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if scenarios else None
@@ -429,29 +432,41 @@ def _coverage(
     count_type = np.min_scalar_type(len(order))
     class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
     disks = _disks(users, radii, order)
-    ux, r2 = disks[0], disks[2]
-
-    # One eligibility buffer serves every block, so the heap does not shrink and regrow.
     seen: dict[bytes, int] = {}
-    chunk = _block_rows(len(order))
-    blank = np.zeros((min(len(pts), chunk), len(order)), dtype=bool)
+    for start, held in _held_blocks(pts, disks, class_start):
+        _first_sightings(held, seen, start)
+    counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
+    rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return _Coverage(classes, pts, disks, rows, counts, search)
+
+
+def _held_blocks(
+    pts: np.ndarray, disks: np.ndarray, starts: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The members of each point's disks, per run of columns, in blocks of ``_block_rows`` rows.
+
+    ``pts`` are sorted by x; a run of the columns of ``disks`` starts at
+    each of ``starts``.  Yields each block's first row and its counts, in
+    the smallest unsigned type that holds a column count.
+    """
+    ux, r2 = disks[0], disks[2]
+    count_type = np.min_scalar_type(len(ux))
+    chunk = _block_rows(len(ux))
+    # One buffer serves every block, so the heap does not shrink and regrow.
+    blank = np.zeros((min(len(pts), chunk), len(ux)), dtype=bool)
     for start in range(0, len(pts), chunk):
         bx, by = pts[start : start + chunk].T
-        # The centers are sorted by x, so the block spans [bx[0], bx[-1]].  A
+        # The points are sorted by x, so the block spans [bx[0], bx[-1]].  A
         # user whose x-gap to that slab (ux clipped into it, less ux) has
         # gap^2 > r2 is in none of the block's disks: rounding is monotone,
         # so the rounded d2 is at least the rounded gap^2.
         gap = np.minimum(np.maximum(ux, bx[0]), bx[-1])
         gap -= ux
         near = (gap * gap <= r2).nonzero()[0]
-        eligible = blank[: len(bx)]
-        eligible[:] = False
-        eligible[:, near] = _inside(bx[:, None], by[:, None], disks[:, near])
-        held = np.add.reduceat(eligible, class_start, axis=1, dtype=count_type)
-        _first_sightings(held, seen, start)
-    counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
-    rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    return _Coverage(classes, pts, disks, rows, counts, search)
+        inside = blank[: len(bx)]
+        inside[:] = False
+        inside[:, near] = _inside(bx[:, None], by[:, None], disks[:, near])
+        yield start, np.add.reduceat(inside, starts, axis=1, dtype=count_type)
 
 
 def _block_rows(columns: int) -> int:
@@ -542,8 +557,7 @@ def _score(
         counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
         first = list(_first_sightings(counts, {}).values())
         rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
-    # Blocks of a quarter chunk of sets keep the bound's float temporaries small.
-    bound, chunk = np.empty(len(rows)), max(ELIGIBILITY_CHUNK // 4, 1)
+    bound, chunk = np.empty(len(rows)), _block_rows(len(groups))
     for start in range(0, len(rows), chunk):
         held = counts[start : start + chunk].take(columns, axis=1)
         bound[start : start + chunk] = knapsack.bound(held)
@@ -680,9 +694,10 @@ def _search(
     realized in it is a subset of them, and the knapsack bound is monotone,
     so their bound bounds every center in it.  A tile whose bound is below
     the scenario's floor less the slack is dropped, with its children.  The
-    floor is the objective of a greedy feasible set at one user position
-    (``_floor``), less the slack; a result at or above it is the one the
-    whole box gives.
+    floor, set before the first level, is the objective of a greedy
+    feasible set at one user position (``_floor``), less the slack; a
+    result at or above it is the one the whole box gives.  Bounds are taken
+    in blocks of ``_block_rows`` tiles.
     """
     leaves = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
     meeting = np.zeros(len(radii), dtype=bool)
@@ -692,9 +707,12 @@ def _search(
         # Users in the knapsack's class order, so a class's members are a run.
         runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
         order = [p for run in runs for p in run]
+        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
         # Each column's class, by its place in the knapsack's order.
         group_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
         disks = _disks(scenario.users, radii, order)
+        floor = _floor(scenario, knapsack, order, starts, disks, h_star) - knapsack.slack
+        floors.append(floor)
         reach = _reach(disks)
         # The tiles of a level as cell indices, and (tile, column) pairs sorted
         # by tile: the disks that meet each tile.  The search starts three
@@ -707,7 +725,7 @@ def _search(
         ix, iy = np.divmod(np.arange(4**level), 1 << level)
         at = np.repeat(np.arange(4**level), len(order))
         col = np.tile(np.arange(len(order)), 4**level)
-        floor = None
+        chunk = _block_rows(len(runs))
         while True:
             gx, gy = grid.gaps(level, reach)
             d2 = gx.take(ix.take(at) * len(order) + col)
@@ -715,18 +733,14 @@ def _search(
             hit = (d2 <= reach[2].take(col)).nonzero()[0]
             at, col = at.take(hit), col.take(hit)
             bound = np.empty(len(ix))
-            ends = np.searchsorted(at, range(0, len(ix) + ELIGIBILITY_CHUNK, ELIGIBILITY_CHUNK))
-            for k, start in enumerate(range(0, len(ix), ELIGIBILITY_CHUNK)):
+            ends = np.searchsorted(at, range(0, len(ix) + chunk, chunk))
+            for k, start in enumerate(range(0, len(ix), chunk)):
                 part = slice(ends[k], ends[k + 1])
-                size = min(ELIGIBILITY_CHUNK, len(ix) - start)
+                size = min(chunk, len(ix) - start)
                 pairs = (at[part] - start) * len(runs) + group_of.take(col[part])
                 held = np.bincount(pairs, minlength=size * len(runs))
                 bound[start : start + size] = knapsack.bound(held.reshape(size, len(runs)))
             tiles += len(ix)
-            if floor is None:
-                best = _floor(scenario, knapsack, order, group_of, disks, grid, level, at, col, h_star)
-                floor = best - knapsack.slack
-                floors.append(floor)
             alive = bound >= floor - knapsack.slack
             kept = alive.take(at).nonzero()[0]
             at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
@@ -751,45 +765,33 @@ def _floor(
     scenario: Scenario,
     knapsack: _Knapsack,
     order: list[int],
-    group_of: np.ndarray,
+    starts: np.ndarray,
     disks: np.ndarray,
-    grid: _Grid,
-    level: int,
-    at: np.ndarray,
-    col: np.ndarray,
     h_star: float,
 ) -> float:
     """The objective a search's floor is set from: a greedy feasible set at a user position.
 
     It is -inf with no user position in the box.  ``order`` lists the
-    users of the columns of ``disks``, in the knapsack's class order, and
-    ``group_of`` gives each column's class.  The position is the user in
-    the box whose members have the highest bound.  Each is tested only
-    against the disks that meet its tile at ``level``, the (tile, column)
-    pairs ``at`` and ``col``.  Members are taken as the scoring stage takes
-    them at ``h_star``: in the disks, and within their threshold by the
-    scalar loss; then each in class order if it still fits the capacity.
+    users of the columns of ``disks``, in the knapsack's class order, a
+    class's run of columns starting at each of ``starts``.  The position is
+    the user in the box whose members have the highest bound, the first in
+    column order of those that tie; the positions are tested by
+    ``_held_blocks``, sorted by x.  Members are taken as the scoring stage
+    takes them at ``h_star``: in the disks, and within their threshold by
+    the scalar loss; then each in class order if it still fits the capacity.
     """
     (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
     x, y, r2 = disks
     spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
     if not len(spots):
         return -math.inf
-    cx, cy = grid.cells(disks[:2, spots].T)
-    tiles = (cx >> (grid.depth - level) << level) + (cy >> (grid.depth - level))
-    # (spot, column) pairs: each spot with the disks that meet its tile.
-    first = np.searchsorted(at, tiles)
-    count = np.searchsorted(at, tiles, side="right") - first
-    spot = np.repeat(np.arange(len(spots)), count)
-    offset = first - (np.cumsum(count) - count)  # from a pair's place to its column's in col
-    near = col.take(np.arange(len(spot)) + offset.take(spot))
-    inside = _inside(*disks[:2, spots.take(spot)], disks[:, near]).nonzero()[0]
-    spot, near = spot.take(inside), near.take(inside)
-    groups = len(knapsack.values)
-    held = np.bincount(spot * groups + group_of.take(near), minlength=len(spots) * groups)
-    p = np.argmax(knapsack.bound(held.reshape(len(spots), groups)))
-    members = [scenario.users[order[j]] for j in near[spot == p].tolist()]
-    ids = _covered(scenario, members, (x[spots[p]], y[spots[p]], h_star))
+    spots = spots[np.argsort(x[spots], kind="stable")]
+    bound = np.empty(len(spots))
+    for start, held in _held_blocks(disks[:2, spots].T, disks, starts):
+        bound[start : start + len(held)] = knapsack.bound(held)
+    p = spots[bound == bound.max()].min()
+    members = [scenario.users[order[j]] for j in _inside(x[p], y[p], disks).nonzero()[0].tolist()]
+    ids = _covered(scenario, members, (x[p], y[p], h_star))
     members = [u for u in members if u.id in ids]
     demands, cap = _scaled(scenario.capacity, members)
     chosen, used = [], 0

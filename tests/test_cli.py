@@ -507,6 +507,17 @@ REFUSED_ON_READ = [
     (("field_size_m",), 1e9, "field_size_m: x_bounds must lie within +-1e+07 m"),
     (("profile", "h_bounds"), [0.0, 80.0], "profile: h_bounds must start above ground, got 0.0"),
     (("profile", "h_bounds"), [80.0, 20.0], "profile: h_bounds must satisfy min <= max"),
+    (
+        ("profile", "resource_demand"),
+        0.0,
+        "profile: resource_demand must be finite and positive, got 0.0",
+    ),
+    (("profile", "capacity"), math.nan, "profile: capacity must be finite and positive, got nan"),
+    (
+        ("profile", "max_path_loss_db"),
+        math.nan,
+        "profile: max_path_loss_db must be finite and positive, got nan",
+    ),
 ]
 
 
@@ -520,12 +531,12 @@ def undrawn(*args, **kwargs):
         (("field_size_m",), float("nan")),
         (("profile", "h_bounds"), [0.0, 80.0]),
         (("profile", "h_bounds"), [80.0, 20.0]),
-        (("profile", "capacity"), float("nan")),
+        (("profile", "capacity"), math.nan),
         (("profile", "resource_demand"), 0.0),
         (("profile", "energy_cost_range"), [0.0, 5.0]),
         (("profile", "targets"), [1]),
         (("profile", "channel", "frequency_hz"), float("nan")),
-        (("profile", "max_path_loss_db"), float("nan")),
+        (("profile", "max_path_loss_db"), math.nan),
         (("profile", "weights", "w1"), float("nan")),
         (("environments",), []),
         (("profile", "energy_cost_range"), [0.0, float("inf")]),
@@ -545,6 +556,7 @@ def test_mc_rejects_an_invalid_config(tmp_path, capsys, monkeypatch, path, value
     # The bundled config (2 tenants) with one field made invalid is an input
     # error: not exit 3, and not a CSV of meaningless numbers.  A config that
     # cannot make a layout is refused when it is read, by its field's name.
+    # A NaN is found by identity, so both lists use the one math.nan.
     message = next((m for where, bad, m in REFUSED_ON_READ if (where, bad) == (path, value)), None)
     if message:
         monkeypatch.setattr(experiment, "generate_scenario", undrawn)

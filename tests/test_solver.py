@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import fractions
 import itertools
 import logging
 import math
@@ -30,6 +31,7 @@ from dronecell.scenario import (
     Scenario,
     ScenarioProfile,
     User,
+    assignment_from_ids,
     generate_scenario,
     mvno_counts,
     term_magnitude,
@@ -544,13 +546,35 @@ def center_instances():
 def block_sizes(*chunks):
     """Parametrize ``size`` by ``ELIGIBILITY_CHUNK`` values, each with its value as id, then small blocks.
 
-    The chunk moves the tile search and the blocks of knapsack bounds.  A
-    ``BLOCK_FLOATS`` of 1 puts one row in every block of circle pairs and of
-    centers, and one of 40 a few rows, so those loops split at small n too.
+    The chunk moves only the tile search.  A ``BLOCK_FLOATS`` of 1 puts one
+    row in every block of circle pairs, of centers, of user positions and of
+    knapsack bounds, and one of 40 a few rows, so those loops split at small
+    n too.
     """
     cases = [pytest.param(("ELIGIBILITY_CHUNK", c), id=str(c)) for c in chunks]
     cases += [pytest.param(("BLOCK_FLOATS", b), id=f"block{b}") for b in (1, 40)]
     return pytest.mark.parametrize("size", cases)
+
+
+def set_size(monkeypatch, size):
+    """Patch ``size`` into the solver; returns a list of the rows of each knapsack bound taken."""
+    monkeypatch.setattr(solver, *size)
+    rows = []
+    bound = solver._Knapsack.bound
+
+    def counted(self, held):
+        rows.append(len(held))
+        return bound(self, held)
+
+    monkeypatch.setattr(solver._Knapsack, "bound", counted)
+    return rows
+
+
+def check_bound_rows(size, rows):
+    """Under a ``BLOCK_FLOATS`` of 1, every knapsack bound was taken on one row."""
+    assert rows
+    if size == ("BLOCK_FLOATS", 1):
+        assert set(rows) == {1}
 
 
 @block_sizes(3, solver.ELIGIBILITY_CHUNK)
@@ -746,10 +770,11 @@ def count_selections(monkeypatch):
 
 @block_sizes(1, 3, solver.ELIGIBILITY_CHUNK)
 def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypatch, size):
-    # A small chunk computes the knapsack bounds in many blocks.  Small
-    # blocks put the first sighting of a signature in a later block; a block
-    # of one row decides every first sighting across blocks.
-    monkeypatch.setattr(solver, *size)
+    # A chunk of 1 keeps every box whole, and one of 3 tiles a box that could
+    # hold more than 4 centers in four leaves.  Small blocks put the first
+    # sighting of a signature in a later block; blocks of one row decide
+    # every first sighting across blocks and take every bound alone.
+    rows = set_size(monkeypatch, size)
     calls = count_selections(monkeypatch)
     skipped = collections.Counter()
     for kind, sc in signature_instances():
@@ -761,6 +786,7 @@ def test_solve_scores_each_signature_once_and_matches_every_set_scored(monkeypat
     # Classes and bound-order scoring save work in total on every kind.
     assert set(skipped) == {"uniform", "mixed_demand", "energy", "classes"}
     assert all(skipped.values())
+    check_bound_rows(size, rows)
 
 
 def bound_instances():
@@ -840,7 +866,9 @@ def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, size)
     # and recomputes its members there.  Blocks of a few rows put some first
     # sightings in a later block, and blocks of one row all of them, so a
     # set taken at a later center with the same class counts would differ.
-    monkeypatch.setattr(solver, *size)
+    # A chunk of 1 keeps every box whole, and one of 3 tiles a box that could
+    # hold more than 4 centers in four leaves.
+    rows = set_size(monkeypatch, size)
     calls = count_selections(monkeypatch)
     for _, sc in bound_instances():
         classes = solver._classes(sc.users, sc.weights)
@@ -857,6 +885,7 @@ def test_solve_scores_each_set_at_its_signatures_first_center(monkeypatch, size)
         assert calls
         for ids in calls:
             assert sorted(ids) == sorted(first[signature(ids)])
+    check_bound_rows(size, rows)
 
 
 @pytest.mark.parametrize("demand", [1e308, 5e-324])
@@ -949,7 +978,8 @@ def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, size):
     # Variants of one layout that turn different terms on share a stage whose
     # classes are finer than theirs, so each sums its own columns and drops
     # repeated signatures again; the subset of users gets a stage of its own.
-    monkeypatch.setattr(solver, *size)
+    # A chunk of 3 tiles a box that could hold more than 4 centers in four leaves.
+    rows = set_size(monkeypatch, size)
     stages = []
     monkeypatch.setattr(solver, "_candidate_centers", lambda *a: stages.append(a) or _candidate_centers(*a))
     for sc in shared_instances():
@@ -966,6 +996,7 @@ def test_shared_coverage_gives_each_scenario_its_own_solve(monkeypatch, size):
         shared = solver.SharedCoverage(subs)
         assert [repr(solve(s, shared)) for s in reversed(subs)] == want[::-1]
         assert len(stages) == 2
+    check_bound_rows(size, rows)
 
 
 def force_depth(monkeypatch, depth):
@@ -1079,6 +1110,16 @@ def disks_of(sc):
     return h_star, radii
 
 
+def search_setup(sc, radii):
+    """The classes of ``sc``, its knapsack, and its users, run starts and disks in knapsack order."""
+    classes = solver._classes(sc.users, sc.weights)
+    knapsack = solver._knapsack(sc, classes)
+    runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
+    order = [p for run in runs for p in run]
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    return classes, knapsack, order, starts, solver._disks(sc.users, radii, order)
+
+
 @pytest.mark.parametrize(
     "shape, low, high, dtype",
     [
@@ -1114,12 +1155,7 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         h_star, radii = disks_of(sc)
         (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
         grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
-        classes = solver._classes(sc.users, sc.weights)
-        knapsack = solver._knapsack(sc, classes)
-        runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
-        order = [p for run in runs for p in run]
-        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-        disks = solver._disks(sc.users, radii, order)
+        classes, knapsack, _, starts, disks = search_setup(sc, radii)
         circles, pairs, _ = solver._circle_pairs(sc.users, radii)
         pts = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi))
         ix, iy = grid.cells(pts)
@@ -1144,6 +1180,89 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         assert np.array_equal(stage.search.kept, search.kept) and stage.search.floors == search.floors
         assert np.array_equal(stage.pts.view(np.uint64), tiled.view(np.uint64))
     assert restricted  # some instances make points from fewer users
+
+
+def rich_layout(seed, n):
+    """A layout like the rich benchmark's: 3 tenants, energy and content on, capacity 6, mixed demand."""
+    profile = ScenarioProfile(
+        energy_cost_range=(0.0, 1.0),
+        content_probability=0.3,
+        capacity=6.0,
+        weights=ObjectiveWeights(1.0, 1.0, 0.5, 0.5),
+    )
+    sc = generate_scenario(seed, n, 3, URBAN, profile=profile)
+    rng = random.Random(seed)
+    demands = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+    users = tuple(dataclasses.replace(u, resource_demand=rng.choice(demands)) for u in sc.users)
+    return dataclasses.replace(sc, users=users)
+
+
+def reference_floor(sc, knapsack, order, starts, disks, h_star):
+    """``_floor`` with every user position in the box tested against every disk in one call.
+
+    The position is the first in column order of those whose members have
+    the highest bound; its members that pass the scalar loss check are
+    taken in column order while their exact summed demand fits.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
+    x, y, r2 = disks
+    spots = [
+        j for j in range(len(order)) if r2[j] > 0 and x_lo <= x[j] <= x_hi and y_lo <= y[j] <= y_hi
+    ]
+    if not spots:
+        return -math.inf
+    inside = solver._inside(x[spots, None], y[spots, None], disks)
+    best = int(np.argmax(knapsack.bound(np.add.reduceat(inside, starts, axis=1))))
+    px, py = x[spots[best]], y[spots[best]]
+    env, cfg = sc.environment, sc.channel
+    chosen, used = [], fractions.Fraction(0)
+    for j in inside[best].nonzero()[0].tolist():
+        u = sc.users[order[j]]
+        loss = path_loss(h_star, math.hypot(u.x - px, u.y - py), env, cfg)
+        demand = fractions.Fraction(u.resource_demand)
+        if loss <= u.max_path_loss_db and used + demand <= fractions.Fraction(sc.capacity):
+            chosen.append(u.id)
+            used += demand
+    return objective_value(sc, assignment_from_ids(sc, chosen))[0]
+
+
+def test_floor_equals_the_dense_reference():
+    # The floor tests the user positions in slab blocks sorted by x; the
+    # reference tests them all at once in column order, so both the blocking
+    # and the tie-break among equal bounds are checked.
+    finite = 0
+    for sc in [*tiled_instances(), rich_layout(8, 240)]:
+        h_star, radii = disks_of(sc)
+        _, knapsack, order, starts, disks = search_setup(sc, radii)
+        got = solver._floor(sc, knapsack, order, starts, disks, h_star)
+        assert got == reference_floor(sc, knapsack, order, starts, disks, h_star)
+        finite += got > -math.inf
+    assert finite > 1
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_search_is_the_same_for_any_block_size(monkeypatch, depth):
+    # Blocks of 1 and 7 floats take every user position and every tile's
+    # bound one row at a time; the floors, kept leaves, users meeting them
+    # and tiles bounded must not move.  A layout and its variant without the
+    # tenancy term share one search.
+    n = 1 << depth
+    for sc in [*itertools.islice(tiled_instances(), 0, None, 4), rich_layout(9, 240)]:
+        h_star, radii = disks_of(sc)
+        (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
+        grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
+        classes = solver._classes(sc.users, sc.weights)
+        variant = dataclasses.replace(sc, weights=dataclasses.replace(sc.weights, w2=0.0))
+        searches = []
+        for block in (solver.BLOCK_FLOATS, 1, 7):
+            monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
+            searches.append(solver._search([sc, variant], classes, radii, h_star, grid))
+        default = searches[0]
+        assert len(default.floors) == 2
+        for search in searches[1:]:
+            assert search.floors == default.floors and search.tiles == default.tiles
+            assert np.array_equal(search.kept, default.kept)
+            assert np.array_equal(search.meeting, default.meeting)
 
 
 def test_solve_falls_back_to_the_whole_box_when_its_floor_is_not_reached(monkeypatch, caplog):
