@@ -10,10 +10,12 @@ finds the interior maximum.
 ``path_loss`` and ``path_loss_array`` run the one loss formula with the
 routines of ``math`` and of numpy.  ``coverage_radius`` is the only code
 that computes a cell radius, and it keeps no cache: each caller keeps the
-radii it reuses.  The altitude search uses ``path_loss_array`` only to find
-the few grid altitudes that could hold the largest radius, and
-``coverage_radius`` decides among them.  The search's results are the
-module's only cache.
+radii it reuses.  The altitude search finds the loss crossing at each grid
+altitude on the closed-form boundary curve (the slant at which the loss
+reaches the threshold, as a function of elevation), checks each with
+``path_loss_array``, and keeps the few grid altitudes that could hold the
+largest radius; ``coverage_radius`` decides among them.  The search's
+results are the module's only cache.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -41,7 +43,7 @@ ALTITUDE_TOLERANCE_M = 1.0
 ALTITUDE_GRID_STEPS = 200
 # Upper limit for the radius bracket expansion, in meters.
 MAX_RADIUS_M = 1.0e6
-# Width to which the altitude search brackets each numpy loss crossing.
+# Width of the numpy bracket that the altitude search checks at each crossing.
 _CROSSING_TOLERANCE_M = 1.0e-3
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -184,7 +186,8 @@ def path_loss_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``path_loss`` elementwise in numpy, with the elevation angles it used.
 
-    Called by ``_boundaries`` and the ``brute_force`` oracle.  Numpy's
+    Called by the ``brute_force`` oracle, and by ``_boundaries`` to check its
+    crossings and to find where ``path_loss`` may raise.  Numpy's
     routines may differ from ``math``'s in the last bits.  Overflow takes the
     same limits (a LOS probability of 0, an infinite loss) without a warning.
     Where ``path_loss`` raises, this returns a loss of -inf (a free-space
@@ -199,25 +202,83 @@ def path_loss_array(
 def _boundaries(
     grid: list[float], threshold_db: float, env: Environment, cfg: ChannelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outside ends of the numpy loss crossings, and where ``path_loss`` may raise.
+    """Outside ends of the numpy loss crossings, and the altitudes left to ``coverage_radius``.
 
-    Bisects ``path_loss_array`` on [0, ``MAX_RADIUS_M``] at every altitude at
-    once to ``_CROSSING_TOLERANCE_M``; the loss rises with ground range, so
-    each bracket closes on the crossing.  The mask flags a loss that is not
-    finite or an elevation that is not positive at either end of the range,
-    where the free-space product and the elevation are least.
+    The loss reaches the threshold at elevation theta (degrees) on the slant
+    s(theta) = c / (4 pi f) * 10^((threshold - eta(theta)) / 20), so
+    altitude h crosses where ln s(theta) + ln sin(theta) = ln h, which rises
+    with theta, at ground range h * cot(theta).  Newton steps solve that at
+    every altitude at once from the curve sampled at ``ALTITUDE_GRID_STEPS``
+    elevations, each kept inside its bracket by a midpoint.  One
+    ``path_loss_array`` call then checks probes at elevations either side of
+    each solution, ranges less than ``_CROSSING_TOLERANCE_M`` apart: the
+    loss at the inner one within the threshold, past it at the outer one,
+    which is the reach returned.  The reach is 0 where the nadir loss already
+    exceeds the threshold, and ``MAX_RADIUS_M`` where the loss there is still
+    within it.  The mask flags an altitude whose probes fail, and one where
+    the loss is not finite or the elevation not positive at either end of
+    [0, ``MAX_RADIUS_M``], where ``path_loss`` may raise; its reach is 0.
     """
     h = np.array(grid)
     flagged = np.zeros(h.shape, dtype=bool)
+    within = []
     for r in (0.0, MAX_RADIUS_M):
         loss, theta = path_loss_array(h, r, env, cfg)
         flagged |= ~np.isfinite(loss) | (theta <= 0.0)
-    lo, width = np.zeros_like(h), MAX_RADIUS_M  # every bracket is [lo, lo + width]
-    while width >= _CROSSING_TOLERANCE_M:
-        width *= 0.5
-        loss, _ = path_loss_array(h, lo + width, env, cfg)
-        lo += width * (loss <= threshold_db)
-    return lo + width, flagged
+        within.append(loss <= threshold_db)
+    covered, far = within
+    a, b = env.plos_a, env.plos_b
+    per_db = math.log(10.0) / 20.0
+    spread = per_db * (env.eta_nlos_db - env.eta_los_db)
+    # ln(c / (4 pi f)) as two logs, so that no carrier overflows or underflows.
+    base = per_db * (threshold_db - env.eta_nlos_db) + math.log(SPEED_OF_LIGHT / (4.0 * math.pi))
+    base -= math.log(cfg.frequency_hz)
+    rad = math.pi / 180.0
+    width = 90.0 / ALTITUDE_GRID_STEPS
+
+    def curve(theta):  # ln of the boundary's altitude at theta, and its slope
+        p_los = 1.0 / (1.0 + a * np.exp(-b * (theta - a)))
+        slope = spread * b * p_los * (1.0 - p_los) + rad / np.tan(rad * theta)
+        return base + spread * p_los + np.log(np.sin(rad * theta)), slope
+
+    def shift(theta, meters):  # the elevation step that moves the range by ``meters``
+        return meters * np.sin(rad * theta) ** 2 / (rad * h)
+
+    target = np.log(h)
+    sampled = width * np.arange(1, ALTITUDE_GRID_STEPS + 1)
+    with np.errstate(all="ignore"):
+        samples, _ = curve(sampled)
+        lo = width * np.searchsorted(samples, target)
+        hi = np.minimum(lo + width, 90.0)
+        # Below the first sample the sine is close to its angle.
+        theta = np.where(
+            target < samples[0],
+            width * np.exp(target - samples[0]),
+            np.interp(target, samples, sampled),
+        )
+        done = flagged | ~covered | far
+        while not done.all():
+            value, slope = curve(theta)
+            below = value < target
+            lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
+            mid = 0.5 * (lo + hi)
+            newton = theta + (target - value) / slope
+            tolerance = shift(theta, _CROSSING_TOLERANCE_M / 8.0)
+            small = np.abs(newton - theta) <= tolerance
+            step = np.where(small | ((lo < newton) & (newton < hi)), newton, mid)
+            # A bracket with no float between its ends is done too, and a NaN
+            # counts as done: the probes then flag the altitude.
+            converged = small | ~(hi - lo > tolerance) | ~((lo < mid) & (mid < hi))
+            theta = np.where(done, theta, step)
+            done |= converged
+        delta = shift(theta, _CROSSING_TOLERANCE_M / 4.0)
+        inner = h / np.tan(rad * np.minimum(theta + delta, 90.0))
+        outer = h / np.tan(rad * (theta - delta))
+        close = outer - inner < _CROSSING_TOLERANCE_M
+    loss, _ = path_loss_array(np.concatenate([h, h]), np.concatenate([inner, outer]), env, cfg)
+    bracketed = (loss[: h.size] <= threshold_db) & (loss[h.size :] > threshold_db)
+    flagged |= covered & ~far & ~(bracketed & close)
+    return np.where(flagged | ~covered, 0.0, np.where(far, MAX_RADIUS_M, outer)), flagged
 
 
 def optimal_altitude(
@@ -231,11 +292,11 @@ def optimal_altitude(
     A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals) seeds a
     golden-section refinement around the best grid point, both on the scalar
     ``coverage_radius``, called once per altitude.  The scan calls it only
-    where ``_boundaries`` puts the loss crossing within ``RADIUS_TOLERANCE_M``
-    of the farthest one or flags the altitude; no other grid altitude can
-    hold the largest radius.  The best altitude ever evaluated is returned,
-    ties going to the lower one, and the radius returned is
-    ``coverage_radius`` at that altitude.
+    where ``_boundaries``, solving the boundary curve, puts the loss crossing
+    within ``RADIUS_TOLERANCE_M`` of the farthest one or flags the altitude;
+    no other grid altitude can hold the largest radius.  The best altitude
+    ever evaluated is returned, ties going to the lower one, and the radius
+    returned is ``coverage_radius`` at that altitude.
     Returns ``(h_min, 0.0)`` when no altitude in range yields coverage.
     Raises ``ValueError`` unless 0 < h_min <= h_max < inf.
     A degenerate range with ``h_min == h_max`` evaluates that single altitude.

@@ -420,7 +420,8 @@ def edge_searches():
     # At 5e-324 m every elevation off the nadir rounds to 0 degrees, which
     # path_loss rejects.  At 1.5e-318 m that happens only beyond about
     # 600 km: at 171.5 dB the radius doubling reaches 819.2 km, but a
-    # crossing search that bisects toward 470 km need not look that far.
+    # crossing search that finds the crossing near 470 km need not look
+    # that far.
     yield 100.0, URBAN, CFG, 5e-324, 1000.0
     yield 171.5, URBAN, CFG, 1.5e-318, 1000.0
 
@@ -457,6 +458,10 @@ def test_optimal_altitude_equals_the_all_scalar_search():
         h_min = rng.choice([1.0, 20.0, rng.uniform(1.0, 1500.0)])
         h_max = h_min + rng.choice([0.0, 60.0, rng.uniform(0.0, 1500.0)])
         searches.append((threshold, env, cfg, h_min, h_max))
+    for _ in range(200):  # searches like the qos_sweep benchmark's
+        searches.append((rng.uniform(90.0, 115.0), rng.choice(list(ENVIRONMENTS.values())), CFG, 20.0, 500.0))
+    # highrise_urban's two peaks, each the optimum of one window.
+    searches += [(100.0, ENVIRONMENTS["highrise_urban"], CFG, 1.0, h_max) for h_max in (12.0, 5000.0)]
     raised = 0
     for threshold, env, cfg, h_min, h_max in searches + list(edge_searches()):
         want = search_outcome(scalar_optimal_altitude, threshold, env, cfg, h_min, h_max)
@@ -470,3 +475,63 @@ def test_optimal_altitude_equals_the_all_scalar_search():
             h, r = optimal_altitude(threshold, env, cfg, (h_min, h_max))
             assert r == coverage_radius(h, threshold, env, cfg)
     assert raised == 3  # the 5e-324 Hz carrier and the two tiny floors
+
+
+def test_boundaries_bracket_the_numpy_loss_crossing():
+    # Each reach is an outside end of the numpy loss crossing, less than
+    # _CROSSING_TOLERANCE_M past it, so the candidate floor of the altitude
+    # search is sound; the curve leaves almost no altitude to coverage_radius.
+    rng = random.Random(29)
+    tolerance = channel._CROSSING_TOLERANCE_M
+    steep = Environment("steep", 9.61, 1e15, 1.0, 20.0)
+    extra = total = 0
+    for k in range(300):
+        env = steep if k % 50 == 0 else random_environment(rng)
+        frequency_hz = 5e-324 if k % 50 == 1 else 10.0 ** rng.uniform(8.0, 10.5)
+        cfg = ChannelConfig(frequency_hz=frequency_hz)
+        threshold = rng.uniform(60.0, 160.0)
+        if rng.random() < 0.5:
+            h = np.linspace(rng.uniform(1.0, 200.0), rng.uniform(200.0, 3000.0), 201)
+        else:
+            h = np.sort([10.0 ** rng.uniform(-2.0, 4.0) for _ in range(60)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reach, flagged = channel._boundaries(h.tolist(), threshold, env, cfg)
+        nadir, _ = channel.path_loss_array(h, 0.0, env, cfg)
+        far, theta = channel.path_loss_array(h, MAX_RADIUS_M, env, cfg)
+        at, _ = channel.path_loss_array(h, reach, env, cfg)
+        inside, _ = channel.path_loss_array(h, np.maximum(reach - tolerance, 0.0), env, cfg)
+        broken = ~np.isfinite(nadir) | ~np.isfinite(far) | (theta <= 0.0)
+        assert flagged[broken].all(), (env, cfg, threshold)
+        kept = ~flagged & (nadir <= threshold)
+        assert (reach[kept & (far <= threshold)] == MAX_RADIUS_M).all()
+        solved = kept & (far > threshold)
+        assert (at[solved] > threshold).all(), (env, cfg, threshold)
+        assert (inside[solved] <= threshold).all(), (env, cfg, threshold)
+        assert (reach[~flagged & (nadir > threshold)] == 0.0).all()
+        extra += np.count_nonzero(flagged & ~broken)
+        total += h.size
+    assert extra <= total // 100, (extra, total)
+
+
+def test_a_cold_qos_search_sizes_few_grid_altitudes(monkeypatch):
+    # The candidate floor leaves coverage_radius about 3.5 of the 201 grid
+    # altitudes of a qos_sweep search; a looser filter would hide a slower
+    # scalar scan behind a fast curve.
+    asked = []
+
+    def counted(h, threshold, env, cfg):
+        asked.append(h)
+        return coverage_radius(h, threshold, env, cfg)
+
+    monkeypatch.setattr(channel, "coverage_radius", counted)
+    rng = random.Random(1018)
+    step = (500.0 - 20.0) / ALTITUDE_GRID_STEPS
+    grid = {20.0 + k * step for k in range(ALTITUDE_GRID_STEPS + 1)}
+    scanned = 0
+    for _ in range(1000):
+        channel._optimal_altitude_cached.cache_clear()
+        asked.clear()
+        optimal_altitude(rng.uniform(90.0, 115.0), rng.choice(list(ENVIRONMENTS.values())), CFG, (20.0, 500.0))
+        scanned += sum(h in grid for h in asked)
+    assert scanned / 1000 <= 4.0
