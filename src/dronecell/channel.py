@@ -291,8 +291,11 @@ def optimal_altitude(
 
     A coarse grid scan (``ALTITUDE_GRID_STEPS`` intervals) seeds a
     golden-section refinement around the best grid point, both on the scalar
-    ``coverage_radius``, called once per altitude.  The scan calls it only
-    where ``_boundaries``, solving the boundary curve, puts the loss crossing
+    ``coverage_radius``, called once per altitude.  The refinement ends once
+    its bracket is at most ``ALTITUDE_TOLERANCE_M`` wide or a step leaves it
+    unchanged, as on windows whose floats lie further apart than that.  The
+    scan calls ``coverage_radius`` only where ``_boundaries``, solving the
+    boundary curve, puts the loss crossing
     within ``RADIUS_TOLERANCE_M`` of the farthest one or flags the altitude;
     no other grid altitude can hold the largest radius.  The best altitude
     ever evaluated is returned, ties going to the lower one, and the radius
@@ -333,7 +336,11 @@ def _optimal_altitude_cached(
         hi = grid[min(best_idx + 1, len(grid) - 1)]
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
-        while hi - lo > ALTITUDE_TOLERANCE_M:
+        # Where neighbouring floats lie further apart than the tolerance, the
+        # bracket can stop shrinking: a step that leaves it unchanged ends it.
+        bracket = None
+        while hi - lo > ALTITUDE_TOLERANCE_M and bracket != (lo, hi):
+            bracket = lo, hi
             # No coverage at d puts d above the peak: even its nadir fails.
             if radius(c) > radius(d) or radius(d) == 0.0:
                 hi, d = d, c

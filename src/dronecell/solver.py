@@ -334,12 +334,12 @@ def solve(scenario: Scenario, shared: SharedCoverage | None = None) -> SolveResu
         sized[q] = coverage_radius(h_star, q, env, cfg)
     radii = [sized[u.max_path_loss_db] for u in users]
     shared = shared or SharedCoverage([scenario])
-    cov, floor = shared(scenario, radii, h_star)
-    result = _score(scenario, cov, h_star, r_default, floor)
+    cov, knapsack, floor = shared(scenario, radii, h_star)
+    result = _score(knapsack, cov, h_star, r_default, floor)
     fallback = result.objective < floor
     if fallback:
         whole = _coverage(users, radii, scenario.region, cov.classes)
-        result = _score(scenario, whole, h_star, r_default)
+        result = _score(knapsack, whole, h_star, r_default)
     log = logging.getLogger("dronecell")
     if log.isEnabledFor(logging.DEBUG):
         m = sum(r > 0 for r in radii)
@@ -362,31 +362,35 @@ class SharedCoverage:
     Scenarios with equal users, channel, environment and region share a
     stage.  When the box is tiled, it holds the centers of every leaf that
     any of them keeps, so each one sees all the centers of its own leaves.
-    A call gives a scenario's stage and its search floor (-inf for a box
-    kept whole); a scenario not among them is refused with ``ValueError``.
+    The stage is built with one knapsack per scenario sharing it, which the
+    search, the floor and the scoring all read.  A call gives a scenario's
+    stage, its knapsack and its search floor (-inf for a box kept whole); a
+    scenario not among them is refused with ``ValueError``.
     """
 
     def __init__(self, scenarios: Iterable[Scenario]) -> None:
         self._scenarios = list(scenarios)
         keys = [(s.users, s.channel, s.environment, s.region) for s in self._scenarios]
         self._groups = [keys.index(key) for key in keys]  # each scenario's first layout-mate
-        self._stages: dict[int, _Coverage] = {}
+        self._views: dict[int, tuple[_Coverage, _Knapsack, float]] = {}  # by scenario index
 
     def __call__(
         self, scenario: Scenario, radii: Sequence[float], h_star: float
-    ) -> tuple[_Coverage, float]:
+    ) -> tuple[_Coverage, _Knapsack, float]:
         try:
             i = self._scenarios.index(scenario)
         except ValueError:
             raise ValueError("scenario not among those the coverage is shared by") from None
-        k = self._groups[i]
-        if k not in self._stages:  # its classes separate each field any weights turn on
-            group = [s for s, g in zip(self._scenarios, self._groups) if g == k]
+        if i not in self._views:  # the stage's classes separate each field any weights turn on
+            mates = [j for j, g in enumerate(self._groups) if g == self._groups[i]]
+            group = [self._scenarios[j] for j in mates]
             w2, w3, w4 = (max(getattr(s.weights, t) for s in group) for t in ("w2", "w3", "w4"))
             classes = _classes(scenario.users, ObjectiveWeights(w2=w2, w3=w3, w4=w4))
-            self._stages[k] = _coverage(scenario.users, radii, scenario.region, classes, group, h_star)
-        search = self._stages[k].search
-        return self._stages[k], search.floors[self._groups[:i].count(k)] if search else -math.inf
+            knapsacks = [_knapsack(s, classes) for s in group]
+            stage = _coverage(scenario.users, radii, scenario.region, classes, knapsacks, h_star)
+            floors = stage.search.floors if stage.search else (-math.inf,) * len(mates)
+            self._views.update({j: (stage, k, f) for j, k, f in zip(mates, knapsacks, floors)})
+        return self._views[i]
 
 
 def _disks(users: Sequence[User], radii: Sequence[float], order: Sequence[int]) -> np.ndarray:
@@ -409,23 +413,24 @@ def _coverage(
     radii: Sequence[float],
     region: PlacementRegion,
     classes: list[list[int]],
-    scenarios: Sequence[Scenario] = (),
+    knapsacks: Sequence[_Knapsack] = (),
     h_star: float = math.nan,
 ) -> _Coverage:
     """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``.
 
-    It alone decides tiling: with ``scenarios``, which share these users
-    and region, when ``_grid`` gives a grid, ``_search`` bounds its tiles
-    for them at ``h_star`` and ``_candidate_centers`` makes centers only in
-    the cells kept, from the users whose disk meets one.  ``_held_blocks``
+    It alone decides tiling: with ``knapsacks`` over ``classes``, of
+    scenarios that share these users and region, when ``_grid`` gives a
+    grid, ``_search`` bounds its tiles for them at ``h_star`` and
+    ``_candidate_centers`` makes centers only in the cells kept, from the
+    users whose disk meets one.  ``_held_blocks``
     tests the centers in blocks of ``_block_rows`` rows, one column per
     user, so a block's float temporaries hold at most ``BLOCK_FLOATS``
     values; the narrower the block, the narrower its x-slab and the fewer
     users near it.
     """
     circles, pairs, count = _circle_pairs(users, radii)
-    grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if scenarios else None
-    search = None if grid is None else _search(scenarios, classes, radii, h_star, grid)
+    grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if knapsacks else None
+    search = None if grid is None else _search(knapsacks, radii, h_star, grid)
     leaves = None if search is None else (grid, search.kept, search.meeting[np.asarray(radii) > 0])
     pts = _candidate_centers(circles, pairs, region.x_bounds, region.y_bounds, leaves)
     order = [p for members in classes for p in members]
@@ -484,7 +489,7 @@ def _first_sightings(held: np.ndarray, seen: dict[bytes, int], start: int = 0) -
 
 
 class _Knapsack(NamedTuple):
-    """A scenario's fractional knapsack (Dantzig) bound on sets, given their members per class.
+    """A scenario's classes over a coverage stage, and its fractional knapsack (Dantzig) bound.
 
     A served user adds at most value = w1 + w2' + w3*e + w4*kappa, less w2'
     times the summed targets (the tenancy gap is at least their sum less k
@@ -492,12 +497,16 @@ class _Knapsack(NamedTuple):
     knapsack of its members' values.  Every field the value reads separates
     ``_classes``, so a class has one value and one demand; classes run in
     descending value per unit demand, so a set's fill is a running sum.
+    The users in that class order are the columns the floor and the tile
+    search count members by.
     """
 
+    scenario: Scenario
     groups: list[list[int]]  # the scenario's classes, as the coverage classes each joins
+    order: list[int]  # the users' positions, each class's members a run, in class order
+    starts: np.ndarray  # where each class's run of ``order`` starts
     values: np.ndarray  # a member's value, per class
     demands: np.ndarray  # and its demand
-    capacity: float
     base: float  # w2' times the summed targets
     slack: float  # the bound prunes a set only when below a score less this
 
@@ -510,12 +519,12 @@ class _Knapsack(NamedTuple):
         """
         with np.errstate(over="ignore"):
             fill = np.cumsum(held * self.demands, axis=1)
-            share = np.clip((self.capacity - fill) / self.demands + held, 0, held)
+            share = np.clip((self.scenario.capacity - fill) / self.demands + held, 0, held)
         return np.einsum("ij,j->i", share, self.values) - self.base
 
 
 def _knapsack(scenario: Scenario, classes: list[list[int]]) -> _Knapsack:
-    """The bound of ``scenario`` over sets counted by ``classes`` (positions in its users)."""
+    """The knapsack of ``scenario`` over a stage counted by ``classes`` (positions in its users)."""
     firsts = [scenario.users[members[0]] for members in classes]
     w = scenario.weights
     w2 = w.w2 / math.sqrt(scenario.num_mvnos) if w.norm == L2 else w.w2
@@ -530,27 +539,29 @@ def _knapsack(scenario: Scenario, classes: list[list[int]]) -> _Knapsack:
     groups = sorted(_classes(firsts, w), key=density, reverse=True)
     values = np.array([value(firsts[group[0]]) for group in groups])
     demands = np.array([firsts[group[0]].resource_demand for group in groups])
+    order = [p for group in groups for c in group for p in classes[c]]
+    starts = np.cumsum([0] + [sum(len(classes[c]) for c in group) for group in groups[:-1]])
     # The bound, ``select_users`` and ``objective_value`` add the same terms in
     # different orders; the slack covers the rounding, relative to their largest sum.
     slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
-    return _Knapsack(groups, values, demands, scenario.capacity, w2 * sum(scenario.targets), slack)
+    base = w2 * sum(scenario.targets)
+    return _Knapsack(scenario, groups, order, starts, values, demands, base, slack)
 
 
 def _score(
-    scenario: Scenario, cov: _Coverage, h_star: float, radius: float, floor: float = -math.inf
+    knapsack: _Knapsack, cov: _Coverage, h_star: float, radius: float, floor: float = -math.inf
 ) -> SolveResult:
-    """The scoring stage of ``solve()`` at h*, given the coverage of the scenario's users.
+    """The scoring stage of ``solve()`` at h*, for the knapsack's scenario on the stage ``cov``.
 
     Sets whose bound is below ``floor`` less the knapsack's slack are not scored.
     """
     classes, pts, disks, rows, counts, _ = cov
+    scenario, groups = knapsack.scenario, knapsack.groups
     region = scenario.region
     zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
 
     # The scenario's classes are unions of coverage classes, summed column by
     # column; a summed signature's first sighting is a coverage signature's.
-    knapsack = _knapsack(scenario, classes)
-    groups = knapsack.groups
     columns = [c for group in groups for c in group]
     if len(groups) < len(classes):
         starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
@@ -681,16 +692,12 @@ class _Search(NamedTuple):  # what the tile search of a box keeps
 
 
 def _search(
-    scenarios: Sequence[Scenario],
-    classes: list[list[int]],
-    radii: Sequence[float],
-    h_star: float,
-    grid: _Grid,
+    knapsacks: Sequence[_Knapsack], radii: Sequence[float], h_star: float, grid: _Grid
 ) -> _Search:
-    """The quadtree search over the box of ``scenarios``, which share one coverage stage.
+    """The quadtree search over the box of the ``knapsacks``' scenarios, which share one stage.
 
     It bounds each scenario's tiles level by level, down to the leaves of
-    ``grid``.  A tile holds the users whose disk meets it; every set
+    ``grid``, counting members in its knapsack's columns.  A tile holds the users whose disk meets it; every set
     realized in it is a subset of them, and the knapsack bound is monotone,
     so their bound bounds every center in it.  A tile whose bound is below
     the scenario's floor less the slack is dropped, with its children.  The
@@ -702,16 +709,12 @@ def _search(
     leaves = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
     meeting = np.zeros(len(radii), dtype=bool)
     floors, tiles = [], 0
-    for scenario in scenarios:
-        knapsack = _knapsack(scenario, classes)
-        # Users in the knapsack's class order, so a class's members are a run.
-        runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
-        order = [p for run in runs for p in run]
-        starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-        # Each column's class, by its place in the knapsack's order.
-        group_of = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
-        disks = _disks(scenario.users, radii, order)
-        floor = _floor(scenario, knapsack, order, starts, disks, h_star) - knapsack.slack
+    for knapsack in knapsacks:
+        order, width = knapsack.order, len(knapsack.groups)
+        # Each column's class: its run of the knapsack's order.
+        group_of = np.repeat(np.arange(width), np.diff(knapsack.starts, append=len(order)))
+        disks = _disks(knapsack.scenario.users, radii, order)
+        floor = _floor(knapsack, disks, h_star) - knapsack.slack
         floors.append(floor)
         reach = _reach(disks)
         # The tiles of a level as cell indices, and (tile, column) pairs sorted
@@ -725,7 +728,7 @@ def _search(
         ix, iy = np.divmod(np.arange(4**level), 1 << level)
         at = np.repeat(np.arange(4**level), len(order))
         col = np.tile(np.arange(len(order)), 4**level)
-        chunk = _block_rows(len(runs))
+        chunk = _block_rows(width)
         while True:
             gx, gy = grid.gaps(level, reach)
             d2 = gx.take(ix.take(at) * len(order) + col)
@@ -737,9 +740,9 @@ def _search(
             for k, start in enumerate(range(0, len(ix), chunk)):
                 part = slice(ends[k], ends[k + 1])
                 size = min(chunk, len(ix) - start)
-                pairs = (at[part] - start) * len(runs) + group_of.take(col[part])
-                held = np.bincount(pairs, minlength=size * len(runs))
-                bound[start : start + size] = knapsack.bound(held.reshape(size, len(runs)))
+                pairs = (at[part] - start) * width + group_of.take(col[part])
+                held = np.bincount(pairs, minlength=size * width)
+                bound[start : start + size] = knapsack.bound(held.reshape(size, width))
             tiles += len(ix)
             alive = bound >= floor - knapsack.slack
             kept = alive.take(at).nonzero()[0]
@@ -761,25 +764,19 @@ def _search(
     return _Search(leaves, meeting, tuple(floors), tiles)
 
 
-def _floor(
-    scenario: Scenario,
-    knapsack: _Knapsack,
-    order: list[int],
-    starts: np.ndarray,
-    disks: np.ndarray,
-    h_star: float,
-) -> float:
+def _floor(knapsack: _Knapsack, disks: np.ndarray, h_star: float) -> float:
     """The objective a search's floor is set from: a greedy feasible set at a user position.
 
-    It is -inf with no user position in the box.  ``order`` lists the
-    users of the columns of ``disks``, in the knapsack's class order, a
-    class's run of columns starting at each of ``starts``.  The position is
-    the user in the box whose members have the highest bound, the first in
-    column order of those that tie; the positions are tested by
+    It is -inf with no user position in the box.  The columns of ``disks``
+    are the knapsack's users, in its ``order``, a class's run of columns
+    starting at each of its ``starts``.  The position is the user in the
+    box whose members have the highest bound, the first in column order of
+    those that tie; the positions are tested by
     ``_held_blocks``, sorted by x.  Members are taken as the scoring stage
     takes them at ``h_star``: in the disks, and within their threshold by
     the scalar loss; then each in class order if it still fits the capacity.
     """
+    scenario, order = knapsack.scenario, knapsack.order
     (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
     x, y, r2 = disks
     spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
@@ -787,7 +784,7 @@ def _floor(
         return -math.inf
     spots = spots[np.argsort(x[spots], kind="stable")]
     bound = np.empty(len(spots))
-    for start, held in _held_blocks(disks[:2, spots].T, disks, starts):
+    for start, held in _held_blocks(disks[:2, spots].T, disks, knapsack.starts):
         bound[start : start + len(held)] = knapsack.bound(held)
     p = spots[bound == bound.max()].min()
     members = [scenario.users[order[j]] for j in _inside(x[p], y[p], disks).nonzero()[0].tolist()]

@@ -1,13 +1,18 @@
 """Channel model: LOS sigmoid, mean path loss, coverage radius, altitude search."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dronecell
 from dronecell import channel
 from dronecell.channel import (
     ALTITUDE_GRID_STEPS,
@@ -259,6 +264,35 @@ def test_optimal_altitude_validation():
     for h_range in ((1.0, math.inf), (math.inf, math.inf)):
         with pytest.raises(ValueError, match=r"0 < h_min <= h_max < inf, got \("):
             optimal_altitude(100.0, URBAN, CFG, h_range)
+
+
+EXTREME_WINDOWS = [
+    (400.0, "suburban", (1.0, 1e30)),
+    (1000.0, "highrise_urban", (1.0, 1e300)),
+    (400.0, "urban", (1e-300, 1e300)),
+]
+
+
+def test_the_golden_section_ends_on_a_bracket_its_floats_cannot_shrink():
+    # Near 1e30 m, neighbouring floats lie further apart than
+    # ALTITUDE_TOLERANCE_M, so the bracket stops shrinking before it is that
+    # narrow.  The searches run in a subprocess, so one that never ends fails
+    # on the timeout instead of hanging the suite.
+    src = str(Path(dronecell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from dronecell.channel import ENVIRONMENTS, ChannelConfig, optimal_altitude\n"
+        f"for threshold, name, window in {EXTREME_WINDOWS!r}:\n"
+        "    print(repr(optimal_altitude(threshold, ENVIRONMENTS[name], ChannelConfig(), window)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [optimal_altitude(t, ENVIRONMENTS[name], CFG, w) for t, name, w in EXTREME_WINDOWS]
+    assert proc.stdout.splitlines() == [repr(result) for result in results]
+    for (threshold, name, _), (h, r) in zip(EXTREME_WINDOWS, results):
+        assert r > 0 and r == coverage_radius(h, threshold, ENVIRONMENTS[name], CFG)
 
 
 @pytest.mark.parametrize(

@@ -637,10 +637,10 @@ def test_coverage_is_the_same_for_any_block_size(monkeypatch, n):
     sc = generate_scenario(7, n, 2, URBAN)
     h_star, radii = disks_of(sc)
     classes = solver._classes(sc.users, sc.weights)
-    stages = []
+    knapsacks, stages = [solver._knapsack(sc, classes)], []
     for block in (solver.BLOCK_FLOATS, 1):
         monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
-        stages.append(solver._coverage(sc.users, radii, sc.region, classes, [sc], h_star))
+        stages.append(solver._coverage(sc.users, radii, sc.region, classes, knapsacks, h_star))
     default, single = stages
     assert len(default.rows) > 1
     for name in ("pts", "rows", "counts"):
@@ -1011,6 +1011,14 @@ def force_depth(monkeypatch, depth):
     monkeypatch.setattr(solver, "_grid", grid)
 
 
+def count_knapsacks(monkeypatch):
+    """The scenario of each ``_knapsack`` call from here on, in call order."""
+    built = []
+    knapsack = solver._knapsack
+    monkeypatch.setattr(solver, "_knapsack", lambda sc, classes: built.append(sc) or knapsack(sc, classes))
+    return built
+
+
 def solve_log(caplog, sc):
     """solve() and the numbers of its DEBUG line: tiles, leaves, centers, bound, fallback."""
     caplog.clear()
@@ -1036,15 +1044,17 @@ def per_user_thresholds(sc, seed):
 
 def test_tiled_solve_equals_the_whole_box_solve(monkeypatch, caplog):
     # Generated layouts tile by their own rule; the whole box is forced by
-    # keeping it the only leaf.
+    # keeping it the only leaf.  A solve builds its knapsack once, with its
+    # stage, and the floor, the tile search and the scoring all read it.
     layouts = [generate_scenario(s, 240, 2, URBAN) for s in (1, 2)]
     layouts.append(generate_scenario(3, 480, 2, URBAN))
     layouts += [per_user_thresholds(sc, s) for s, sc in enumerate(layouts[:2])]
-    tiled = []
+    tiled, built = [], count_knapsacks(monkeypatch)
     for sc in layouts:
         result, (tiles, leaves, centers, bound), fallback = solve_log(caplog, sc)
         assert tiles > 0 and 1 < leaves and centers < bound and not fallback
         tiled.append(repr(result))
+    assert built == layouts
     force_depth(monkeypatch, 0)
     assert [repr(solve(sc)) for sc in layouts] == tiled
 
@@ -1111,13 +1121,10 @@ def disks_of(sc):
 
 
 def search_setup(sc, radii):
-    """The classes of ``sc``, its knapsack, and its users, run starts and disks in knapsack order."""
+    """The classes of ``sc``, its knapsack, and its disks in the knapsack's column order."""
     classes = solver._classes(sc.users, sc.weights)
     knapsack = solver._knapsack(sc, classes)
-    runs = [[p for c in group for p in classes[c]] for group in knapsack.groups]
-    order = [p for run in runs for p in run]
-    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-    return classes, knapsack, order, starts, solver._disks(sc.users, radii, order)
+    return classes, knapsack, solver._disks(sc.users, radii, knapsack.order)
 
 
 @pytest.mark.parametrize(
@@ -1155,20 +1162,20 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         h_star, radii = disks_of(sc)
         (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
         grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
-        classes, knapsack, _, starts, disks = search_setup(sc, radii)
+        classes, knapsack, disks = search_setup(sc, radii)
         circles, pairs, _ = solver._circle_pairs(sc.users, radii)
         pts = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi))
         ix, iy = grid.cells(pts)
-        held = np.add.reduceat(solver._inside(pts[:, :1], pts[:, 1:], disks), starts, axis=1)
+        held = np.add.reduceat(solver._inside(pts[:, :1], pts[:, 1:], disks), knapsack.starts, axis=1)
         reach = solver._reach(disks)
         gx, gy = grid.gaps(depth, reach)
-        leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], starts, axis=1)
+        leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], knapsack.starts, axis=1)
         assert (held <= leaf).all()
         # The bound is monotone in the counts; its float sums only up to rounding.
         slack = solver.SCORE_RTOL * (1.0 + term_magnitude(sc))
         assert (knapsack.bound(held) <= knapsack.bound(leaf) + slack).all()
 
-        search = solver._search([sc], classes, radii, h_star, grid)
+        search = solver._search([knapsack], radii, h_star, grid)
         assert search.kept.any()
         restricted += not search.meeting.all()
         leaves = grid, search.kept, search.meeting[np.asarray(radii) > 0]
@@ -1176,7 +1183,7 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         want = pts[search.kept[ix, iy]]
         assert np.array_equal(tiled.view(np.uint64), want.view(np.uint64))
         # The coverage stage tiles the box the same way and keeps those centers.
-        stage = solver._coverage(sc.users, radii, sc.region, classes, [sc], h_star)
+        stage = solver._coverage(sc.users, radii, sc.region, classes, [knapsack], h_star)
         assert np.array_equal(stage.search.kept, search.kept) and stage.search.floors == search.floors
         assert np.array_equal(stage.pts.view(np.uint64), tiled.view(np.uint64))
     assert restricted  # some instances make points from fewer users
@@ -1233,9 +1240,9 @@ def test_floor_equals_the_dense_reference():
     finite = 0
     for sc in [*tiled_instances(), rich_layout(8, 240)]:
         h_star, radii = disks_of(sc)
-        _, knapsack, order, starts, disks = search_setup(sc, radii)
-        got = solver._floor(sc, knapsack, order, starts, disks, h_star)
-        assert got == reference_floor(sc, knapsack, order, starts, disks, h_star)
+        _, knapsack, disks = search_setup(sc, radii)
+        got = solver._floor(knapsack, disks, h_star)
+        assert got == reference_floor(sc, knapsack, knapsack.order, knapsack.starts, disks, h_star)
         finite += got > -math.inf
     assert finite > 1
 
@@ -1253,10 +1260,11 @@ def test_search_is_the_same_for_any_block_size(monkeypatch, depth):
         grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
         classes = solver._classes(sc.users, sc.weights)
         variant = dataclasses.replace(sc, weights=dataclasses.replace(sc.weights, w2=0.0))
+        knapsacks = [solver._knapsack(s, classes) for s in (sc, variant)]
         searches = []
         for block in (solver.BLOCK_FLOATS, 1, 7):
             monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
-            searches.append(solver._search([sc, variant], classes, radii, h_star, grid))
+            searches.append(solver._search(knapsacks, radii, h_star, grid))
         default = searches[0]
         assert len(default.floors) == 2
         for search in searches[1:]:
@@ -1287,7 +1295,9 @@ def test_solve_falls_back_to_the_whole_box_when_its_floor_is_not_reached(monkeyp
         ]
         cases.append(make_scenario(users, num_mvnos=1, targets=(2,), capacity=10.0, region=region))
     force_depth(monkeypatch, 4)
+    built = count_knapsacks(monkeypatch)
     tiled = [solve_log(caplog, sc) for sc in cases]
+    assert built == cases  # the rerun scores with the knapsack the first pass had
     force_depth(monkeypatch, 0)
     assert [repr(result) for result, _, _ in tiled] == [repr(solve(sc)) for sc in cases]
     fallbacks = [result for result, _, fallback in tiled if fallback]
@@ -1299,7 +1309,7 @@ def test_a_shared_tiled_stage_holds_the_leaves_of_every_scenario(monkeypatch):
     # Variants of one layout keep different leaves; their shared stage holds
     # the union, so each one solves as it does alone.
     force_depth(monkeypatch, 4)
-    stages = []
+    stages, built = [], count_knapsacks(monkeypatch)
     monkeypatch.setattr(solver, "_candidate_centers", lambda *a: stages.append(a) or _candidate_centers(*a))
     for sc in itertools.islice(shared_instances(), 0, None, 4):
         w = sc.weights
@@ -1310,9 +1320,10 @@ def test_a_shared_tiled_stage_holds_the_leaves_of_every_scenario(monkeypatch):
         ]
         want = [repr(solve(s)) for s in subs]
         stages.clear()
+        built.clear()
         shared = solver.SharedCoverage(subs)
         assert [repr(solve(s, shared)) for s in subs] == want
-        assert len(stages) == 1
+        assert len(stages) == 1 and built == subs
 
 
 def test_shared_coverage_refuses_a_scenario_it_was_not_built_from():
