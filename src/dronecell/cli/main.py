@@ -57,7 +57,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_altitude_profile(args: argparse.Namespace) -> int:
     env = preset(args.env)
     if args.steps < 1:
-        raise ValueError("steps must be at least 1")
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > MAX_COUNT:  # every sample is a radius search and a row held in memory
         raise ValueError(f"--steps must be at most {MAX_COUNT}, got {args.steps}")
     for flag in ("threshold_db", "frequency_hz", "h_min", "h_max"):

@@ -418,27 +418,31 @@ def _coverage(
 ) -> _Coverage:
     """The coverage stage of ``solve()``: the disks of ``radii``, counted by ``classes``.
 
-    It alone decides tiling: with ``knapsacks`` over ``classes``, of
-    scenarios that share these users and region, when ``_grid`` gives a
-    grid, ``_search`` bounds its tiles for them at ``h_star`` and
-    ``_candidate_centers`` makes centers only in the cells kept, from the
-    users whose disk meets one.  ``_held_blocks``
-    tests the centers in blocks of ``_block_rows`` rows, one column per
-    user, so a block's float temporaries hold at most ``BLOCK_FLOATS``
-    values; the narrower the block, the narrower its x-slab and the fewer
-    users near it.
+    The stage's one column layout is the users in class order, each class a
+    run of columns starting at one of its ``runs``; its ``disks``, the tile
+    search, the floor and the scoring all read that layout.  It alone
+    decides tiling: with ``knapsacks`` over ``classes``, of scenarios that
+    share these users and region, when ``_grid`` gives a grid, ``_search``
+    bounds its tiles for them at ``h_star`` and ``_candidate_centers``
+    makes centers only in the cells kept, from the users whose disk meets
+    one.  ``_held_blocks`` tests the centers in blocks of ``_block_rows``
+    rows, one column per user, so a block's float temporaries hold at most
+    ``BLOCK_FLOATS`` values; the narrower the block, the narrower its
+    x-slab and the fewer users near it.
     """
+    order = [p for members in classes for p in members]
+    runs = np.cumsum([0, *map(len, classes)])[:-1]
+    disks = _disks(users, radii, order)
     circles, pairs, count = _circle_pairs(users, radii)
     grid = _grid(region.x_bounds, region.y_bounds, circles[:, 2], count) if knapsacks else None
-    search = None if grid is None else _search(knapsacks, radii, h_star, grid)
-    leaves = None if search is None else (grid, search.kept, search.meeting[np.asarray(radii) > 0])
+    search = None if grid is None else _search(knapsacks, disks, runs, h_star, grid)
+    # The circles run in user position order, the search's columns in class order.
+    makers = None if search is None else search.meeting[np.argsort(order)][np.asarray(radii) > 0]
+    leaves = None if search is None else (grid, search.kept, makers)
     pts = _candidate_centers(circles, pairs, region.x_bounds, region.y_bounds, leaves)
-    order = [p for members in classes for p in members]
     count_type = np.min_scalar_type(len(order))
-    class_start = np.cumsum([0] + [len(members) for members in classes[:-1]])
-    disks = _disks(users, radii, order)
     seen: dict[bytes, int] = {}
-    for start, held in _held_blocks(pts, disks, class_start):
+    for start, held in _held_blocks(pts, disks, runs):
         _first_sightings(held, seen, start)
     counts = np.frombuffer(b"".join(seen), dtype=count_type).reshape(len(seen), len(classes))
     rows = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
@@ -446,13 +450,14 @@ def _coverage(
 
 
 def _held_blocks(
-    pts: np.ndarray, disks: np.ndarray, starts: np.ndarray
+    pts: np.ndarray, disks: np.ndarray, runs: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The members of each point's disks, per run of columns, in blocks of ``_block_rows`` rows.
 
     ``pts`` are sorted by x; a run of the columns of ``disks`` starts at
-    each of ``starts``.  Yields each block's first row and its counts, in
-    the smallest unsigned type that holds a column count.
+    each of ``runs``, and ``_run_sums`` sums each block's membership
+    flags over them.  Yields each block's first row and its counts, in the
+    smallest unsigned type that holds a column count.
     """
     ux, r2 = disks[0], disks[2]
     count_type = np.min_scalar_type(len(ux))
@@ -471,7 +476,18 @@ def _held_blocks(
         inside = blank[: len(bx)]
         inside[:] = False
         inside[:, near] = _inside(bx[:, None], by[:, None], disks[:, near])
-        yield start, np.add.reduceat(inside, starts, axis=1, dtype=count_type)
+        yield start, _run_sums(inside, runs, count_type)
+
+
+def _run_sums(matrix: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The sums, as ``dtype``, of the runs of ``matrix``'s columns that start at each of ``starts``.
+
+    ``starts`` ascend from 0.  When every run is one column, the sums are
+    the columns cast, which costs a copy rather than ``np.add.reduceat``.
+    """
+    if len(starts) == matrix.shape[1]:
+        return matrix.astype(dtype, copy=False)
+    return np.add.reduceat(matrix, starts, axis=1, dtype=dtype)
 
 
 def _block_rows(columns: int) -> int:
@@ -497,18 +513,23 @@ class _Knapsack(NamedTuple):
     knapsack of its members' values.  Every field the value reads separates
     ``_classes``, so a class has one value and one demand; classes run in
     descending value per unit demand, so a set's fill is a running sum.
-    The users in that class order are the columns the floor and the tile
-    search count members by.
+    The scenario's classes are unions of the stage's: ``columns`` lists the
+    stage's classes with each of the scenario's a run, in that order, and
+    ``held`` sums a stage's counts into the scenario's classes.
     """
 
     scenario: Scenario
-    groups: list[list[int]]  # the scenario's classes, as the coverage classes each joins
-    order: list[int]  # the users' positions, each class's members a run, in class order
-    starts: np.ndarray  # where each class's run of ``order`` starts
+    columns: np.ndarray  # the stage's classes, each of the scenario's a run, in bound order
+    starts: np.ndarray  # where each of the scenario's classes' run of ``columns`` starts
+    users: list[User]  # the scenario's users in the stage's column order
     values: np.ndarray  # a member's value, per class
     demands: np.ndarray  # and its demand
     base: float  # w2' times the summed targets
     slack: float  # the bound prunes a set only when below a score less this
+
+    def held(self, counts: np.ndarray) -> np.ndarray:
+        """Each row of ``counts``, its members per stage class, as its members per class."""
+        return _run_sums(counts.take(self.columns, axis=1), self.starts, counts.dtype)
 
     def bound(self, held: np.ndarray) -> np.ndarray:
         """The bound of each row of ``held``, its members per class.
@@ -539,13 +560,14 @@ def _knapsack(scenario: Scenario, classes: list[list[int]]) -> _Knapsack:
     groups = sorted(_classes(firsts, w), key=density, reverse=True)
     values = np.array([value(firsts[group[0]]) for group in groups])
     demands = np.array([firsts[group[0]].resource_demand for group in groups])
-    order = [p for group in groups for c in group for p in classes[c]]
-    starts = np.cumsum([0] + [sum(len(classes[c]) for c in group) for group in groups[:-1]])
+    columns = np.array([c for group in groups for c in group], dtype=np.intp)
+    starts = np.cumsum([0, *map(len, groups)])[:-1]
+    users = [scenario.users[p] for members in classes for p in members]
     # The bound, ``select_users`` and ``objective_value`` add the same terms in
     # different orders; the slack covers the rounding, relative to their largest sum.
     slack = SCORE_RTOL * (1.0 + term_magnitude(scenario))
     base = w2 * sum(scenario.targets)
-    return _Knapsack(scenario, groups, order, starts, values, demands, base, slack)
+    return _Knapsack(scenario, columns, starts, users, values, demands, base, slack)
 
 
 def _score(
@@ -556,22 +578,19 @@ def _score(
     Sets whose bound is below ``floor`` less the knapsack's slack are not scored.
     """
     classes, pts, disks, rows, counts, _ = cov
-    scenario, groups = knapsack.scenario, knapsack.groups
+    scenario = knapsack.scenario
     region = scenario.region
     zero = _zero_result(scenario, (region.x_bounds[0], region.y_bounds[0], h_star), radius)
 
-    # The scenario's classes are unions of coverage classes, summed column by
-    # column; a summed signature's first sighting is a coverage signature's.
-    columns = [c for group in groups for c in group]
-    if len(groups) < len(classes):
-        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
-        counts = np.add.reduceat(counts.take(columns, axis=1), starts, axis=1, dtype=counts.dtype)
+    # Summed into fewer classes, signatures can repeat; a summed signature's
+    # first sighting is a coverage signature's.
+    counts = knapsack.held(counts)
+    if counts.shape[1] < len(classes):
         first = list(_first_sightings(counts, {}).values())
-        rows, counts, columns = rows[first], counts[first], list(range(len(groups)))
-    bound, chunk = np.empty(len(rows)), _block_rows(len(groups))
+        rows, counts = rows[first], counts[first]
+    bound, chunk = np.empty(len(rows)), _block_rows(counts.shape[1])
     for start in range(0, len(rows), chunk):
-        held = counts[start : start + chunk].take(columns, axis=1)
-        bound[start : start + chunk] = knapsack.bound(held)
+        bound[start : start + chunk] = knapsack.bound(counts[start : start + chunk])
     size = counts.sum(axis=1, dtype=np.intp)
 
     # The winner is the greatest (objective, served, -row); the zero
@@ -580,7 +599,6 @@ def _score(
     # then center order (lexsort is stable); once a bound is below the best
     # score, so are all that follow.
     win = (zero.objective, 0, 1, zero.assignment, zero.term_breakdown)
-    column_users = [scenario.users[p] for members in classes for p in members]
     nonempty = size.nonzero()[0]
     ranked = nonempty[np.lexsort((-size[nonempty], -bound[nonempty]))]
     for i, b in zip(rows[ranked].tolist(), bound[ranked].tolist()):
@@ -589,7 +607,7 @@ def _score(
         # At a radius exactly on its threshold's boundary, DISK_EPS can take in
         # a user just past it, so the loss itself decides who is eligible.
         x, y = pts[i].tolist()
-        members = [column_users[j] for j in _inside(x, y, disks).nonzero()[0]]
+        members = [knapsack.users[j] for j in _inside(x, y, disks).nonzero()[0]]
         assignment = select_users(scenario, _covered(scenario, members, (x, y, h_star)))
         obj, breakdown = objective_value(scenario, assignment)
         win = max(win, (obj, assignment.total, -i, assignment, breakdown))
@@ -686,37 +704,39 @@ def _reach(disks: np.ndarray) -> np.ndarray:
 
 class _Search(NamedTuple):  # what the tile search of a box keeps
     kept: np.ndarray  # the grid's cells any of its scenarios keeps, as a grid of flags
-    meeting: np.ndarray  # whether each user's disk meets a kept cell
+    meeting: np.ndarray  # whether each stage column's disk meets a kept cell
     floors: tuple[float, ...]  # each scenario's floor, in their order
     tiles: int  # tiles bounded
 
 
 def _search(
-    knapsacks: Sequence[_Knapsack], radii: Sequence[float], h_star: float, grid: _Grid
+    knapsacks: Sequence[_Knapsack], disks: np.ndarray, runs: np.ndarray, h_star: float, grid: _Grid
 ) -> _Search:
     """The quadtree search over the box of the ``knapsacks``' scenarios, which share one stage.
 
-    It bounds each scenario's tiles level by level, down to the leaves of
-    ``grid``, counting members in its knapsack's columns.  A tile holds the users whose disk meets it; every set
-    realized in it is a subset of them, and the knapsack bound is monotone,
-    so their bound bounds every center in it.  A tile whose bound is below
-    the scenario's floor less the slack is dropped, with its children.  The
-    floor, set before the first level, is the objective of a greedy
-    feasible set at one user position (``_floor``), less the slack; a
-    result at or above it is the one the whole box gives.  Bounds are taken
-    in blocks of ``_block_rows`` tiles.
+    ``disks`` and ``runs`` are the stage's columns and its classes' runs of
+    them (``_coverage``).  It bounds each scenario's tiles level by level,
+    down to the leaves of ``grid``, counting the (tile, stage class) pairs
+    of the disks that meet each tile and summing them into the scenario's
+    classes with its knapsack's ``held``.  A tile holds the users whose disk
+    meets it; every set realized in it is a subset of them, and the
+    knapsack bound is monotone, so their bound bounds every center in it.  A
+    tile whose bound is below the scenario's floor less the slack is
+    dropped, with its children.  The floor, set before the first level, is
+    the objective of a greedy feasible set at one user position
+    (``_floor``), less the slack; a result at or above it is the one the
+    whole box gives.  Bounds are taken in blocks of ``_block_rows`` tiles.
     """
     leaves = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
-    meeting = np.zeros(len(radii), dtype=bool)
+    columns, width = disks.shape[1], len(runs)
+    meeting = np.zeros(columns, dtype=bool)
+    reach = _reach(disks)
+    class_of = np.repeat(np.arange(width), np.diff(runs, append=columns))  # each column's class
+    chunk = _block_rows(width)
     floors, tiles = [], 0
     for knapsack in knapsacks:
-        order, width = knapsack.order, len(knapsack.groups)
-        # Each column's class: its run of the knapsack's order.
-        group_of = np.repeat(np.arange(width), np.diff(knapsack.starts, append=len(order)))
-        disks = _disks(knapsack.scenario.users, radii, order)
-        floor = _floor(knapsack, disks, h_star) - knapsack.slack
+        floor = _floor(knapsack, disks, runs, h_star) - knapsack.slack
         floors.append(floor)
-        reach = _reach(disks)
         # The tiles of a level as cell indices, and (tile, column) pairs sorted
         # by tile: the disks that meet each tile.  The search starts three
         # levels above the leaves, with tiles about r_min wide, since wider
@@ -726,13 +746,12 @@ def _search(
         # could hold more than ELIGIBILITY_CHUNK pairs per disk.
         level = max(min(grid.depth - 3, (ELIGIBILITY_CHUNK.bit_length() - 1) // 2), 1)
         ix, iy = np.divmod(np.arange(4**level), 1 << level)
-        at = np.repeat(np.arange(4**level), len(order))
-        col = np.tile(np.arange(len(order)), 4**level)
-        chunk = _block_rows(width)
+        at = np.repeat(np.arange(4**level), columns)
+        col = np.tile(np.arange(columns), 4**level)
         while True:
             gx, gy = grid.gaps(level, reach)
-            d2 = gx.take(ix.take(at) * len(order) + col)
-            d2 += gy.take(iy.take(at) * len(order) + col)
+            d2 = gx.take(ix.take(at) * columns + col)
+            d2 += gy.take(iy.take(at) * columns + col)
             hit = (d2 <= reach[2].take(col)).nonzero()[0]
             at, col = at.take(hit), col.take(hit)
             bound = np.empty(len(ix))
@@ -740,15 +759,15 @@ def _search(
             for k, start in enumerate(range(0, len(ix), chunk)):
                 part = slice(ends[k], ends[k + 1])
                 size = min(chunk, len(ix) - start)
-                pairs = (at[part] - start) * width + group_of.take(col[part])
-                held = np.bincount(pairs, minlength=size * width)
-                bound[start : start + size] = knapsack.bound(held.reshape(size, width))
+                pairs = (at[part] - start) * width + class_of.take(col[part])
+                held = np.bincount(pairs, minlength=size * width).reshape(size, width)
+                bound[start : start + size] = knapsack.bound(knapsack.held(held))
             tiles += len(ix)
             alive = bound >= floor - knapsack.slack
             kept = alive.take(at).nonzero()[0]
             at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
             ix, iy = ix[alive], iy[alive]
-            if level == grid.depth or 4 * len(at) > ELIGIBILITY_CHUNK * len(order):
+            if level == grid.depth or 4 * len(at) > ELIGIBILITY_CHUNK * columns:
                 break
             at = (at + len(ix) * np.arange(4)[:, None]).ravel()
             col = np.concatenate((col,) * 4)
@@ -756,7 +775,7 @@ def _search(
             ix = np.concatenate((ix, ix, ix + 1, ix + 1))
             iy = np.concatenate((iy, iy + 1, iy, iy + 1))
             level += 1
-        meeting[np.take(order, col)] = True
+        meeting[col] = True
         cells = np.zeros((1 << level, 1 << level), dtype=bool)
         cells[ix, iy] = True
         span = 1 << (grid.depth - level)
@@ -764,19 +783,20 @@ def _search(
     return _Search(leaves, meeting, tuple(floors), tiles)
 
 
-def _floor(knapsack: _Knapsack, disks: np.ndarray, h_star: float) -> float:
+def _floor(knapsack: _Knapsack, disks: np.ndarray, runs: np.ndarray, h_star: float) -> float:
     """The objective a search's floor is set from: a greedy feasible set at a user position.
 
-    It is -inf with no user position in the box.  The columns of ``disks``
-    are the knapsack's users, in its ``order``, a class's run of columns
-    starting at each of its ``starts``.  The position is the user in the
-    box whose members have the highest bound, the first in column order of
-    those that tie; the positions are tested by
-    ``_held_blocks``, sorted by x.  Members are taken as the scoring stage
-    takes them at ``h_star``: in the disks, and within their threshold by
-    the scalar loss; then each in class order if it still fits the capacity.
+    It is -inf with no user position in the box.  ``disks`` and ``runs``
+    are the stage's columns and its classes' runs of them.  The knapsack's
+    order of the columns is by their stage class's place in its
+    ``columns``, then by column.  The position is the user in the box whose
+    members have the highest bound, the first in that order of those that
+    tie; the positions are tested by ``_held_blocks``, sorted by x.  Members
+    are taken as the scoring stage takes them at ``h_star``: in the disks,
+    and within their threshold by the scalar loss; then each in that order
+    if it still fits the capacity.
     """
-    scenario, order = knapsack.scenario, knapsack.order
+    scenario = knapsack.scenario
     (x_lo, x_hi), (y_lo, y_hi) = scenario.region.x_bounds, scenario.region.y_bounds
     x, y, r2 = disks
     spots = ((r2 > 0) & (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)).nonzero()[0]
@@ -784,10 +804,13 @@ def _floor(knapsack: _Knapsack, disks: np.ndarray, h_star: float) -> float:
         return -math.inf
     spots = spots[np.argsort(x[spots], kind="stable")]
     bound = np.empty(len(spots))
-    for start, held in _held_blocks(disks[:2, spots].T, disks, knapsack.starts):
-        bound[start : start + len(held)] = knapsack.bound(held)
-    p = spots[bound == bound.max()].min()
-    members = [scenario.users[order[j]] for j in _inside(x[p], y[p], disks).nonzero()[0].tolist()]
+    for start, held in _held_blocks(disks[:2, spots].T, disks, runs):
+        bound[start : start + len(held)] = knapsack.bound(knapsack.held(held))
+    place = np.argsort(knapsack.columns).repeat(np.diff(runs, append=len(x)))
+    tied = spots[bound == bound.max()]
+    p = tied[np.lexsort((tied, place[tied]))[0]]
+    inside = _inside(x[p], y[p], disks).nonzero()[0]
+    members = [knapsack.users[j] for j in inside[np.argsort(place[inside], kind="stable")].tolist()]
     ids = _covered(scenario, members, (x[p], y[p], h_star))
     members = [u for u in members if u.id in ids]
     demands, cap = _scaled(scenario.capacity, members)

@@ -730,7 +730,7 @@ def test_altitude_profile_rejects_bad_range(tmp_path, capsys):
     "args, message",
     [
         (["--env", "rural"], "error: unknown environment preset 'rural'"),
-        (["--env", "urban", "--steps", "0"], "error: steps must be at least 1"),
+        (["--env", "urban", "--steps", "0"], "error: --steps must be at least 1, got 0"),
         (["--env", "x" * 3000], "error: unknown environment preset <3,000 characters>"),
     ],
 )

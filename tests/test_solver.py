@@ -228,6 +228,65 @@ def test_solve_matches_oracle_with_count_objective():
         assert got.objective >= want.objective
 
 
+def two_users(q0, q1, d, h_bounds):
+    """One tenant: users at (0, 0) and (d, 0), thresholds q0 and q1, on [0, d] x [-1, 1]."""
+    users = [
+        User(id=0, x=0.0, y=0.0, mvno_id=0, max_path_loss_db=q0),
+        User(id=1, x=d, y=0.0, mvno_id=0, max_path_loss_db=q1),
+    ]
+    region = PlacementRegion((0.0, d), (-1.0, 1.0), h_bounds)
+    return make_scenario(users, num_mvnos=1, region=region)
+
+
+def bug_b():
+    """ROADMAP item 2's bug B, and the oracle's placement that serves both users.
+
+    At h = 100.5 m the radius of 100 dB is the inside end of its bisection,
+    rb = 261.962890625 m, short of the true boundary r_true near 262.0084 m.
+    The users sit rb + r_true apart, so a point holds both only if one of
+    them is beyond rb from it, which no disk of solve() allows.
+    """
+    rb = coverage_radius(100.5, 100.0, URBAN, CFG)
+    lo, hi = rb, rb + 1.0  # r_true, bisected to the last float
+    while (lo + hi) / 2 not in (lo, hi):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if path_loss(100.5, mid, URBAN, CFG) <= 100.0 else (lo, mid)
+    sc = two_users(100.0, 100.0, rb + lo, (100.0, 100.5))
+    return sc, brute_force(sc, (rb + lo) / 2, 0.5).placement
+
+
+def two_altitude_construction():
+    """ROADMAP item 2's two users coverable together only between their thresholds' h*.
+
+    With q = 97 and 103 dB on [20, 3000] m, r1 + r2 peaks near 570 m, 61.5 m
+    above its best at {20, 3000} and the two h*; the users sit halfway
+    between those two sums apart, and a point at the peak covers both.
+    """
+    h_bounds = (20.0, 3000.0)
+
+    def reach(h):
+        return coverage_radius(h, 97.0, URBAN, CFG) + coverage_radius(h, 103.0, URBAN, CFG)
+
+    peak = max(np.arange(20.0, 3000.0, 10.0).tolist(), key=reach)
+    altitudes = [*h_bounds, *(optimal_altitude(q, URBAN, CFG, h_bounds)[0] for q in (97.0, 103.0))]
+    d = (reach(peak) + max(map(reach, altitudes))) / 2
+    return two_users(97.0, 103.0, d, h_bounds), (coverage_radius(peak, 97.0, URBAN, CFG), 0.0, peak)
+
+
+@pytest.mark.parametrize("reproducer", [bug_b, two_altitude_construction])
+def test_item_2_reproducers_have_a_placement_serving_both_users(reproducer):
+    sc, placement = reproducer()
+    assert validate(sc) == []
+    assert covered_set(sc, placement) == {0, 1}
+
+
+@pytest.mark.xfail(strict=True, reason="solve() fixes h at h* and sizes disks by a bisection's inside end")
+@pytest.mark.parametrize("reproducer", [bug_b, two_altitude_construction])
+def test_solve_serves_both_users_of_the_item_2_reproducers(reproducer):
+    sc, _ = reproducer()
+    assert solve(sc).total_served == 2
+
+
 def test_coverage_monotonicity_of_selection():
     # Growing the eligible set never lowers the best objective.
     rng = random.Random(31)
@@ -1120,11 +1179,18 @@ def disks_of(sc):
     return h_star, radii
 
 
+def stage_layout(sc, radii, classes):
+    """A stage's column order (user positions), its disks, and each class's first column."""
+    order = [p for members in classes for p in members]
+    runs = np.cumsum([0] + [len(members) for members in classes])[:-1]
+    return order, solver._disks(sc.users, radii, order), runs
+
+
 def search_setup(sc, radii):
-    """The classes of ``sc``, its knapsack, and its disks in the knapsack's column order."""
+    """The classes of ``sc``, its knapsack, and the stage's column order, disks and class runs."""
     classes = solver._classes(sc.users, sc.weights)
     knapsack = solver._knapsack(sc, classes)
-    return classes, knapsack, solver._disks(sc.users, radii, knapsack.order)
+    return classes, knapsack, *stage_layout(sc, radii, classes)
 
 
 @pytest.mark.parametrize(
@@ -1150,6 +1216,25 @@ def test_first_sightings_are_the_first_index_of_each_distinct_row(shape, low, hi
     assert solver._first_sightings(m[cut:], solver._first_sightings(m[:cut], {}), cut) == seen
 
 
+@pytest.mark.parametrize(
+    "source, dtype",
+    [(bool, np.uint8), (bool, np.uint16), *((t, t) for t in (np.uint8, np.uint16, np.intp))],
+)
+@pytest.mark.parametrize(
+    "rows, sizes",
+    [(40, [1] * 9), (40, [3, 1, 4, 1, 5]), (40, [9]), (0, [1] * 4), (0, [2, 3]), (40, []), (0, [])],
+    ids=["one-column", "merged", "one-run", "zero-rows", "zero-rows-merged", "zero-columns", "empty"],
+)
+def test_run_sums_equal_reduceat(rows, sizes, source, dtype):
+    # Runs of one column skip np.add.reduceat for a cast copy; both give the same sums and type.
+    starts = np.cumsum([0, *sizes])[:-1]
+    matrix = np.random.default_rng(len(sizes)).integers(0, 2, (rows, sum(sizes))).astype(source)
+    got = solver._run_sums(matrix, starts, dtype)
+    want = np.add.reduceat(matrix, starts, axis=1, dtype=dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape == (rows, len(sizes))
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("depth", [3, 5])
 def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(monkeypatch, depth):
     # Each center's set is a subset of the users whose disk meets its leaf,
@@ -1162,23 +1247,27 @@ def test_every_center_is_bounded_by_its_leaf_and_kept_leaves_keep_their_centers(
         h_star, radii = disks_of(sc)
         (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
         grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
-        classes, knapsack, disks = search_setup(sc, radii)
+        classes, knapsack, order, disks, runs = search_setup(sc, radii)
         circles, pairs, _ = solver._circle_pairs(sc.users, radii)
         pts = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi))
         ix, iy = grid.cells(pts)
-        held = np.add.reduceat(solver._inside(pts[:, :1], pts[:, 1:], disks), knapsack.starts, axis=1)
+        held = np.add.reduceat(solver._inside(pts[:, :1], pts[:, 1:], disks), runs, axis=1)
         reach = solver._reach(disks)
         gx, gy = grid.gaps(depth, reach)
-        leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], knapsack.starts, axis=1)
+        leaf = np.add.reduceat(gx[ix] + gy[iy] <= reach[2], runs, axis=1)
         assert (held <= leaf).all()
         # The bound is monotone in the counts; its float sums only up to rounding.
         slack = solver.SCORE_RTOL * (1.0 + term_magnitude(sc))
-        assert (knapsack.bound(held) <= knapsack.bound(leaf) + slack).all()
+        center_bound, leaf_bound = (knapsack.bound(knapsack.held(c)) for c in (held, leaf))
+        assert (center_bound <= leaf_bound + slack).all()
 
-        search = solver._search([knapsack], radii, h_star, grid)
+        search = solver._search([knapsack], disks, runs, h_star, grid)
         assert search.kept.any()
         restricted += not search.meeting.all()
-        leaves = grid, search.kept, search.meeting[np.asarray(radii) > 0]
+        # The search flags columns; the circles are the users with a radius, in position order.
+        meeting = np.zeros(len(sc.users), dtype=bool)
+        meeting[order] = search.meeting
+        leaves = grid, search.kept, meeting[np.asarray(radii) > 0]
         tiled = _candidate_centers(circles, pairs, (x_lo, x_hi), (y_lo, y_hi), leaves)
         want = pts[search.kept[ix, iy]]
         assert np.array_equal(tiled.view(np.uint64), want.view(np.uint64))
@@ -1204,26 +1293,28 @@ def rich_layout(seed, n):
     return dataclasses.replace(sc, users=users)
 
 
-def reference_floor(sc, knapsack, order, starts, disks, h_star):
+def reference_floor(sc, knapsack, order, runs, disks, h_star):
     """``_floor`` with every user position in the box tested against every disk in one call.
 
-    The position is the first in column order of those whose members have
-    the highest bound; its members that pass the scalar loss check are
-    taken in column order while their exact summed demand fits.
+    The knapsack's order of the stage's columns is its stage classes in the
+    order of its ``columns``, each class's columns in turn.  The position is
+    the first in that order of those whose members have the highest bound;
+    its members that pass the scalar loss check are taken in that order
+    while their exact summed demand fits.
     """
     (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
     x, y, r2 = disks
-    spots = [
-        j for j in range(len(order)) if r2[j] > 0 and x_lo <= x[j] <= x_hi and y_lo <= y[j] <= y_hi
-    ]
+    ends = [*runs[1:], len(order)]
+    ranked = [j for c in knapsack.columns.tolist() for j in range(runs[c], ends[c])]
+    spots = [j for j in ranked if r2[j] > 0 and x_lo <= x[j] <= x_hi and y_lo <= y[j] <= y_hi]
     if not spots:
         return -math.inf
     inside = solver._inside(x[spots, None], y[spots, None], disks)
-    best = int(np.argmax(knapsack.bound(np.add.reduceat(inside, starts, axis=1))))
+    best = int(np.argmax(knapsack.bound(knapsack.held(np.add.reduceat(inside, runs, axis=1)))))
     px, py = x[spots[best]], y[spots[best]]
     env, cfg = sc.environment, sc.channel
     chosen, used = [], fractions.Fraction(0)
-    for j in inside[best].nonzero()[0].tolist():
+    for j in [j for j in ranked if inside[best, j]]:
         u = sc.users[order[j]]
         loss = path_loss(h_star, math.hypot(u.x - px, u.y - py), env, cfg)
         demand = fractions.Fraction(u.resource_demand)
@@ -1235,16 +1326,33 @@ def reference_floor(sc, knapsack, order, starts, disks, h_star):
 
 def test_floor_equals_the_dense_reference():
     # The floor tests the user positions in slab blocks sorted by x; the
-    # reference tests them all at once in column order, so both the blocking
-    # and the tie-break among equal bounds are checked.
+    # reference tests them all at once in the knapsack's order, so both the
+    # blocking and the tie-break among equal bounds are checked.
     finite = 0
     for sc in [*tiled_instances(), rich_layout(8, 240)]:
         h_star, radii = disks_of(sc)
-        _, knapsack, disks = search_setup(sc, radii)
-        got = solver._floor(knapsack, disks, h_star)
-        assert got == reference_floor(sc, knapsack, knapsack.order, knapsack.starts, disks, h_star)
+        _, knapsack, order, disks, runs = search_setup(sc, radii)
+        got = solver._floor(knapsack, disks, runs, h_star)
+        assert got == reference_floor(sc, knapsack, order, runs, disks, h_star)
         finite += got > -math.inf
     assert finite > 1
+
+
+def test_a_tiled_box_with_no_user_position_has_no_floor_and_solves_whole(monkeypatch, caplog):
+    # solve() takes users outside its box, which validate() refuses: at
+    # n = 600 without the users in [-150, 150]^2, that box tiles with no
+    # user position to set a floor at, so no tile is dropped for it.
+    sc = generate_scenario(7, 600, 2, URBAN)
+    users = tuple(u for u in sc.users if not (-150.0 <= u.x <= 150.0 and -150.0 <= u.y <= 150.0))
+    region = PlacementRegion((-150.0, 150.0), (-150.0, 150.0), sc.region.h_bounds)
+    sc = dataclasses.replace(sc, users=users, region=region)
+    floors, floor = [], solver._floor
+    monkeypatch.setattr(solver, "_floor", lambda *a: floors.append(floor(*a)) or floors[-1])
+    result, (tiles, leaves, centers, bound), fallback = solve_log(caplog, sc)
+    assert len(users) == 586 and floors == [-math.inf]
+    assert tiles > 0 and leaves > 1 and not fallback and result.total_served == 22
+    force_depth(monkeypatch, 0)
+    assert repr(solve(sc)) == repr(result)
 
 
 @pytest.mark.parametrize("depth", [3, 5])
@@ -1261,10 +1369,11 @@ def test_search_is_the_same_for_any_block_size(monkeypatch, depth):
         classes = solver._classes(sc.users, sc.weights)
         variant = dataclasses.replace(sc, weights=dataclasses.replace(sc.weights, w2=0.0))
         knapsacks = [solver._knapsack(s, classes) for s in (sc, variant)]
+        _, disks, runs = stage_layout(sc, radii, classes)
         searches = []
         for block in (solver.BLOCK_FLOATS, 1, 7):
             monkeypatch.setattr(solver, "BLOCK_FLOATS", block)
-            searches.append(solver._search(knapsacks, radii, h_star, grid))
+            searches.append(solver._search(knapsacks, disks, runs, h_star, grid))
         default = searches[0]
         assert len(default.floors) == 2
         for search in searches[1:]:
