@@ -131,14 +131,23 @@ def path_loss(
     Free-space loss at the slant distance plus the LOS-probability-weighted
     mix of the excess losses.  Strictly increasing in the ground range for a
     fixed altitude (the preset invariant eta_nlos >= eta_los guarantees it).
+    Raises ``ValueError`` on a bad altitude or range, an elevation that
+    rounds to 0, or a free-space product 4*pi*f*d/c that underflows to 0.
     """
     if not altitude_m > 0:  # NaN too
         raise ValueError(f"altitude must be positive, got {altitude_m}")
     if not ground_range_m >= 0:
         raise ValueError(f"ground range must be non-negative, got {ground_range_m}")
-    loss, theta = _air_to_ground(
-        altitude_m, ground_range_m, env, cfg, math.hypot, math.atan2, math.degrees, _exp, math.log10
-    )
+    try:
+        loss, theta = _air_to_ground(
+            altitude_m, ground_range_m, env, cfg, math.hypot, math.atan2, math.degrees, _exp, math.log10
+        )
+    except ValueError:  # math.log10(0.0), the only routine here that raises
+        slant = math.hypot(altitude_m, ground_range_m)
+        raise ValueError(
+            f"the free-space product of carrier {cfg.frequency_hz} Hz and slant {slant} m "
+            "rounds to 0, which has no logarithm"
+        ) from None
     if not 0.0 < theta <= 90.0:
         raise ValueError(f"elevation angle must be in (0, 90], got {theta}")
     return loss

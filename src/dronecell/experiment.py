@@ -136,7 +136,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Deterministic summary over n_runs seeded layouts per environment.
 
     A layout's policies share a ``SharedCoverage``, so the multi-tenancy two,
-    which differ only in w2, run the coverage stage once.
+    which differ only in w2, run the coverage stage, and its one tile
+    search, once; with one tenant, single tenancy shares it too.
     A failing run raises an ``ExperimentError`` that names it.  That error
     is also a ``ValueError`` when the generated scenario fails ``validate``
     (it lists the violations, and nothing is solved) or when the solve

@@ -185,8 +185,9 @@ def layout_region(
 
     Raises ``ValueError`` on a negative seed or user count, no tenant, a
     count above ``MAX_COUNT``, or a field size that is not finite and
-    positive or whose box ``PlacementRegion`` refuses (the profile has
-    checked its ``h_bounds``, so only the field's bounds can be refused).
+    positive, whose half rounds to 0, or whose box ``PlacementRegion``
+    refuses (the profile has checked its ``h_bounds``, so only the field's
+    bounds can be refused).
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -200,6 +201,8 @@ def layout_region(
     if not 0 < field_size_m < math.inf:
         raise ValueError(f"field_size_m must be finite and positive, got {field_size_m}")
     half = field_size_m / 2.0
+    if not half:  # the box (-0.0, 0.0) that validate() refuses
+        raise ValueError(f"field_size_m: {field_size_m} m is too small to give a box of any width")
     try:
         return PlacementRegion((-half, half), (-half, half), profile.h_bounds)
     except ValueError as exc:

@@ -360,12 +360,14 @@ class SharedCoverage:
     """Coverage stages, each made once, on its first caller's radii, for scenarios sharing it.
 
     Scenarios with equal users, channel, environment and region share a
-    stage.  When the box is tiled, it holds the centers of every leaf that
-    any of them keeps, so each one sees all the centers of its own leaves.
-    The stage is built with one knapsack per scenario sharing it, which the
-    search, the floor and the scoring all read.  A call gives a scenario's
-    stage, its knapsack and its search floor (-inf for a box kept whole); a
-    scenario not among them is refused with ``ValueError``.
+    stage.  The stage is built with one knapsack per scenario sharing it,
+    which its floor and scoring read.  When the box is tiled, one search
+    serves them all: a tile stays while any scenario's bound reaches that
+    scenario's floor, so the stage holds the centers of every leaf that any
+    of them keeps, and each one sees all the centers of its own leaves.  A
+    call gives a scenario's stage, its knapsack and its search floor (-inf
+    for a box kept whole); a scenario not among them is refused with
+    ``ValueError``.
     """
 
     def __init__(self, scenarios: Iterable[Scenario]) -> None:
@@ -702,11 +704,11 @@ def _reach(disks: np.ndarray) -> np.ndarray:
     return np.array([disks[0], disks[1], reach])
 
 
-class _Search(NamedTuple):  # what the tile search of a box keeps
+class _Search(NamedTuple):  # what the one tile search of a stage keeps, for all its scenarios
     kept: np.ndarray  # the grid's cells any of its scenarios keeps, as a grid of flags
     meeting: np.ndarray  # whether each stage column's disk meets a kept cell
     floors: tuple[float, ...]  # each scenario's floor, in their order
-    tiles: int  # tiles bounded
+    tiles: int  # tiles bounded, each once however many scenarios bound it
 
 
 def _search(
@@ -715,72 +717,72 @@ def _search(
     """The quadtree search over the box of the ``knapsacks``' scenarios, which share one stage.
 
     ``disks`` and ``runs`` are the stage's columns and its classes' runs of
-    them (``_coverage``).  It bounds each scenario's tiles level by level,
-    down to the leaves of ``grid``, counting the (tile, stage class) pairs
-    of the disks that meet each tile and summing them into the scenario's
-    classes with its knapsack's ``held``.  A tile holds the users whose disk
-    meets it; every set realized in it is a subset of them, and the
-    knapsack bound is monotone, so their bound bounds every center in it.  A
-    tile whose bound is below the scenario's floor less the slack is
-    dropped, with its children.  The floor, set before the first level, is
-    the objective of a greedy feasible set at one user position
-    (``_floor``), less the slack; a result at or above it is the one the
-    whole box gives.  Bounds are taken in blocks of ``_block_rows`` tiles.
+    them (``_coverage``).  One descent serves every scenario: level by
+    level, down to the leaves of ``grid``, it counts the (tile, stage class)
+    pairs of the disks that meet each tile, once, and each knapsack sums
+    them into its scenario's classes with ``held`` and bounds the tile.  A
+    tile holds the users whose disk meets it; every set realized in it is a
+    subset of them, and the knapsack bound is monotone, so their bound
+    bounds every center in it.  A tile stays while any scenario's bound
+    reaches that scenario's floor less the slack, and is dropped, with its
+    children, once none does; a child's users are a subset of its parent's,
+    so a level keeps the union of the tiles each scenario alone would keep.
+    A scenario's floor, set before the first level, is the objective of a
+    greedy feasible set at one user position (``_floor``), less the slack;
+    a result at or above it is the one the whole box gives.  Bounds are
+    taken in blocks of ``_block_rows`` tiles.
     """
-    leaves = np.zeros((len(grid.xe) - 1, len(grid.ye) - 1), dtype=bool)
     columns, width = disks.shape[1], len(runs)
-    meeting = np.zeros(columns, dtype=bool)
     reach = _reach(disks)
     class_of = np.repeat(np.arange(width), np.diff(runs, append=columns))  # each column's class
     chunk = _block_rows(width)
-    floors, tiles = [], 0
-    for knapsack in knapsacks:
-        floor = _floor(knapsack, disks, runs, h_star) - knapsack.slack
-        floors.append(floor)
-        # The tiles of a level as cell indices, and (tile, column) pairs sorted
-        # by tile: the disks that meet each tile.  The search starts three
-        # levels above the leaves, with tiles about r_min wide, since wider
-        # ones seldom fall below the floor, and with at most ELIGIBILITY_CHUNK
-        # tiles.  A kept tile splits in 4: child 2a + b of tile t is tile
-        # (2a + b) * len(ix) + t.  A level stops the search when its children
-        # could hold more than ELIGIBILITY_CHUNK pairs per disk.
-        level = max(min(grid.depth - 3, (ELIGIBILITY_CHUNK.bit_length() - 1) // 2), 1)
-        ix, iy = np.divmod(np.arange(4**level), 1 << level)
-        at = np.repeat(np.arange(4**level), columns)
-        col = np.tile(np.arange(columns), 4**level)
-        while True:
-            gx, gy = grid.gaps(level, reach)
-            d2 = gx.take(ix.take(at) * columns + col)
-            d2 += gy.take(iy.take(at) * columns + col)
-            hit = (d2 <= reach[2].take(col)).nonzero()[0]
-            at, col = at.take(hit), col.take(hit)
-            bound = np.empty(len(ix))
-            ends = np.searchsorted(at, range(0, len(ix) + chunk, chunk))
-            for k, start in enumerate(range(0, len(ix), chunk)):
-                part = slice(ends[k], ends[k + 1])
-                size = min(chunk, len(ix) - start)
-                pairs = (at[part] - start) * width + class_of.take(col[part])
-                held = np.bincount(pairs, minlength=size * width).reshape(size, width)
-                bound[start : start + size] = knapsack.bound(knapsack.held(held))
-            tiles += len(ix)
-            alive = bound >= floor - knapsack.slack
-            kept = alive.take(at).nonzero()[0]
-            at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
-            ix, iy = ix[alive], iy[alive]
-            if level == grid.depth or 4 * len(at) > ELIGIBILITY_CHUNK * columns:
-                break
-            at = (at + len(ix) * np.arange(4)[:, None]).ravel()
-            col = np.concatenate((col,) * 4)
-            ix, iy = 2 * ix, 2 * iy
-            ix = np.concatenate((ix, ix, ix + 1, ix + 1))
-            iy = np.concatenate((iy, iy + 1, iy, iy + 1))
-            level += 1
-        meeting[col] = True
-        cells = np.zeros((1 << level, 1 << level), dtype=bool)
-        cells[ix, iy] = True
-        span = 1 << (grid.depth - level)
-        leaves |= cells.repeat(span, axis=0).repeat(span, axis=1)
-    return _Search(leaves, meeting, tuple(floors), tiles)
+    floors = tuple(_floor(knapsack, disks, runs, h_star) - knapsack.slack for knapsack in knapsacks)
+    # The tiles of a level as cell indices, and (tile, column) pairs sorted
+    # by tile: the disks that meet each tile.  The search starts three
+    # levels above the leaves, with tiles about r_min wide, since wider
+    # ones seldom fall below a floor, and with at most ELIGIBILITY_CHUNK
+    # tiles.  A kept tile splits in 4: child 2a + b of tile t is tile
+    # (2a + b) * len(ix) + t.  A level stops the search when its children
+    # could hold more than ELIGIBILITY_CHUNK pairs per disk.
+    level = max(min(grid.depth - 3, (ELIGIBILITY_CHUNK.bit_length() - 1) // 2), 1)
+    ix, iy = np.divmod(np.arange(4**level), 1 << level)
+    at = np.repeat(np.arange(4**level), columns)
+    col = np.tile(np.arange(columns), 4**level)
+    tiles = 0
+    while True:
+        gx, gy = grid.gaps(level, reach)
+        d2 = gx.take(ix.take(at) * columns + col)
+        d2 += gy.take(iy.take(at) * columns + col)
+        hit = (d2 <= reach[2].take(col)).nonzero()[0]
+        at, col = at.take(hit), col.take(hit)
+        alive = np.zeros(len(ix), dtype=bool)
+        ends = np.searchsorted(at, range(0, len(ix) + chunk, chunk))
+        for k, start in enumerate(range(0, len(ix), chunk)):
+            part = slice(ends[k], ends[k + 1])
+            size = min(chunk, len(ix) - start)
+            pairs = (at[part] - start) * width + class_of.take(col[part])
+            held = np.bincount(pairs, minlength=size * width).reshape(size, width)
+            for knapsack, floor in zip(knapsacks, floors):
+                bound = knapsack.bound(knapsack.held(held))
+                alive[start : start + size] |= bound >= floor - knapsack.slack
+        tiles += len(ix)
+        kept = alive.take(at).nonzero()[0]
+        at, col = (np.cumsum(alive) - 1).take(at.take(kept)), col.take(kept)
+        ix, iy = ix[alive], iy[alive]
+        if level == grid.depth or 4 * len(at) > ELIGIBILITY_CHUNK * columns:
+            break
+        at = (at + len(ix) * np.arange(4)[:, None]).ravel()
+        col = np.concatenate((col,) * 4)
+        ix, iy = 2 * ix, 2 * iy
+        ix = np.concatenate((ix, ix, ix + 1, ix + 1))
+        iy = np.concatenate((iy, iy + 1, iy, iy + 1))
+        level += 1
+    meeting = np.zeros(columns, dtype=bool)
+    meeting[col] = True
+    cells = np.zeros((1 << level, 1 << level), dtype=bool)
+    cells[ix, iy] = True
+    span = 1 << (grid.depth - level)
+    return _Search(cells.repeat(span, axis=0).repeat(span, axis=1), meeting, floors, tiles)
 
 
 def _floor(knapsack: _Knapsack, disks: np.ndarray, runs: np.ndarray, h_star: float) -> float:

@@ -79,7 +79,8 @@ def test_free_space_loss_rejects_nonpositive_distance():
     with pytest.raises(ValueError, match="altitude must be positive"):
         path_loss(0.0, 0.0, FREE_SPACE, CFG)
     # A free-space product that underflows to 0 has no logarithm.
-    with pytest.raises(ValueError):
+    message = r"^the free-space product of carrier 5e-324 Hz and slant 1\.0 m rounds to 0"
+    with pytest.raises(ValueError, match=message):
         path_loss(1.0, 0.0, FREE_SPACE, ChannelConfig(frequency_hz=5e-324))
 
 

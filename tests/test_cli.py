@@ -451,13 +451,17 @@ def test_gen_rejects_a_negative_seed(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
 
 
-@pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("size", ["nan", "inf", "0", "-5", "5e-324"])
 def test_gen_rejects_a_bad_field_size(tmp_path, capsys, size):
+    # At 5e-324 the half rounds to 0: the box (-0.0, 0.0) passes
+    # PlacementRegion but not validate(), so every command that read the
+    # file would refuse it.
     out = tmp_path / "never.json"
     args = ["gen", "--seed", "1", "--n-users", "4", "--env", "urban", "--field-size", size]
     assert main(args + ["--out", str(out)]) == 1
     assert not out.exists()
-    assert "field_size_m must be finite and positive" in capsys.readouterr().err
+    message = {"5e-324": "error: field_size_m: 5e-324 m is too small to give a box of any width"}
+    assert message.get(size, "field_size_m must be finite and positive") in capsys.readouterr().err
 
 
 def test_mc_small_config(tmp_path):
@@ -505,6 +509,7 @@ REFUSED_ON_READ = [
     (("n_users",), -1, "n_users must be non-negative"),
     (("num_mvnos",), 0, "num_mvnos must be at least 1"),
     (("field_size_m",), 1e9, "field_size_m: x_bounds must lie within +-1e+07 m"),
+    (("field_size_m",), 5e-324, "field_size_m: 5e-324 m is too small to give a box of any width"),
     (("profile", "h_bounds"), [0.0, 80.0], "profile: h_bounds must start above ground, got 0.0"),
     (("profile", "h_bounds"), [80.0, 20.0], "profile: h_bounds must satisfy min <= max"),
     (
@@ -550,6 +555,7 @@ def undrawn(*args, **kwargs):
         (("n_users",), -1),
         (("num_mvnos",), 0),
         (("field_size_m",), 1e9),
+        (("field_size_m",), 5e-324),
     ],
 )
 def test_mc_rejects_an_invalid_config(tmp_path, capsys, monkeypatch, path, value):
@@ -610,7 +616,9 @@ def test_mc_with_a_value_the_loss_formula_rejects_exits_1(tmp_path, capsys, wher
     out = tmp_path / "never.csv"
     assert main(["mc", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
-    assert "error: run 0 (suburban, single_tenancy): " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: run 0 (suburban, single_tenancy): " in err
+    assert "math domain error" not in err
 
 
 def test_solve_above_the_selection_state_ceiling_exits_1(tmp_path, monkeypatch, capsys):

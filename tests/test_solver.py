@@ -51,6 +51,7 @@ from dronecell.solver import (
 )
 
 URBAN = ENVIRONMENTS["urban"]
+SUBURBAN = ENVIRONMENTS["suburban"]
 CFG = ChannelConfig()
 # Slack for users sitting exactly on a coverage-circle boundary candidate.
 QOS_SLACK_DB = 1e-6
@@ -1380,6 +1381,64 @@ def test_search_is_the_same_for_any_block_size(monkeypatch, depth):
             assert search.floors == default.floors and search.tiles == default.tiles
             assert np.array_equal(search.kept, default.kept)
             assert np.array_equal(search.meeting, default.meeting)
+
+
+def count_gaps(monkeypatch):
+    """The levels of each ``_Grid.gaps`` call from here on, in call order."""
+    calls = []
+    gaps = solver._Grid.gaps
+    monkeypatch.setattr(solver._Grid, "gaps", lambda g, level, d: calls.append(level) or gaps(g, level, d))
+    return calls
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_a_repeated_knapsack_leaves_the_search_as_it_is(monkeypatch, depth):
+    # One descent serves every knapsack of a stage: a second copy of one adds
+    # its floor, but no tile, no kept cell, no meeting disk and no level's gaps.
+    n = 1 << depth
+    calls = count_gaps(monkeypatch)
+    for sc in [*itertools.islice(tiled_instances(), 0, None, 3), generate_scenario(2, 240, 2, URBAN)]:
+        h_star, radii = disks_of(sc)
+        (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
+        grid = solver._Grid(np.linspace(x_lo, x_hi, n + 1), np.linspace(y_lo, y_hi, n + 1), depth)
+        _, knapsack, _, disks, runs = search_setup(sc, radii)
+        calls.clear()
+        one = solver._search([knapsack], disks, runs, h_star, grid)
+        levels = list(calls)
+        calls.clear()
+        two = solver._search([knapsack, knapsack], disks, runs, h_star, grid)
+        assert calls == levels == list(range(levels[0], levels[0] + len(levels)))
+        assert two.floors == one.floors * 2 and two.tiles == one.tiles
+        assert np.array_equal(two.kept, one.kept) and np.array_equal(two.meeting, one.meeting)
+
+
+def test_a_shared_search_keeps_what_its_scenarios_keep_alone(monkeypatch):
+    # A child's users are a subset of its parent's and the bound is monotone,
+    # so the one descent of a stage keeps exactly the cells, and flags the
+    # disks, that one of its scenarios' own searches would.
+    layouts = list(itertools.islice(shared_instances(), 0, None, 3))
+    layouts += [generate_scenario(s, n, 2, env) for s, n in ((1, 240), (3, 480)) for env in (URBAN, SUBURBAN)]
+    for sc in layouts:
+        w = sc.weights
+        subs = [
+            sc,
+            dataclasses.replace(sc, weights=dataclasses.replace(w, w2=0.0)),
+            dataclasses.replace(sc, weights=ObjectiveWeights(0.5, 0.0, 0.0, 1.0, w.norm), capacity=2.0),
+        ]
+        h_star, radii = disks_of(sc)
+        (x_lo, x_hi), (y_lo, y_hi) = sc.region.x_bounds, sc.region.y_bounds
+        circles, _, count = solver._circle_pairs(sc.users, radii)
+        grid = solver._grid((x_lo, x_hi), (y_lo, y_hi), circles[:, 2], count)
+        if grid is None:  # the small layouts: a quadtree of 4 levels
+            grid = solver._Grid(np.linspace(x_lo, x_hi, 17), np.linspace(y_lo, y_hi, 17), 4)
+        classes = solver._classes(sc.users, ObjectiveWeights(w2=w.w2, w3=w.w3, w4=1.0))
+        knapsacks = [solver._knapsack(s, classes) for s in subs]
+        _, disks, runs = stage_layout(sc, radii, classes)
+        shared = solver._search(knapsacks, disks, runs, h_star, grid)
+        alone = [solver._search([k], disks, runs, h_star, grid) for k in knapsacks]
+        assert shared.floors == tuple(s.floors[0] for s in alone)
+        assert np.array_equal(shared.kept, np.logical_or.reduce([s.kept for s in alone]))
+        assert np.array_equal(shared.meeting, np.logical_or.reduce([s.meeting for s in alone]))
 
 
 def test_solve_falls_back_to_the_whole_box_when_its_floor_is_not_reached(monkeypatch, caplog):
